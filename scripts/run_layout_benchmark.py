@@ -75,14 +75,10 @@ def main() -> int:
         pool.append(lay)
     cluster = pool[0]
 
-    cache: dict = {}
+    scorer = su.LayoutScorer(model, pop, cal)
 
     def fitness(layout: op.Layout) -> float:
-        key = layout.zone_key()
-        if key not in cache:
-            table = su.build_features(pop, layout.by_zone(), cal)
-            cache[key] = float(np.clip(model.predict_rows(table), 0.0, None).sum())
-        return cache[key]
+        return scorer.total(layout.by_zone())
 
     ga_best, _ = op.ga_optimize(
         fitness, pure, op.GaConfig(generations=args.generations),

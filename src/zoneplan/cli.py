@@ -137,8 +137,8 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 def build_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
-        path = Path(args.config)
+    for value in getattr(args, "config", None) or []:
+        path = Path(value)
         if not path.exists():
             raise ingest.InputError(f"config file not found: {path}")
         with open(path, encoding="utf-8") as fh:
@@ -241,8 +241,10 @@ def _parse_window(cfg: dict, events) -> tuple[datetime, datetime]:
     lo = min(int(ev.times[0]) for ev in events.values())
     hi = max(int(ev.times[-1]) for ev in events.values())
     day = ingest.DAY_SECONDS
+    step = ingest.STEP_SECONDS
+    step_end = (hi // step + 1) * step  # end of the step holding the last event
     start = (lo // day) * day
-    end = ((hi + ingest.STEP_SECONDS + day - 1) // day) * day
+    end = ((step_end + day - 1) // day) * day
     return (
         datetime.fromtimestamp(start, tz=timezone.utc),
         datetime.fromtimestamp(end, tz=timezone.utc),
@@ -420,16 +422,11 @@ def cmd_train_surrogate(cfg: dict) -> int:
     return 0
 
 
-def _energy_fitness(model, state_grid, cal):
-    """Layout fitness = predicted total energy, cached by zone contents."""
-    cache: dict[tuple, float] = {}
+def _energy_fitness(scorer: surrogate.LayoutScorer):
+    """Layout fitness = predicted total energy."""
 
     def fitness(layout: optimize.Layout) -> float:
-        key = layout.zone_key()
-        if key not in cache:
-            report = surrogate.predict_energy(model, layout.by_zone(), state_grid, cal)
-            cache[key] = report.grand_total
-        return cache[key]
+        return scorer.total(layout.by_zone())
 
     return fitness
 
@@ -481,7 +478,10 @@ def cmd_optimize(cfg: dict) -> int:
     if cfg["optimize"]["seed_layouts"]:
         seeds_in = _load_seed_layouts(cfg["optimize"]["seed_layouts"])
 
-    fitness = _energy_fitness(model, state_grid, cal) if model is not None else None
+    scorer = fitness = None
+    if model is not None:
+        scorer = surrogate.LayoutScorer(model, state_grid, cal)
+        fitness = _energy_fitness(scorer)
     runs = []
     for k in range(batch):
         run_seed = master + k
@@ -511,19 +511,13 @@ def cmd_optimize(cfg: dict) -> int:
             for k, _, objective in runs:
                 fh.write(f"{k},{objective!r}\n")
         else:
-            existing = surrogate.predict_energy(
-                model, template.by_zone(), state_grid, cal
-            ).grand_total
+            existing = scorer.total(template.by_zone())
             n_rand = int(cfg["optimize"]["random_baseline"])
             rand_energies = []
             for j in range(n_rand):
                 rng = np.random.default_rng(master + 100_000 + j)
                 rand_layout = optimize.random_layout(template, rng)
-                rand_energies.append(
-                    surrogate.predict_energy(
-                        model, rand_layout.by_zone(), state_grid, cal
-                    ).grand_total
-                )
+                rand_energies.append(scorer.total(rand_layout.by_zone()))
             rand_mean = float(np.mean(rand_energies)) if rand_energies else float("nan")
             fh.write(f"# existing_energy_wh: {existing!r}\n")
             fh.write(f"# random_mean_energy_wh: {rand_mean!r} (n={n_rand})\n")
@@ -531,9 +525,7 @@ def cmd_optimize(cfg: dict) -> int:
             pct_exist_base = 0.0 if rand_mean == 0 else 100.0 * (existing - rand_mean) / rand_mean
             fh.write(f"existing,,{existing!r},0.0,{pct_exist_base!r}\n")
             for k, layout, objective in runs:
-                energy = surrogate.predict_energy(
-                    model, layout.by_zone(), state_grid, cal
-                ).grand_total
+                energy = scorer.total(layout.by_zone())
                 pct_exist = 0.0 if existing == 0 else 100.0 * (energy - existing) / existing
                 pct_rand = 0.0 if rand_mean == 0 else 100.0 * (energy - rand_mean) / rand_mean
                 fh.write(
@@ -642,7 +634,7 @@ def cmd_synth_demo(cfg: dict) -> int:
     optimize.write_layout(cluster_layout, out / "cluster_layout.csv", header)
     optimize.write_trace(cluster_trace, out / "cluster_trace.csv", header)
 
-    fitness = _energy_fitness(model, state_grid, cal)
+    fitness = _energy_fitness(surrogate.LayoutScorer(model, state_grid, cal))
     ga_layout, ga_trace = optimize.ga_optimize(
         fitness, pure, _ga_config(cfg), seed=seed
     )
@@ -678,7 +670,8 @@ def _make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--config", action="append",
+                       help="JSON config file (repeatable, merged in order)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (dotted path, JSON value)")
         p.add_argument("--seed", type=int, help="master seed")

@@ -84,12 +84,6 @@ class Layout:
             for z, desks in self.zones.items()
         }
 
-    def zone_key(self) -> tuple:
-        """Hashable zone-content signature (order within a zone ignored)."""
-        return tuple(
-            (z, tuple(sorted(occs))) for z, occs in sorted(self.by_zone().items())
-        )
-
     def same_structure(self, other: "Layout") -> bool:
         return self.zones == other.zones and set(self.assignment.values()) == set(
             other.assignment.values()

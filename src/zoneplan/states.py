@@ -491,12 +491,17 @@ def load_states(path) -> StateGrid:
     for lineno, row in _read_rows(path, ["occupant_id", "timestamp", "state"]):
         if len(row) != 3:
             raise InputError(f"{path}:{lineno}: expected 3 fields")
-        s = int(row[2])
+        try:
+            s = int(row[2])
+        except ValueError:
+            s = None
         if s not in (1, 2, 3):
-            raise InputError(f"{path}:{lineno}: state must be 1, 2, or 3")
-        per_occ.setdefault(row[0].strip(), []).append(
-            (int(parse_timestamp(row[1]).timestamp()), s)
-        )
+            raise InputError(f"{path}:{lineno}: state must be 1, 2, or 3, got {row[2]!r}")
+        try:
+            epoch = int(parse_timestamp(row[1]).timestamp())
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        per_occ.setdefault(row[0].strip(), []).append((epoch, s))
     if not per_occ:
         raise InputError(f"{path}: no state rows")
     occupants = list(per_occ)

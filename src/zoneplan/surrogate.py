@@ -199,7 +199,14 @@ class MlrModel:
         return np.where(self.scaler_range[None, :] > 0, scaled, 0.0)
 
     def predict_encoded(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + self._scale(np.atleast_2d(x)) @ self.coefficients
+        # a row-wise reduction, unlike a BLAS gemv, gives each row the same
+        # result whichever other rows share the batch
+        scaled = self._scale(np.atleast_2d(x))
+        return self.intercept + (scaled * self.coefficients).sum(axis=1)
+
+    def predict_raw(self, x: np.ndarray) -> np.ndarray:
+        """Raw feature rows whose zone column is already a model zone index."""
+        return self.predict_encoded(encode(x, len(self.zone_order)))
 
     def predict_rows(self, table: FeatureTable) -> np.ndarray:
         remap = _zone_remap(table.zone_order, self.zone_order)
@@ -408,7 +415,13 @@ class RfModel:
                 go_left = fv < thr[rows_idx, cur]
                 nxt = np.where(go_left, left[rows_idx, cur], right[rows_idx, cur])
                 cur = np.where(interior, nxt, cur).astype(np.int32)
-            out[lo : lo + nb] = val[rows_idx, cur].mean(axis=0)
+            # trees summed one after another: numpy's mean over axis 0 does
+            # this for two or more rows but sums a lone row pairwise
+            leaves = val[rows_idx, cur]
+            total = leaves[0].copy()
+            for tree_values in leaves[1:]:
+                total += tree_values
+            out[lo : lo + nb] = total / nt
         return out
 
     def predict_rows(self, table: FeatureTable) -> np.ndarray:
@@ -615,6 +628,132 @@ class EnergyReport:
     percent_change: float | None = None
 
 
+class LayoutScorer:
+    """Predicted lighting energy of layouts, each distinct feature row predicted once.
+
+    A feature row (s1, s2, s3, hour, day_of_week, is_weekend, zone) takes
+    few distinct values, so each row is encoded as one integer key and the
+    model's clamped prediction is kept in a sorted memo.  Scoring a layout
+    gathers its rows' predictions in the same step-major order as
+    build_features and sums them; the model only sees keys it has not seen
+    before.  Predictions do not depend on the batch they are computed in,
+    so totals equal scoring the whole feature table at once.
+    """
+
+    _CALENDAR_KEYS = 24 * 7 * 2
+
+    def __init__(self, model, states: StateGrid, calendar: StepCalendar | None = None):
+        cal = calendar or StepCalendar(states.start, states.n_steps)
+        if cal.n_steps != states.n_steps:
+            raise ValueError("calendar length does not match the state grid")
+        self.model = model
+        self.states = states
+        self.calendar = cal
+        self._occ_index = {occ: i for i, occ in enumerate(states.occupants)}
+        self._model_zone = {z: j for j, z in enumerate(model.zone_order)}
+        m = self._base = len(states.occupants) + 1  # a zone count lies in [0, n_occupants]
+        if len(model.zone_order) * self._CALENDAR_KEYS * m**3 >= 2**63:
+            raise ValueError("too many occupants and zones for 64-bit row keys")
+        # key = (((zone * 336 + calendar) * m + s1) * m + s2) * m + s3, where
+        # calendar = (hour * 7 + day_of_week) * 2 + is_weekend
+        calendar_key = (cal.hours.astype(np.int64) * 7 + cal.dows) * 2 + cal.weekend
+        self._step_key = calendar_key * m**3
+        self._zone_key = self._CALENDAR_KEYS * m**3
+        # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key
+        self._state_weight = np.zeros(256, dtype=np.int64)
+        self._state_weight[[1, 2, 3]] = (m * m, m, 1)
+        # sorted memo; the sentinel above every real key keeps lookups in range
+        self._keys = np.array([np.iinfo(np.int64).max])
+        self._values = np.array([np.nan])
+
+    def _row_keys(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
+        """Sorted zone ids and the (n_zones, n_steps) row keys of a layout."""
+        zone_order = sorted(zones)
+        unknown = [z for z in zone_order if z not in self._model_zone]
+        if unknown:
+            raise ValueError(f"unknown zone ids for this model: {unknown}")
+        keys = np.empty((len(zone_order), self.states.n_steps), dtype=np.int64)
+        for j, zone_id in enumerate(zone_order):
+            members = zones[zone_id]
+            try:
+                rows = self.states.states[[self._occ_index[o] for o in members]]
+            except KeyError:
+                missing = [o for o in members if o not in self._occ_index]
+                raise ValueError(f"zone {zone_id}: occupants without states: {missing}") from None
+            keys[j] = self._step_key + self._model_zone[zone_id] * self._zone_key
+            keys[j] += self._state_weight.take(rows).sum(axis=0)
+        return zone_order, keys
+
+    def _decode(self, keys: np.ndarray) -> np.ndarray:
+        m = self._base
+        counts, rest = keys % m**3, keys // m**3
+        calendar_key, zone = rest % self._CALENDAR_KEYS, rest // self._CALENDAR_KEYS
+        return np.column_stack(
+            [
+                counts // (m * m),
+                counts // m % m,
+                counts % m,
+                calendar_key // 14,
+                calendar_key // 2 % 7,
+                calendar_key % 2,
+                zone,
+            ]
+        ).astype(float)
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self._keys, keys)
+        missing = keys[self._keys[pos] != keys]
+        if missing.size:
+            new = np.unique(missing)
+            pred = np.maximum(self.model.predict_raw(self._decode(new)), 0.0)
+            at = np.searchsorted(self._keys, new)
+            self._keys = np.insert(self._keys, at, new)
+            self._values = np.insert(self._values, at, pred)
+            pos += np.searchsorted(new, keys)  # shift by the new keys below each
+        return self._values[pos]
+
+    def predict(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
+        """Zone order and clamped per-row predictions, step-major, zones inner."""
+        zone_order, keys = self._row_keys(zones)
+        # zone-major keys rise through each day (hour is their leading
+        # calendar part), which keeps the memo search local
+        pred = self._lookup(keys.ravel()).reshape(keys.shape)
+        return zone_order, pred.T.ravel()
+
+    def total(self, zones: Mapping[str, Sequence[str]]) -> float:
+        """Predicted energy of a layout given as zone_id -> occupant ids."""
+        return float(self.predict(zones)[1].sum())
+
+    def report(
+        self,
+        zones: Mapping[str, Sequence[str]],
+        baseline_zones: Mapping[str, Sequence[str]] | None = None,
+    ) -> EnergyReport:
+        """Hourly, per-zone and per-day energy; optional baseline comparison."""
+        zone_order, pred = self.predict(zones)
+        n_zones = len(zone_order)
+        n_steps = self.states.n_steps
+        hour_ids, hour_inv = np.unique(
+            np.repeat(self.calendar.hour_epochs(), n_zones), return_inverse=True
+        )
+        zcol = np.tile(np.arange(n_zones), n_steps)
+        hourly = np.zeros((n_zones, hour_ids.size))
+        np.add.at(hourly, (zcol, hour_inv), pred)
+        per_zone = {z: float(hourly[j].sum()) for j, z in enumerate(zone_order)}
+        day_index = np.repeat(np.arange(n_steps), n_zones) // STEPS_PER_DAY
+        per_day = np.zeros(int(day_index.max()) + 1)
+        np.add.at(per_day, day_index, pred)
+        grand = float(pred.sum())
+        baseline_total = None
+        pct = None
+        if baseline_zones is not None:
+            baseline_total = self.total(baseline_zones)
+            pct = 0.0 if baseline_total == 0 else 100.0 * (grand - baseline_total) / baseline_total
+        return EnergyReport(
+            zone_order, hour_ids, hourly, per_zone, per_day, grand, baseline_total, pct
+        )
+
+
 def predict_energy(
     model,
     zones: Mapping[str, Sequence[str]],
@@ -623,27 +762,7 @@ def predict_energy(
     baseline_zones: Mapping[str, Sequence[str]] | None = None,
 ) -> EnergyReport:
     """Score a layout with a trained surrogate; optional baseline comparison."""
-    table = build_features(states, zones, calendar)
-    pred = np.maximum(model.predict_rows(table), 0.0)
-    hour_ids, hour_inv = np.unique(table.hour_epoch, return_inverse=True)
-    n_zones = table.n_zones
-    zcol = table.features[:, 6].astype(int)
-    hourly = np.zeros((n_zones, hour_ids.size))
-    np.add.at(hourly, (zcol, hour_inv), pred)
-    per_zone = {z: float(hourly[j].sum()) for j, z in enumerate(table.zone_order)}
-    n_days = int(table.day_index.max()) + 1
-    per_day = np.zeros(n_days)
-    np.add.at(per_day, table.day_index, pred)
-    grand = float(pred.sum())
-    baseline_total = None
-    pct = None
-    if baseline_zones is not None:
-        base = predict_energy(model, baseline_zones, states, calendar)
-        baseline_total = base.grand_total
-        pct = 0.0 if baseline_total == 0 else 100.0 * (grand - baseline_total) / baseline_total
-    return EnergyReport(
-        table.zone_order, hour_ids, hourly, per_zone, per_day, grand, baseline_total, pct
-    )
+    return LayoutScorer(model, states, calendar).report(zones, baseline_zones)
 
 
 def write_energy_report(report: EnergyReport, path, header_comment: str | None = None) -> None:

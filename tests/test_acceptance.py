@@ -108,9 +108,8 @@ def ga_protocol(pop36, pop36_pure, pop36_calendar, oracle36):
 
     The forest trains on oracle data over random layouts and a swap-search
     trajectory (partially and fully converged stages), so near-optimal
-    compositions are in-distribution.  Predictions are precomputed on the
-    full (zone, step, state-count triple) lattice; a zone of 9 occupants
-    has 55 reachable count triples, making per-layout scoring a lookup.
+    compositions are in-distribution.  Layouts are scored by the library's
+    memoized LayoutScorer, so each distinct feature row is predicted once.
     """
     t0 = time.time()
     vecs = pop36.vectors()
@@ -138,36 +137,10 @@ def ga_protocol(pop36, pop36_pure, pop36_calendar, oracle36):
     y = np.concatenate(targets)
     rf = su.fit_random_forest(train, y, su.RfConfig(), seed=7)
 
-    zone_order = sorted(pop36_pure.zones)
-    m = 9  # occupants per zone
-    triples = [(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1 - a)]
-    cal = pop36_calendar
-    steps = pop36.n_steps
-    rows = np.array(
-        [
-            (a, b, c, cal.hours[t], cal.dows[t], cal.weekend[t], j)
-            for j in range(len(zone_order))
-            for t in range(steps)
-            for (a, b, c) in triples
-        ],
-        dtype=float,
-    )
-    lattice = np.clip(rf.predict_raw(rows), 0.0, None).reshape(
-        len(zone_order), steps, len(triples)
-    )
-    base = np.cumsum([0] + [m + 1 - a for a in range(m)])
-    onehot = np.stack([pop36.states == s for s in (1, 2, 3)], axis=-1).astype(np.int64)
-    occ_index = {o: i for i, o in enumerate(pop36.occupants)}
-    t_arange = np.arange(steps)
+    scorer = su.LayoutScorer(rf, pop36, pop36_calendar)
 
     def predicted_total(layout: op.Layout) -> float:
-        total = 0.0
-        zones = layout.by_zone()
-        for j, z in enumerate(zone_order):
-            counts = onehot[[occ_index[o] for o in zones[z]]].sum(axis=0)
-            ti = base[counts[:, 0]] + counts[:, 1]
-            total += float(lattice[j, t_arange, ti].sum())
-        return total
+        return scorer.total(layout.by_zone())
 
     # 50 clustering layouts seed every GA run; the GA pads to population
     # with random layouts, reproducing the seeded-start protocol
@@ -209,15 +182,7 @@ def test_c2_seeded_ga_reaches_near_optimal_energy(pop36_pure, oracle36, ga_proto
     t0 = time.time()
     wins = 0
     for k in range(100):
-        cache: dict = {}
-
-        def fitness(layout: op.Layout, cache=cache) -> float:
-            key = layout.zone_key()
-            if key not in cache:
-                cache[key] = predicted_total(layout)
-            return cache[key]
-
-        best, _ = op.ga_optimize(fitness, pop36_pure, cfg, seed=k, seeds_in=pool)
+        best, _ = op.ga_optimize(predicted_total, pop36_pure, cfg, seed=k, seeds_in=pool)
         wins += oracle36.total(best) <= 1.05 * pure_energy
     elapsed = setup_s + (time.time() - t0)
     ok = wins >= 90 and elapsed < 600.0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zoneplan import synth
-from zoneplan.cli import config_hash, main
-from zoneplan.ingest import STEP_SECONDS, PlugLoadEvents, write_plug_load
+from zoneplan.cli import _make_parser, build_config, config_hash, main
+from zoneplan.ingest import STEP_SECONDS, PlugLoadEvents, load_grid, write_plug_load
 
 UTC = timezone.utc
 
@@ -140,6 +140,47 @@ def test_config_file_plus_set_override(tmp_path):
     code = main(["ingest", "--config", str(cfg_path), "--out-dir", str(out)])
     assert code == 0
     assert "seed=3" in read_text(out / "grid.csv").splitlines()[0]
+
+
+def test_config_files_merge_in_order(tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"seed": 3, "states": {"k_max": 5, "tol": 1e-3}}))
+    b.write_text(json.dumps({"states": {"tol": 1e-4}, "surrogate": {"kind": "mlr"}}))
+    args = _make_parser().parse_args(
+        ["count-layouts", "4", "2", "--config", str(a), "--config", str(b),
+         "--set", "surrogate.kind=rf"]
+    )
+    cfg = build_config(args)
+    assert cfg["seed"] == 3  # from a.json, not dropped by b.json
+    assert cfg["states"]["k_max"] == 5
+    assert cfg["states"]["tol"] == 1e-4  # the later file wins
+    assert cfg["states"]["max_iter"] == 5000  # defaults survive the deep merge
+    assert cfg["surrogate"]["kind"] == "rf"  # --set applies after every file
+
+
+def test_inferred_window_ends_with_the_last_events_day(tmp_path):
+    # an event in a day's last 15 minutes must not add a carried-forward day
+    base = int(datetime(2018, 1, 1, tzinfo=UTC).timestamp())
+    times = np.array([base + 8 * 3600, base + 23 * 3600 + 50 * 60], dtype=np.int64)
+    events = {"O1": PlugLoadEvents("O1", times, np.array([2.0, 60.0]))}
+    write_plug_load(events, tmp_path / "plug.csv")
+    out = tmp_path / "out"
+    assert main(["ingest", "--set", f"paths.plug_load={tmp_path / 'plug.csv'}",
+                 "--out-dir", str(out)]) == 0
+    grid = load_grid(out / "grid.csv")
+    assert grid.n_steps == 96
+    assert int(grid.start.timestamp()) == base
+
+
+def test_bad_state_csv_exits_one_with_location(tmp_path, capsys):
+    states = tmp_path / "states.csv"
+    states.write_text(
+        "occupant_id,timestamp,state\nO1,2018-01-01T00:00:00Z,active\n", encoding="utf-8"
+    )
+    code = main(["optimize", "--set", f"paths.states={states}", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"{states}:2: state must be 1, 2, or 3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- pipeline

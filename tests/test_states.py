@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoneplan.ingest import TimeSeriesGrid
+from zoneplan.ingest import InputError, TimeSeriesGrid
 from zoneplan.states import (
     StateConfig,
     VbGmmModel,
@@ -205,3 +205,21 @@ def test_states_csv_round_trip(tmp_path, pop8):
     assert back.occupants == pop8.occupants
     assert back.start == pop8.start
     np.testing.assert_array_equal(back.states, pop8.states)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("O1,2018-01-01T00:15:00Z,x", "state must be 1, 2, or 3"),
+     ("O1,2018-01-01T00:15:00Z,4", "state must be 1, 2, or 3"),
+     ("O1,2018-13-01T00:15:00Z,1", "bad timestamp")],
+)
+def test_load_states_errors_name_file_and_line(tmp_path, bad_row, message):
+    path = tmp_path / "s.csv"
+    path.write_text(
+        "# comment\noccupant_id,timestamp,state\nO1,2018-01-01T00:00:00Z,1\n"
+        f"{bad_row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(InputError, match=message) as info:
+        load_states(path)
+    assert str(info.value).startswith(f"{path}:4: ")

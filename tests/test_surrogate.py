@@ -1,5 +1,6 @@
 """Surrogate models: features, MLR, random forest, metrics, energy reports."""
 
+import copy
 from datetime import datetime, timezone
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from zoneplan import synth
 from zoneplan.ingest import LightingTable, StepCalendar
+from zoneplan.optimize import Layout, random_layout
 from zoneplan.surrogate import (
     FEATURE_NAMES,
     FeatureTable,
+    LayoutScorer,
     MlrModel,
     RfConfig,
     RfModel,
@@ -384,6 +387,101 @@ def test_predict_energy_unknown_zone_rejected(pop8):
     model = fit_mlr(table, np.zeros(table.n_rows))
     with pytest.raises(ValueError):
         predict_energy(model, {"Z9": pop8.occupants}, pop8, cal, baseline_zones=zones)
+
+
+# ---------------------------------------------------------------- layout scorer
+
+
+@pytest.fixture(scope="module", params=["rf", "mlr"])
+def scorer_case(request, pop8):
+    # a model trained on oracle targets over two random 4+4 layouts
+    cal = StepCalendar(pop8.start, pop8.n_steps)
+    template = Layout.from_groups({"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]})
+    tables, targets = [], []
+    for j in range(2):
+        zones = random_layout(template, np.random.default_rng(j)).by_zone()
+        table = build_features(pop8, zones, cal)
+        lighting = synth.oracle_lighting_table(zones, pop8, synth.LightingOracleConfig(), cal)
+        tables.append(table)
+        targets.append(targets_from_lighting(table, lighting))
+    table, y = concat_tables(tables), np.concatenate(targets)
+    if request.param == "rf":
+        model = fit_random_forest(table, y, RfConfig(n_trees=12, min_split=10), seed=3)
+    else:
+        model = fit_mlr(table, y)
+    return model, template, cal
+
+
+def whole_table_total(model, zones, states, cal):
+    # reference: predict every row of the layout's feature table at once
+    table = build_features(states, zones, cal)
+    return float(np.maximum(model.predict_rows(table), 0.0).sum())
+
+
+def test_row_prediction_independent_of_batch(scorer_case):
+    model, _, _ = scorer_case
+    x = random_table(n_days=2, seed=40, n_zones=2).features
+    full = model.predict_raw(x)
+    alone = np.array([model.predict_raw(x[i : i + 1])[0] for i in range(0, len(x), 7)])
+    assert np.array_equal(alone, full[::7])
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        idx = np.sort(rng.choice(len(x), size=int(rng.integers(2, 40)), replace=False))
+        assert np.array_equal(model.predict_raw(x[idx]), full[idx])
+
+
+def test_scorer_total_equals_whole_table_prediction(scorer_case, pop8):
+    model, template, cal = scorer_case
+    scorer = LayoutScorer(model, pop8, cal)
+    layouts = [random_layout(template, np.random.default_rng(100 + k)).by_zone() for k in range(20)]
+    # vacant desks: one zone short of occupants, and an empty zone
+    layouts.append({"Z1": pop8.occupants[:3], "Z2": pop8.occupants[4:]})
+    layouts.append({"Z1": pop8.occupants, "Z2": []})
+    for zones in layouts:
+        expected = whole_table_total(model, zones, pop8, cal)
+        assert scorer.total(zones) == expected
+        assert predict_energy(model, zones, pop8, cal).grand_total == expected
+
+
+def test_scorer_handles_zone_order_unlike_the_model(scorer_case, pop8):
+    model, template, cal = scorer_case
+    model = copy.copy(model)
+    model.zone_order = ["Z2", "Z1"]  # model index 0 is the table's second zone
+    scorer = LayoutScorer(model, pop8, cal)
+    for k in range(5):
+        zones = random_layout(template, np.random.default_rng(200 + k)).by_zone()
+        assert scorer.total(zones) == whole_table_total(model, zones, pop8, cal)
+    only_z2 = {"Z2": pop8.occupants[:4]}
+    assert scorer.total(only_z2) == whole_table_total(model, only_z2, pop8, cal)
+
+
+def test_scorer_predicts_each_distinct_row_once(scorer_case, pop8):
+    model, template, cal = scorer_case
+    model = copy.copy(model)
+    seen = []
+    predict_raw = model.predict_raw
+
+    def counting(x):
+        seen.extend(map(tuple, np.asarray(x)))
+        return predict_raw(x)
+
+    model.predict_raw = counting
+    scorer = LayoutScorer(model, pop8, cal)
+    layouts = [random_layout(template, np.random.default_rng(300 + k)).by_zone() for k in range(15)]
+    totals = [scorer.total(zones) for zones in layouts]
+    assert seen and len(seen) == len(set(seen))
+    n_seen = len(seen)
+    assert [scorer.total(zones) for zones in layouts] == totals
+    assert len(seen) == n_seen  # repeated layouts reach the model no more
+
+
+def test_scorer_rejects_unknown_zone_and_stateless_occupant(scorer_case, pop8):
+    model, _, cal = scorer_case
+    scorer = LayoutScorer(model, pop8, cal)
+    with pytest.raises(ValueError, match="unknown zone"):
+        scorer.total({"Z9": pop8.occupants})
+    with pytest.raises(ValueError, match="without states"):
+        scorer.total({"Z1": ["nobody"]})
 
 
 # ---------------------------------------------------------------- persistence
