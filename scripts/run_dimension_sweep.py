@@ -18,11 +18,6 @@ from zoneplan import reduce as rd
 from zoneplan import synth
 
 
-def oracle_total(layout: op.Layout, pop, cfg, cal) -> float:
-    _, energy = synth.oracle_lighting(layout.by_zone(), pop, cfg, cal)
-    return float(energy.sum())
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dims", type=int, nargs="+", default=[3, 5, 10, 30])
@@ -46,7 +41,7 @@ def main() -> int:
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     print(f"numerical rank {factors.rank}, pure-layout oracle "
-          f"{oracle_total(pure, pop, cfg, cal):.0f} wh")
+          f"{synth.oracle_total(pure.by_zone(), pop, cfg, cal):.0f} wh")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("d,seed,oracle_energy_wh\n")
         for d in args.dims:
@@ -61,7 +56,7 @@ def main() -> int:
                     pure, np.random.default_rng(np.random.SeedSequence([44, s]))
                 )
                 layout, _ = op.swap_optimize(vectors, start, seed=s)
-                e = oracle_total(layout, pop, cfg, cal)
+                e = synth.oracle_total(layout.by_zone(), pop, cfg, cal)
                 energies.append(e)
                 fh.write(f"{d},{s},{e!r}\n")
             print(f"d={d:3d}  mean {np.mean(energies):.0f} wh  "

@@ -41,8 +41,7 @@ def main() -> int:
     vectors = pop.vectors()
 
     def oracle_total(layout: op.Layout) -> float:
-        _, energy = synth.oracle_lighting(layout.by_zone(), pop, ocfg, cal)
-        return float(energy.sum())
+        return synth.oracle_total(layout.by_zone(), pop, ocfg, cal)
 
     def start(tag: int, i: int) -> op.Layout:
         return op.random_layout(pure, np.random.default_rng(np.random.SeedSequence([tag, i])))
@@ -59,15 +58,10 @@ def main() -> int:
         for stage in range(6):
             lay, _ = op.swap_optimize(vectors, lay, iter_limit=300, seed=1000 + 100 * s + stage)
             train_layouts.append(lay.copy())
-    tables, targets = [], []
-    for lay in train_layouts:
-        zones = lay.by_zone()
-        tab = su.build_features(pop, zones, cal)
-        lighting = synth.oracle_lighting_table(zones, pop, ocfg, cal)
-        tables.append(tab)
-        targets.append(su.targets_from_lighting(tab, lighting))
-    model = su.fit_random_forest(su.concat_tables(tables), np.concatenate(targets),
-                                 su.RfConfig(), seed=7)
+    table, y = synth.oracle_training_set(
+        pop, [lay.by_zone() for lay in train_layouts], ocfg, cal
+    )
+    model = su.fit_random_forest(table, y, su.RfConfig(), seed=7)
 
     pool = []
     for i in range(args.cluster_seeds):

@@ -17,6 +17,8 @@ import copy
 import hashlib
 import json
 import sys
+import traceback
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,32 +40,14 @@ DEFAULT_CONFIG: dict = {
         "layout": None,
     },
     "window": {"start": None, "end": None, "exclude_days": []},
-    "states": {
-        "k_max": 10,
-        "weight_floor": 0.01,
-        "tol": 1e-6,
-        "max_iter": 5000,
-        "idle_threshold_w": 5.0,
-        "priors": {
-            "concentration": 1e-3,
-            "mean": None,
-            "mean_scale": 1.0,
-            "shape": 0.5,
-            "rate": None,
-        },
-    },
+    # the states seed is the top-level seed
+    "states": {k: v for k, v in asdict(states_mod.StateConfig()).items() if k != "seed"},
     "surrogate": {
         "kind": "rf",
         "split_fraction": 0.8,
         "cv_folds": 0,
         "ridge": 1e-8,
-        "rf": {
-            "n_trees": 200,
-            "min_split": 50,
-            "min_leaf": 2,
-            "max_depth": 300,
-            "bootstrap": True,
-        },
+        "rf": asdict(surrogate.RfConfig()),
     },
     "optimize": {
         "method": "cluster",
@@ -72,23 +56,9 @@ DEFAULT_CONFIG: dict = {
         "batch": 1,
         "seed_layouts": None,
         "random_baseline": 20,
-        "ga": {
-            "population": 100,
-            "elites": 20,
-            "random_survivors": 5,
-            "children_per_pair": 1,
-            "mutation_prob": 0.2,
-            "generations": 200,
-        },
+        "ga": asdict(optimize.GaConfig()),
     },
-    "oracle": {
-        "lit_power_w": 500.0,
-        "standby_power_w": 20.0,
-        "hold_weekday_min": 20,
-        "hold_weekend_min": 10,
-        "motion_state": 3,
-        "daylight_factor": False,
-    },
+    "oracle": asdict(synth.LightingOracleConfig()),
     "synth": {
         "counts": [9, 9, 9, 9],
         "n_days": 1,
@@ -118,6 +88,18 @@ def _deep_update(base: dict, override: dict) -> dict:
     return base
 
 
+def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
+    """Reject keys the default config lacks, descending where the default is a dict."""
+    for key, value in user.items():
+        name = prefix + key
+        if key not in default:
+            raise ingest.InputError(f"unknown config key {name}")
+        if isinstance(default[key], dict):
+            if not isinstance(value, dict):
+                raise ingest.InputError(f"config key {name} must be a JSON object")
+            _check_keys(value, default[key], name + ".")
+
+
 def _apply_set(cfg: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ingest.InputError(f"--set expects key=value, got {assignment!r}")
@@ -126,13 +108,14 @@ def _apply_set(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node.get(part), dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
+    *groups, leaf = key.split(".")
+    node, default = cfg, DEFAULT_CONFIG
+    for part in groups:
+        if not isinstance(default.get(part), dict):
+            raise ingest.InputError(f"unknown config key {key}")
+        node, default = node[part], default[part]
+    _check_keys({leaf: value}, default, key[: len(key) - len(leaf)])
+    node[leaf] = value
 
 
 def build_config(args: argparse.Namespace) -> dict:
@@ -148,6 +131,10 @@ def build_config(args: argparse.Namespace) -> dict:
                 raise ingest.InputError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ingest.InputError(f"{path}: config must be a JSON object")
+        try:
+            _check_keys(user, DEFAULT_CONFIG)
+        except ingest.InputError as exc:
+            raise ingest.InputError(f"{path}: {exc}") from None
         _deep_update(cfg, user)
     for assignment in getattr(args, "set", None) or []:
         _apply_set(cfg, assignment)
@@ -209,29 +196,9 @@ def _require_path(cfg: dict, key: str, fallback: Path | None = None) -> Path:
 
 
 def _state_config(cfg: dict) -> states_mod.StateConfig:
-    s = cfg["states"]
-    priors = states_mod.VbGmmPriors(**s["priors"])
-    return states_mod.StateConfig(
-        k_max=s["k_max"],
-        priors=priors,
-        weight_floor=s["weight_floor"],
-        tol=s["tol"],
-        max_iter=s["max_iter"],
-        idle_threshold_w=s["idle_threshold_w"],
-        seed=cfg["seed"],
-    )
-
-
-def _rf_config(cfg: dict) -> surrogate.RfConfig:
-    return surrogate.RfConfig(**cfg["surrogate"]["rf"])
-
-
-def _ga_config(cfg: dict) -> optimize.GaConfig:
-    return optimize.GaConfig(**cfg["optimize"]["ga"])
-
-
-def _oracle_config(cfg: dict) -> synth.LightingOracleConfig:
-    return synth.LightingOracleConfig(**cfg["oracle"])
+    group = dict(cfg["states"])
+    priors = states_mod.VbGmmPriors(**group.pop("priors"))
+    return states_mod.StateConfig(**group, priors=priors, seed=cfg["seed"])
 
 
 def _parse_window(cfg: dict, events) -> tuple[datetime, datetime]:
@@ -351,6 +318,16 @@ def cmd_diversity_report(cfg: dict) -> int:
     return 0
 
 
+def _metrics_doc(metrics: surrogate.Metrics) -> dict:
+    return {
+        "mae": metrics.mae,
+        "mse": metrics.mse,
+        "r_squared_hourly": metrics.r_squared,
+        "r_squared_daily": metrics.r_squared_daily,
+        "r_squared_step": metrics.r_squared_step,
+    }
+
+
 def cmd_train_surrogate(cfg: dict) -> int:
     state_grid = _load_states(cfg)
     layout = _load_layout_from_zone_map(cfg)
@@ -360,14 +337,17 @@ def cmd_train_surrogate(cfg: dict) -> int:
     y = surrogate.targets_from_lighting(table, lighting)
     train_idx, test_idx = surrogate.time_split(table, y, cfg["surrogate"]["split_fraction"])
     kind = cfg["surrogate"]["kind"]
-    if kind == "mlr":
-        model = surrogate.fit_mlr(table.take(train_idx), y[train_idx], cfg["surrogate"]["ridge"])
-    elif kind == "rf":
-        model = surrogate.fit_random_forest(
-            table.take(train_idx), y[train_idx], _rf_config(cfg), seed=cfg["seed"]
-        )
-    else:
+    if kind not in ("mlr", "rf"):
         raise ingest.InputError(f"surrogate.kind must be mlr or rf, got {kind!r}")
+
+    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
+
+    def fit(tbl: surrogate.FeatureTable, ty: np.ndarray):
+        if kind == "mlr":
+            return surrogate.fit_mlr(tbl, ty, cfg["surrogate"]["ridge"])
+        return surrogate.fit_random_forest(tbl, ty, rf_config, seed=cfg["seed"])
+
+    model = fit(table.take(train_idx), y[train_idx])
     test_table = table.take(test_idx)
     pred = model.predict_rows(test_table)
     metrics = surrogate.evaluate(
@@ -382,32 +362,14 @@ def cmd_train_surrogate(cfg: dict) -> int:
         "kind": kind,
         "n_train_rows": int(train_idx.size),
         "n_test_rows": int(test_idx.size),
-        "test_metrics": {
-            "mae": metrics.mae,
-            "mse": metrics.mse,
-            "r_squared_hourly": metrics.r_squared,
-            "r_squared_daily": metrics.r_squared_daily,
-            "r_squared_step": metrics.r_squared_step,
-        },
+        "test_metrics": _metrics_doc(metrics),
     }
     folds = cfg["surrogate"]["cv_folds"]
     if folds and folds >= 2:
-        if kind == "mlr":
-            def fitter(tbl, ty):
-                m = surrogate.fit_mlr(tbl, ty, cfg["surrogate"]["ridge"])
-                return m.predict_rows
-        else:
-            def fitter(tbl, ty):
-                m = surrogate.fit_random_forest(tbl, ty, _rf_config(cfg), seed=cfg["seed"])
-                return m.predict_rows
-        cv = surrogate.cross_validate(table.take(train_idx), y[train_idx], folds, fitter)
-        doc["cv_metrics"] = {
-            "mae": cv.mae,
-            "mse": cv.mse,
-            "r_squared_hourly": cv.r_squared,
-            "r_squared_daily": cv.r_squared_daily,
-            "r_squared_step": cv.r_squared_step,
-        }
+        cv = surrogate.cross_validate(
+            table.take(train_idx), y[train_idx], folds, lambda tbl, ty: fit(tbl, ty).predict_rows
+        )
+        doc["cv_metrics"] = _metrics_doc(cv)
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -454,6 +416,7 @@ def cmd_optimize(cfg: dict) -> int:
     header = _header(cfg, "optimize")
     cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
     master = int(cfg["seed"])
+    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
 
     model = None
     if cfg["paths"].get("model"):
@@ -494,7 +457,7 @@ def cmd_optimize(cfg: dict) -> int:
             objective = trace.best_so_far[-1]
         elif method == "ga":
             layout, trace = optimize.ga_optimize(
-                fitness, template, _ga_config(cfg), seed=run_seed, seeds_in=seeds_in
+                fitness, template, ga_config, seed=run_seed, seeds_in=seeds_in
             )
             objective = trace.best_so_far[-1]
         else:
@@ -568,7 +531,7 @@ def cmd_synth_demo(cfg: dict) -> int:
     out = _out_dir(cfg)
     header = _header(cfg, "synth-demo")
     seed = int(cfg["seed"])
-    oracle_cfg = _oracle_config(cfg)
+    oracle_cfg = synth.LightingOracleConfig(**cfg["oracle"])
     counts = tuple(int(c) for c in s["counts"])
     n_zones = len(counts)
 
@@ -604,26 +567,22 @@ def cmd_synth_demo(cfg: dict) -> int:
     ingest.write_lighting(lighting, out / "lighting.csv", header)
 
     def oracle_total(layout: optimize.Layout) -> float:
-        _, energy = synth.oracle_lighting(layout.by_zone(), state_grid, oracle_cfg, cal)
-        return float(energy.sum())
+        return synth.oracle_total(layout.by_zone(), state_grid, oracle_cfg, cal)
 
     # train the surrogate on oracle data over many random layouts so it
     # sees varied zone compositions, then hold some layouts out
     n_train = int(s["train_layouts"])
-    n_hold = int(s["holdout_layouts"])
-    tables, targets = [], []
-    for j in range(n_train + n_hold):
-        lay = optimize.random_layout(pure, np.random.default_rng(seed + 10_000 + j))
-        table_j = surrogate.build_features(state_grid, lay.by_zone(), cal)
-        light_j = synth.oracle_lighting_table(lay.by_zone(), state_grid, oracle_cfg, cal)
-        tables.append(table_j)
-        targets.append(surrogate.targets_from_lighting(table_j, light_j))
-    train_table = surrogate.concat_tables(tables[:n_train])
-    train_y = np.concatenate(targets[:n_train])
-    model = surrogate.fit_random_forest(train_table, train_y, _rf_config(cfg), seed=seed)
+    layouts = [
+        optimize.random_layout(pure, np.random.default_rng(seed + 10_000 + j)).by_zone()
+        for j in range(n_train + int(s["holdout_layouts"]))
+    ]
+    train_table, train_y = synth.oracle_training_set(
+        state_grid, layouts[:n_train], oracle_cfg, cal
+    )
+    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
+    model = surrogate.fit_random_forest(train_table, train_y, rf_config, seed=seed)
     surrogate.save_model(model, out / "model.json")
-    hold_table = surrogate.concat_tables(tables[n_train:])
-    hold_y = np.concatenate(targets[n_train:])
+    hold_table, hold_y = synth.oracle_training_set(state_grid, layouts[n_train:], oracle_cfg, cal)
     hold_pred = model.predict_rows(hold_table)
     metrics = surrogate.evaluate(hold_y, hold_pred, hold_table.hour_epoch, hold_table.day_index)
 
@@ -636,7 +595,7 @@ def cmd_synth_demo(cfg: dict) -> int:
 
     fitness = _energy_fitness(surrogate.LayoutScorer(model, state_grid, cal))
     ga_layout, ga_trace = optimize.ga_optimize(
-        fitness, pure, _ga_config(cfg), seed=seed
+        fitness, pure, optimize.GaConfig(**cfg["optimize"]["ga"]), seed=seed
     )
     optimize.write_layout(ga_layout, out / "ga_layout.csv", header)
     optimize.write_trace(ga_trace, out / "ga_trace.csv", header)
@@ -756,13 +715,11 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except (ingest.InputError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -19,24 +19,11 @@ class DegenerateRegressor(ValueError):
     """Raised when the regressor is constant and OLS has no unique slope."""
 
 
-def pairwise_distance(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> float:
-    """Distance between two equal-length schedule vectors."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    if metric != "euclidean":
-        raise ValueError(f"unknown metric: {metric}")
-    return float(np.linalg.norm(a - b))
-
-
-def distance_matrix(rows: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Full pairwise distance matrix for stacked schedule rows (N x T)."""
+def distance_matrix(rows: np.ndarray) -> np.ndarray:
+    """Full pairwise Euclidean distance matrix for stacked schedule rows (N x T)."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D array of stacked schedules")
-    if metric != "euclidean":
-        raise ValueError(f"unknown metric: {metric}")
     d = cdist(rows, rows, metric="euclidean")
     np.fill_diagonal(d, 0.0)
     return d
@@ -70,13 +57,10 @@ class DiversityReport:
 
     per_zone: dict[str, float]
     total: float
-    representation: str = "raw"  # raw | reduced-<d>
 
 
 def layout_diversity(
-    zones: Mapping[str, Sequence[str]],
-    vectors: Mapping[str, np.ndarray],
-    representation: str = "raw",
+    zones: Mapping[str, Sequence[str]], vectors: Mapping[str, np.ndarray]
 ) -> DiversityReport:
     """Diversity of each zone's assigned occupants, zones equally weighted.
 
@@ -90,7 +74,7 @@ def layout_diversity(
             continue
         rows = stack_vectors(vectors, list(occupants))
         per_zone[zone_id] = zone_diversity(rows)
-    return DiversityReport(per_zone, float(sum(per_zone.values())), representation)
+    return DiversityReport(per_zone, float(sum(per_zone.values())))
 
 
 @dataclass
@@ -155,7 +139,7 @@ def write_diversity_csv(report: DiversityReport, path, header_comment: str | Non
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write(f"# representation: {report.representation}\n")
+        fh.write("# representation: raw\n")
         fh.write("zone_id,diversity\n")
         for zone_id in sorted(report.per_zone):
             fh.write(f"{zone_id},{report.per_zone[zone_id]!r}\n")

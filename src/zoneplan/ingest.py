@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from zoneinfo import ZoneInfo
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -42,7 +41,11 @@ def _epoch(dt: datetime) -> int:
 
 
 def _read_rows(path, expected_header: list[str]):
-    """Yield (line_number, row) from a CSV, skipping '#' comment lines."""
+    """Yield (line_number, row) from a CSV, skipping '#' comment lines.
+
+    Every data row must have as many fields as the header.
+    """
+    n_fields = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = None
@@ -57,6 +60,8 @@ def _read_rows(path, expected_header: list[str]):
                         f"got {','.join(header)} at line {lineno}"
                     )
                 continue
+            if len(row) != n_fields:
+                raise InputError(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
             yield lineno, row
         if header is None:
             raise InputError(f"{path}: missing header row")
@@ -80,8 +85,6 @@ def load_plug_load(path) -> dict[str, PlugLoadEvents]:
     times: dict[str, list[int]] = {}
     powers: dict[str, list[float]] = {}
     for lineno, row in _read_rows(path, ["occupant_id", "timestamp", "power_w"]):
-        if len(row) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         occ, ts_text, power_text = (c.strip() for c in row)
         if not occ:
             raise InputError(f"{path}:{lineno}: empty occupant_id")
@@ -147,12 +150,6 @@ class TimeSeriesGrid:
 
     def step_epochs(self) -> np.ndarray:
         return _epoch(self.start) + STEP_SECONDS * np.arange(self.n_steps, dtype=np.int64)
-
-    def index_of(self, occupant_id: str) -> int:
-        try:
-            return self.occupants.index(occupant_id)
-        except ValueError:
-            raise InputError(f"unknown occupant {occupant_id!r}") from None
 
 
 def _locf_cell_means(times: np.ndarray, powers: np.ndarray, start_s: int, n_steps: int) -> np.ndarray:
@@ -232,41 +229,62 @@ def exclude_days(
 
 
 def write_grid(grid: TimeSeriesGrid, path, header_comment: str | None = None) -> None:
+    """Write the grid in the plug-load schema, one row per occupant per step."""
     epochs = grid.step_epochs()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["occupant_id", "timestamp", "power_w"])
-        for i, occ in enumerate(grid.occupants):
-            for t, p in zip(epochs, grid.values[i]):
-                writer.writerow([occ, format_timestamp(t), repr(float(p))])
+    events = {
+        occ: PlugLoadEvents(occ, epochs, grid.values[i]) for i, occ in enumerate(grid.occupants)
+    }
+    write_plug_load(events, path, header_comment)
+
+
+def _read_series(
+    path, value_name: str, kind: str, parse_value
+) -> tuple[list[str], datetime, list[list]]:
+    """Read occupant_id,timestamp,<value_name> rows that share one 15-minute timeline.
+
+    parse_value converts one value cell or raises InputError; every row
+    error names the file and line.  Returns the occupants in first-seen
+    order, the timeline start and each occupant's values in file order.
+    """
+    series: dict[str, tuple[list[int], list]] = {}
+    for lineno, row in _read_rows(path, ["occupant_id", "timestamp", value_name]):
+        try:
+            value = parse_value(row[2])
+            epoch = int(parse_timestamp(row[1]).timestamp())
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        occ = row[0].strip()
+        if occ not in series:
+            series[occ] = ([], [])
+        times, values = series[occ]
+        times.append(epoch)
+        values.append(value)
+    if not series:
+        raise InputError(f"{path}: no {kind} rows")
+    occupants = list(series)
+    timeline = series[occupants[0]][0]
+    if np.any(np.diff(timeline) != STEP_SECONDS):
+        raise InputError(f"{path}: {kind} timestamps must be contiguous 15-minute steps")
+    for occ in occupants:
+        if series[occ][0] != timeline:
+            raise InputError(f"{path}: occupant {occ} does not share the {kind} timeline")
+    start = datetime.fromtimestamp(timeline[0], tz=timezone.utc)
+    return occupants, start, [series[occ][1] for occ in occupants]
+
+
+def _parse_power(text: str) -> float:
+    try:
+        p = float(text)
+    except ValueError:
+        raise InputError(f"power_w must be a number, got {text!r}") from None
+    if not 0.0 <= p < np.inf:
+        raise InputError(f"power must be finite and >= 0, got {text!r}")
+    return p
 
 
 def load_grid(path) -> TimeSeriesGrid:
-    per_occ: dict[str, list[tuple[int, float]]] = {}
-    for lineno, row in _read_rows(path, ["occupant_id", "timestamp", "power_w"]):
-        if len(row) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
-        occ = row[0].strip()
-        per_occ.setdefault(occ, []).append(
-            (_epoch(parse_timestamp(row[1])), float(row[2]))
-        )
-    if not per_occ:
-        raise InputError(f"{path}: no grid rows")
-    occupants = list(per_occ)
-    first = per_occ[occupants[0]]
-    epochs = np.array([t for t, _ in first], dtype=np.int64)
-    if np.any(np.diff(epochs) != STEP_SECONDS):
-        raise InputError(f"{path}: grid timestamps must be contiguous 15-minute steps")
-    values = np.empty((len(occupants), epochs.size))
-    for i, occ in enumerate(occupants):
-        rows = per_occ[occ]
-        if len(rows) != epochs.size or any(t != e for (t, _), e in zip(rows, epochs)):
-            raise InputError(f"{path}: occupant {occ} does not share the grid timeline")
-        values[i] = [p for _, p in rows]
-    start = datetime.fromtimestamp(int(epochs[0]), tz=timezone.utc)
-    return TimeSeriesGrid(occupants, start, values)
+    occupants, start, values = _read_series(path, "power_w", "grid", _parse_power)
+    return TimeSeriesGrid(occupants, start, np.array(values, dtype=np.float64))
 
 
 @dataclass
@@ -288,29 +306,10 @@ class ZoneMap:
         if not self.entries:
             raise InputError("zone map is empty")
 
-    @property
-    def zone_sizes(self) -> dict[str, int]:
-        sizes: dict[str, int] = {}
-        for _, _, z in self.entries:
-            sizes[z] = sizes.get(z, 0) + 1
-        return sizes
-
-    def zone_desks(self) -> dict[str, tuple[str, ...]]:
-        desks: dict[str, list[str]] = {}
-        for _, d, z in self.entries:
-            desks.setdefault(z, []).append(d)
-        return {z: tuple(ds) for z, ds in desks.items()}
-
-    def occupied(self) -> dict[str, str]:
-        """desk_id -> occupant_id over occupied desks."""
-        return {d: o for o, d, _ in self.entries if o}
-
 
 def load_zone_map(path) -> ZoneMap:
     entries = []
     for lineno, row in _read_rows(path, ["occupant_id", "desk_id", "zone_id"]):
-        if len(row) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
         occ, desk, zone = (c.strip() for c in row)
         if not desk or not zone:
             raise InputError(f"{path}:{lineno}: desk_id and zone_id are required")
@@ -340,9 +339,6 @@ class LightingTable:
             if wh < 0 or not np.isfinite(wh):
                 raise InputError(f"lighting energy must be finite and >= 0 ({zone})")
 
-    def zones(self) -> list[str]:
-        return sorted({z for z, _ in self.records})
-
     def energy(self, zone: str, hour_epoch: int) -> float:
         key = (zone, hour_epoch)
         if key not in self.records:
@@ -355,8 +351,6 @@ class LightingTable:
 def load_lighting(path) -> LightingTable:
     records: dict[tuple[str, int], float] = {}
     for lineno, row in _read_rows(path, ["zone_id", "hour_start", "energy_wh"]):
-        if len(row) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
         zone = row[0].strip()
         key = (zone, _epoch(parse_timestamp(row[1])))
         if key in records:
@@ -377,41 +371,26 @@ def write_lighting(table: LightingTable, path, header_comment: str | None = None
 
 @dataclass
 class StepCalendar:
-    """Civil-time features (hour, weekday, weekend) for each 15-minute step.
+    """UTC calendar features (hour, weekday, weekend) for each 15-minute step.
 
     Weekday convention: Monday = 0; weekend = Saturday or Sunday.
     """
 
     start: datetime
     n_steps: int
-    tz: str = "UTC"
     hours: np.ndarray = field(init=False)
     dows: np.ndarray = field(init=False)
     weekend: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        zone = ZoneInfo(self.tz)
-        start = self.start.astimezone(timezone.utc)
-        hours = np.empty(self.n_steps, dtype=np.int16)
-        dows = np.empty(self.n_steps, dtype=np.int16)
-        for k in range(self.n_steps):
-            local = (start + timedelta(seconds=k * STEP_SECONDS)).astimezone(zone)
-            hours[k] = local.hour
-            dows[k] = local.weekday()
-        self.hours = hours
-        self.dows = dows
-        self.weekend = dows >= 5
+        hours_since_epoch = self.hour_epochs() // 3600
+        self.hours = (hours_since_epoch % 24).astype(np.int16)
+        # epoch day 0, 1970-01-01, was a Thursday (weekday 3)
+        self.dows = ((hours_since_epoch // 24 + 3) % 7).astype(np.int16)
+        self.weekend = self.dows >= 5
 
     def hour_epochs(self) -> np.ndarray:
         """Epoch second of the hour each step falls in."""
         start_s = _epoch(self.start)
         steps = start_s + STEP_SECONDS * np.arange(self.n_steps, dtype=np.int64)
         return (steps // 3600) * 3600
-
-    def hour_group(self) -> np.ndarray:
-        """Index of the hour each step falls in (for hourly aggregation)."""
-        hours = self.hour_epochs()
-        return ((hours - hours[0]) // 3600).astype(np.int64)
-
-    def day_group(self) -> np.ndarray:
-        return np.arange(self.n_steps) // STEPS_PER_DAY

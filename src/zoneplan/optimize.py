@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diversity import distance_matrix, layout_diversity, stack_vectors
-from .ingest import InputError, ZoneMap
+from .diversity import distance_matrix, layout_diversity, stack_vectors, zone_diversity
+from .ingest import InputError, ZoneMap, _read_rows
 
 
 @dataclass
@@ -154,13 +154,9 @@ def write_layout(layout: Layout, path, header_comment: str | None = None) -> Non
 
 
 def load_layout(path) -> Layout:
-    from .ingest import _read_rows
-
     zones: dict[str, list[str]] = {}
     assignment: dict[str, str] = {}
     for lineno, row in _read_rows(path, ["desk_id", "zone_id", "occupant_id"]):
-        if len(row) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
         desk, zone, occ = (v.strip() for v in row)
         if not desk or not zone:
             raise InputError(f"{path}:{lineno}: desk_id and zone_id are required")
@@ -194,8 +190,6 @@ def swap_delta(
         raise ValueError("occupants are in the same zone")
 
     def zdiv(occs: list[str]) -> float:
-        from .diversity import zone_diversity
-
         return zone_diversity(stack_vectors(vectors, occs)) if occs else 0.0
 
     def swapped(occs: list[str], old: str, new: str) -> list[str]:
@@ -310,13 +304,6 @@ def swap_optimize(
     return final, OptTrace(objectives, best, accepted, kind="swap")
 
 
-def _structures_match(a: Layout, b: Layout) -> None:
-    if a.zones != b.zones:
-        raise ValueError("layouts have different zone structures")
-    if set(a.assignment.values()) != set(b.assignment.values()):
-        raise ValueError("layouts have different occupant sets")
-
-
 def crossover(parent_a: Layout, parent_b: Layout, seed: int = 0) -> Layout:
     """Desk-wise random parent pick with feasibility repair.
 
@@ -325,7 +312,8 @@ def crossover(parent_a: Layout, parent_b: Layout, seed: int = 0) -> Layout:
     deferral; deferred desks are filled with the unplaced occupants in
     seeded-random order (vacancies fill whatever remains).
     """
-    _structures_match(parent_a, parent_b)
+    if not parent_a.same_structure(parent_b):
+        raise ValueError("parents differ in zones or occupants")
     rng = np.random.default_rng(seed)
     desks = parent_a.desk_order()
     none_budget = len(desks) - len(parent_a.assignment)
@@ -432,7 +420,8 @@ def ga_optimize(
 
     population: list[Layout] = []
     for layout in seeds_in or []:
-        _structures_match(template, layout)
+        if not template.same_structure(layout):
+            raise ValueError("seed layout differs from the template in zones or occupants")
         population.append(layout.copy())
     population = population[: cfg.population]
     while len(population) < cfg.population:

@@ -8,11 +8,9 @@ with the top-d left singular vectors: R' = U_d^T M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .ingest import InputError
 from .states import StateGrid
 
 RANK_RTOL = 1e-10  # singular values above RANK_RTOL * sigma_max count toward rank
@@ -31,9 +29,6 @@ class SvdFactors:
     sigma: np.ndarray  # k, non-increasing, >= 0
     v: np.ndarray  # cols x k, orthonormal columns
     rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma[None, :]) @ self.v.T
 
     def truncation_error(self, d: int) -> float:
         """Frobenius error of the top-d reconstruction: sqrt(sum of sigma_k^2, k > d)."""
@@ -73,11 +68,9 @@ class ReducedOccupants:
 
     d: int
     matrix: np.ndarray  # d x n_occupants
-    occupants: list[str] | None = None
+    occupants: list[str]
 
     def vectors(self) -> dict[str, np.ndarray]:
-        if self.occupants is None:
-            raise ValueError("occupant ids were not attached to this projection")
         return {occ: self.matrix[:, i] for i, occ in enumerate(self.occupants)}
 
 
@@ -85,7 +78,7 @@ def project(
     m: np.ndarray,
     factors: SvdFactors,
     d: int,
-    occupants: list[str] | None = None,
+    occupants: list[str],
 ) -> ReducedOccupants:
     """Project matrix columns onto the top-d left singular directions."""
     m = np.asarray(m, dtype=float)
@@ -95,48 +88,3 @@ def project(
         raise ValueError("matrix row count does not match the factorization")
     reduced = factors.u[:, :d].T @ m
     return ReducedOccupants(d, reduced, occupants)
-
-
-def _write_matrix_csv(a: np.ndarray, path: Path, comment: str | None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for row in np.atleast_2d(a):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_matrix_csv(path: Path) -> np.ndarray:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if not rows:
-        raise InputError(f"{path}: empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InputError(f"{path}: ragged rows")
-    return np.array(rows, dtype=float)
-
-
-def write_factors(factors: SvdFactors, directory, header_comment: str | None = None) -> None:
-    """Persist the factorization as u.csv / sigma.csv / v.csv in a directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(factors.u, directory / "u.csv", header_comment)
-    _write_matrix_csv(factors.sigma[None, :], directory / "sigma.csv", header_comment)
-    _write_matrix_csv(factors.v, directory / "v.csv", header_comment)
-
-
-def load_factors(directory) -> SvdFactors:
-    directory = Path(directory)
-    u = _read_matrix_csv(directory / "u.csv")
-    sigma = _read_matrix_csv(directory / "sigma.csv").ravel()
-    v = _read_matrix_csv(directory / "v.csv")
-    if u.shape[1] != sigma.size or v.shape[1] != sigma.size:
-        raise InputError(f"{directory}: factor shapes are inconsistent")
-    sigma_max = sigma[0] if sigma.size else 0.0
-    rank = int(np.sum(sigma > RANK_RTOL * sigma_max)) if sigma_max > 0 else 0
-    return SvdFactors(u, sigma, v, rank)

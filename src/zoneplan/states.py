@@ -9,13 +9,13 @@ Final labels are {1, 2, 3}, ordered by mean power.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
 
-from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, format_timestamp, parse_timestamp
+from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, _read_series, format_timestamp
 
 _LN_2PI = float(np.log(2.0 * np.pi))
 
@@ -108,13 +108,7 @@ class VbGmmModel:
             "gamma_shape": listify(self.gamma_shape),
             "gamma_rate": listify(self.gamma_rate),
             "elbo_trace": [float(v) for v in self.elbo_trace],
-            "priors": {
-                "concentration": self.priors.concentration,
-                "mean": self.priors.mean,
-                "mean_scale": self.priors.mean_scale,
-                "shape": self.priors.shape,
-                "rate": self.priors.rate,
-            },
+            "priors": asdict(self.priors),
             "seed": self.seed,
             "n_samples": self.n_samples,
             "degenerate": self.degenerate,
@@ -325,7 +319,6 @@ class StateGrid:
     occupants: list[str]
     start: datetime
     states: np.ndarray  # (n_occupants, n_steps) int8
-    state_power: list[dict[int, float]] | None = None  # mean watts per label
 
     def __post_init__(self):
         self.start = self.start.astimezone(timezone.utc)
@@ -379,11 +372,6 @@ def _derived_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1)[0])
 
 
-def infer_states(grid: TimeSeriesGrid, config: StateConfig | None = None) -> StateGrid:
-    state_grid, _ = infer_states_detailed(grid, config)
-    return state_grid
-
-
 def infer_states_detailed(
     grid: TimeSeriesGrid, config: StateConfig | None = None
 ) -> tuple[StateGrid, list[OccupantFit]]:
@@ -401,7 +389,6 @@ def infer_states_detailed(
     cfg = config or StateConfig()
     n_occ = len(grid.occupants)
     states = np.empty((n_occ, grid.n_steps), dtype=np.int8)
-    state_power: list[dict[int, float]] = []
     fits: list[OccupantFit] = []
 
     for i, occ in enumerate(grid.occupants):
@@ -460,15 +447,9 @@ def infer_states_detailed(
                 ).astype(np.int8)
                 labels[is_high] = high_labels
         states[i] = labels
-        state_power.append(
-            {int(s): float(np.mean(x[labels == s])) for s in np.unique(labels)}
-        )
         fits.append(OccupantFit(occ, first, second, rule))
 
-    return (
-        StateGrid(list(grid.occupants), grid.start, states, state_power),
-        fits,
-    )
+    return StateGrid(list(grid.occupants), grid.start, states), fits
 
 
 def write_states(grid: StateGrid, path, header_comment: str | None = None) -> None:
@@ -484,58 +465,25 @@ def write_states(grid: StateGrid, path, header_comment: str | None = None) -> No
                 fh.write(f"{occ},{format_timestamp(t)},{int(s)}\n")
 
 
-def load_states(path) -> StateGrid:
-    from .ingest import _read_rows
+def _parse_state(text: str) -> int:
+    try:
+        s = int(text)
+    except ValueError:
+        s = None
+    if s not in (1, 2, 3):
+        raise InputError(f"state must be 1, 2, or 3, got {text!r}")
+    return s
 
-    per_occ: dict[str, list[tuple[int, int]]] = {}
-    for lineno, row in _read_rows(path, ["occupant_id", "timestamp", "state"]):
-        if len(row) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
-        try:
-            s = int(row[2])
-        except ValueError:
-            s = None
-        if s not in (1, 2, 3):
-            raise InputError(f"{path}:{lineno}: state must be 1, 2, or 3, got {row[2]!r}")
-        try:
-            epoch = int(parse_timestamp(row[1]).timestamp())
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-        per_occ.setdefault(row[0].strip(), []).append((epoch, s))
-    if not per_occ:
-        raise InputError(f"{path}: no state rows")
-    occupants = list(per_occ)
-    epochs = np.array([t for t, _ in per_occ[occupants[0]]], dtype=np.int64)
-    if np.any(np.diff(epochs) != STEP_SECONDS):
-        raise InputError(f"{path}: state timestamps must be contiguous 15-minute steps")
-    states = np.empty((len(occupants), epochs.size), dtype=np.int8)
-    for i, occ in enumerate(occupants):
-        rows = per_occ[occ]
-        if len(rows) != epochs.size or any(t != e for (t, _), e in zip(rows, epochs)):
-            raise InputError(f"{path}: occupant {occ} does not share the state timeline")
-        states[i] = [s for _, s in rows]
-    start = datetime.fromtimestamp(int(epochs[0]), tz=timezone.utc)
-    return StateGrid(occupants, start, states)
+
+def load_states(path) -> StateGrid:
+    occupants, start, states = _read_series(path, "state", "state", _parse_state)
+    return StateGrid(occupants, start, np.array(states, dtype=np.int8))
 
 
 def write_models(fits: list[OccupantFit], config: StateConfig, path, extra: dict | None = None) -> None:
     """Persist per-occupant mixture models (and the config used) as JSON."""
     doc = {
-        "config": {
-            "k_max": config.k_max,
-            "weight_floor": config.weight_floor,
-            "tol": config.tol,
-            "max_iter": config.max_iter,
-            "idle_threshold_w": config.idle_threshold_w,
-            "seed": config.seed,
-            "priors": {
-                "concentration": config.priors.concentration,
-                "mean": config.priors.mean,
-                "mean_scale": config.priors.mean_scale,
-                "shape": config.priors.shape,
-                "rate": config.priors.rate,
-            },
-        },
+        "config": asdict(config),
         "occupants": [
             {
                 "occupant_id": f.occupant_id,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -136,16 +136,11 @@ def sigmoid_count(s: np.ndarray) -> np.ndarray:
     return 2.0 / (1.0 + np.exp(-np.asarray(s, dtype=float))) - 1.0
 
 
-def encode(
-    features: np.ndarray,
-    n_zones: int,
-    zone_remap: np.ndarray | None = None,
-) -> np.ndarray:
+def encode(features: np.ndarray, n_zones: int) -> np.ndarray:
     """Encode raw rows: sigmoid counts, sin/cos hour, one-hot dow/zone.
 
     Output columns: g(s1), g(s2), g(s3), sin_h, cos_h (both rescaled to
-    [0,1]), dow one-hot (7), weekend, zone one-hot (n_zones).  zone_remap
-    optionally translates the raw zone indices before one-hot encoding.
+    [0,1]), dow one-hot (7), weekend, zone one-hot (n_zones).
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     n = x.shape[0]
@@ -157,19 +152,20 @@ def encode(
     dow = x[:, 4].astype(int)
     out[np.arange(n), 5 + dow] = 1.0
     out[:, 12] = x[:, 5]
-    zidx = x[:, 6].astype(int)
-    if zone_remap is not None:
-        zidx = zone_remap[zidx]
-    out[np.arange(n), 13 + zidx] = 1.0
+    out[np.arange(n), 13 + x[:, 6].astype(int)] = 1.0
     return out
 
 
-def _zone_remap(table_order: Sequence[str], model_order: Sequence[str]) -> np.ndarray:
+def _model_zone_rows(table: FeatureTable, model_order: Sequence[str]) -> np.ndarray:
+    """The table's raw rows with the zone column turned into model zone indices."""
     index = {z: i for i, z in enumerate(model_order)}
-    missing = [z for z in table_order if z not in index]
+    missing = [z for z in table.zone_order if z not in index]
     if missing:
         raise ValueError(f"unknown zone ids for this model: {missing}")
-    return np.array([index[z] for z in table_order], dtype=int)
+    remap = np.array([index[z] for z in table.zone_order], dtype=int)
+    x = table.features.copy()
+    x[:, 6] = remap[x[:, 6].astype(int)]
+    return x
 
 
 def solve_ridge(x: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> tuple[float, np.ndarray]:
@@ -209,9 +205,7 @@ class MlrModel:
         return self.predict_encoded(encode(x, len(self.zone_order)))
 
     def predict_rows(self, table: FeatureTable) -> np.ndarray:
-        remap = _zone_remap(table.zone_order, self.zone_order)
-        x = encode(table.features, len(self.zone_order), remap)
-        return self.predict_encoded(x)
+        return self.predict_raw(_model_zone_rows(table, self.zone_order))
 
     def to_dict(self) -> dict:
         return {
@@ -425,21 +419,12 @@ class RfModel:
         return out
 
     def predict_rows(self, table: FeatureTable) -> np.ndarray:
-        remap = _zone_remap(table.zone_order, self.zone_order)
-        x = table.features.copy()
-        x[:, 6] = remap[x[:, 6].astype(int)]
-        return self.predict_raw(x)
+        return self.predict_raw(_model_zone_rows(table, self.zone_order))
 
     def to_dict(self) -> dict:
         return {
             "kind": "rf",
-            "config": {
-                "n_trees": self.config.n_trees,
-                "min_split": self.config.min_split,
-                "min_leaf": self.config.min_leaf,
-                "max_depth": self.config.max_depth,
-                "bootstrap": self.config.bootstrap,
-            },
+            "config": asdict(self.config),
             "seed": self.seed,
             "zone_order": list(self.zone_order),
             "importance_raw": [float(v) for v in self.importance_raw],
@@ -581,15 +566,13 @@ def time_split(
 def cross_validate(
     table: FeatureTable,
     targets: np.ndarray,
-    k: int = 5,
-    fitter: Callable[[FeatureTable, np.ndarray], Callable[[FeatureTable], np.ndarray]] = None,
+    k: int,
+    fitter: Callable[[FeatureTable, np.ndarray], Callable[[FeatureTable], np.ndarray]],
 ) -> Metrics:
     """k contiguous time-ordered folds; metrics averaged over held-out folds.
 
     fitter(table, y) must return a predict function over a FeatureTable.
     """
-    if fitter is None:
-        raise ValueError("a fitter is required")
     if k < 2:
         raise ValueError("k must be >= 2")
     y = np.asarray(targets, dtype=float).ravel()

@@ -5,19 +5,22 @@ departure); generated schedules are state 1 outside working windows and
 randomly state 3 (with probability p_high) or state 2 inside them.  The
 oracle lights a zone while any assigned occupant showed motion (state 3)
 within a trailing hold window, giving closed-loop ground truth that
-flows through the same CSV schemas as measured data.
+flows through the same CSV schemas as measured data; oracle runs over
+a list of layouts also give the surrogate its training data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .ingest import STEPS_PER_DAY, LightingTable, StepCalendar
 from .states import StateGrid
+from .surrogate import FeatureTable, build_features, concat_tables, targets_from_lighting
 
 DEFAULT_START = datetime(2018, 1, 1, tzinfo=timezone.utc)  # a Monday
 
@@ -166,32 +169,37 @@ def oracle_lighting(
     occ_index = {occ: i for i, occ in enumerate(states.occupants)}
     zone_order = sorted(zones)
     n_steps = states.n_steps
-    weekend = cal.weekend.astype(bool)
-    h_per_step = np.where(weekend, cfg.hold_steps(True), cfg.hold_steps(False))
-    max_h = int(h_per_step.max()) if n_steps else 0
+    t = np.arange(n_steps)
+    hold = np.where(cal.weekend, cfg.hold_steps(True), cfg.hold_steps(False))
+    never = -int(hold.max(initial=0)) - 1  # a "last motion" step no hold reaches
+    lit_power = cfg.lit_power_w
+    if cfg.daylight_factor:
+        # midday daylight displaces up to half the lit power
+        reduction = 0.5 * np.maximum(0.0, np.sin(np.pi * (cal.hours - 6) / 12.0))
+        lit_power = lit_power * (1.0 - reduction)
     energy = np.empty((len(zone_order), n_steps))
     for j, zone_id in enumerate(zone_order):
         members = zones[zone_id]
         missing = [o for o in members if o not in occ_index]
         if missing:
             raise ValueError(f"zone {zone_id}: occupants without states: {missing}")
-        if members:
-            rows = states.states[[occ_index[o] for o in members]]
-            motion = np.any(rows >= cfg.motion_state, axis=0)
-        else:
-            motion = np.zeros(n_steps, dtype=bool)
-        lit = motion.copy()
-        for k in range(1, max_h + 1):
-            shifted = np.zeros(n_steps, dtype=bool)
-            shifted[k:] = motion[:-k]
-            lit |= shifted & (h_per_step >= k)
-        power = np.where(lit, cfg.lit_power_w, cfg.standby_power_w)
-        if cfg.daylight_factor:
-            # midday daylight displaces up to half the lit power
-            reduction = 0.5 * np.maximum(0.0, np.sin(np.pi * (cal.hours - 6) / 12.0))
-            power = np.where(lit, power * (1.0 - reduction), power)
-        energy[j] = power * 0.25
+        rows = states.states[[occ_index[o] for o in members]]
+        motion = np.any(rows >= cfg.motion_state, axis=0)
+        last_motion = np.maximum.accumulate(np.where(motion, t, never))
+        lit = t - last_motion <= hold
+        energy[j] = np.where(lit, lit_power, cfg.standby_power_w) * 0.25
     return zone_order, energy
+
+
+def oracle_total(
+    zones: dict[str, list[str]],
+    states: StateGrid,
+    config: LightingOracleConfig | None = None,
+    calendar: StepCalendar | None = None,
+) -> float:
+    """Oracle energy (wh) of a layout over the whole horizon."""
+    _, energy = oracle_lighting(zones, states, config, calendar)
+    return float(energy.sum())
 
 
 def oracle_lighting_table(
@@ -213,6 +221,28 @@ def oracle_lighting_table(
     return LightingTable(records)
 
 
+def oracle_training_set(
+    states: StateGrid,
+    layouts: Sequence[Mapping[str, Sequence[str]]],
+    config: LightingOracleConfig | None = None,
+    calendar: StepCalendar | None = None,
+) -> tuple[FeatureTable, np.ndarray]:
+    """Surrogate training data: feature rows and oracle targets of layouts.
+
+    Each layout is a zone_id -> occupant ids mapping over the same zones;
+    the layouts' tables are stacked in the given order, each with
+    n_steps * n_zones rows.
+    """
+    cal = calendar or StepCalendar(states.start, states.n_steps)
+    tables, targets = [], []
+    for zones in layouts:
+        table = build_features(states, zones, cal)
+        lighting = oracle_lighting_table(zones, states, config, cal)
+        tables.append(table)
+        targets.append(targets_from_lighting(table, lighting))
+    return concat_tables(tables), np.concatenate(targets)
+
+
 def archetype_pure_layout(states: StateGrid, n_zones: int) -> dict[str, list[str]]:
     """Group occupants by archetype prefix into n_zones equal zones.
 
@@ -227,3 +257,4 @@ def archetype_pure_layout(states: StateGrid, n_zones: int) -> dict[str, list[str
     return {
         f"Z{z + 1}": by_prefix[z * size : (z + 1) * size] for z in range(n_zones)
     }
+

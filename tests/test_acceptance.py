@@ -32,39 +32,6 @@ def weekend_absent(grid: StateGrid, cal: ingest.StepCalendar) -> StateGrid:
     return StateGrid(grid.occupants, grid.start, states)
 
 
-class ZoneOracle:
-    """Vectorized hold-window lighting totals for repeated layout scoring."""
-
-    def __init__(self, grid: StateGrid, config: synth.LightingOracleConfig | None = None):
-        self.cfg = config or synth.LightingOracleConfig()
-        cal = ingest.StepCalendar(grid.start, grid.n_steps)
-        self.hold = np.where(
-            cal.weekend, self.cfg.hold_steps(True), self.cfg.hold_steps(False)
-        )
-        self.motion = grid.states >= 3
-        self.idx = {o: i for i, o in enumerate(grid.occupants)}
-        self.t = np.arange(grid.n_steps)
-        self.n_days = grid.n_steps // ingest.STEPS_PER_DAY
-
-    def _lit(self, occs) -> np.ndarray:
-        m = self.motion[[self.idx[o] for o in occs]].any(axis=0)
-        last = np.maximum.accumulate(np.where(m, self.t, -(10**9)))
-        return (self.t - last) <= self.hold
-
-    def zone_steps(self, occs) -> np.ndarray:
-        lit = self._lit(occs)
-        return np.where(lit, self.cfg.lit_power_w, self.cfg.standby_power_w) * 0.25
-
-    def zone_total(self, occs) -> float:
-        return float(self.zone_steps(occs).sum())
-
-    def zone_daily(self, occs) -> np.ndarray:
-        return self.zone_steps(occs).reshape(self.n_days, ingest.STEPS_PER_DAY).sum(axis=1)
-
-    def total(self, layout: op.Layout) -> float:
-        return sum(self.zone_total(occs) for occs in layout.by_zone().values())
-
-
 def random_start(template: op.Layout, tag: int, i: int) -> op.Layout:
     return op.random_layout(
         template, np.random.default_rng(np.random.SeedSequence([tag, i]))
@@ -72,17 +39,6 @@ def random_start(template: op.Layout, tag: int, i: int) -> op.Layout:
 
 
 # ---------------------------------------------------------------- fixtures
-
-
-@pytest.fixture(scope="module")
-def oracle36(pop36):
-    oracle = ZoneOracle(pop36)
-    # guard: the fast scorer must agree with the reference lighting table
-    zones = synth.archetype_pure_layout(pop36, 4)
-    table = synth.oracle_lighting_table(zones, pop36)
-    reference = sum(table.records.values())
-    assert abs(oracle.total(op.Layout.from_groups(zones)) - reference) < 1e-6
-    return oracle
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +54,7 @@ def pure60(pop60_masked):
 
 
 @pytest.fixture(scope="module")
-def oracle60(pop60_masked):
-    return ZoneOracle(pop60_masked)
-
-
-@pytest.fixture(scope="module")
-def ga_protocol(pop36, pop36_pure, pop36_calendar, oracle36):
+def ga_protocol(pop36, pop36_pure, pop36_calendar):
     """Trained count-composition fitness plus the clustering seed pool.
 
     The forest trains on oracle data over random layouts and a swap-search
@@ -113,7 +64,6 @@ def ga_protocol(pop36, pop36_pure, pop36_calendar, oracle36):
     """
     t0 = time.time()
     vecs = pop36.vectors()
-    ocfg = synth.LightingOracleConfig()
 
     train_layouts = [random_start(pop36_pure, 2024, j) for j in range(24)]
     for s in range(6):
@@ -126,15 +76,9 @@ def ga_protocol(pop36, pop36_pure, pop36_calendar, oracle36):
         lay, _ = op.swap_optimize(vecs, lay, iter_limit=2000, seed=2000 + s)
         train_layouts.append(lay)
 
-    tables, targets = [], []
-    for lay in train_layouts:
-        zones = lay.by_zone()
-        tab = su.build_features(pop36, zones, pop36_calendar)
-        lighting = synth.oracle_lighting_table(zones, pop36, ocfg, pop36_calendar)
-        tables.append(tab)
-        targets.append(su.targets_from_lighting(tab, lighting))
-    train = su.concat_tables(tables)
-    y = np.concatenate(targets)
+    train, y = synth.oracle_training_set(
+        pop36, [lay.by_zone() for lay in train_layouts], calendar=pop36_calendar
+    )
     rf = su.fit_random_forest(train, y, su.RfConfig(), seed=7)
 
     scorer = su.LayoutScorer(rf, pop36, pop36_calendar)
@@ -172,18 +116,18 @@ def test_c1_swap_recovers_known_optimum(pop36, pop36_pure, record):
     assert ok
 
 
-def test_c2_seeded_ga_reaches_near_optimal_energy(pop36_pure, oracle36, ga_protocol, record):
+def test_c2_seeded_ga_reaches_near_optimal_energy(pop36, pop36_pure, ga_protocol, record):
     # surrogate-driven GA (seeded with clustering layouts, padded with
     # random ones) must land within 5% of the archetype-pure oracle
     # energy for >= 90 of 100 seeds, G <= 200, under 10 min in total
     predicted_total, pool, setup_s = ga_protocol
-    pure_energy = oracle36.total(pop36_pure)
+    pure_energy = synth.oracle_total(pop36_pure.by_zone(), pop36)
     cfg = op.GaConfig(generations=60)
     t0 = time.time()
     wins = 0
     for k in range(100):
         best, _ = op.ga_optimize(predicted_total, pop36_pure, cfg, seed=k, seeds_in=pool)
-        wins += oracle36.total(best) <= 1.05 * pure_energy
+        wins += synth.oracle_total(best.by_zone(), pop36) <= 1.05 * pure_energy
     elapsed = setup_s + (time.time() - t0)
     ok = wins >= 90 and elapsed < 600.0
     record(2, "seeded GA reaches near-optimal oracle energy", ok,
@@ -191,11 +135,13 @@ def test_c2_seeded_ga_reaches_near_optimal_energy(pop36_pure, oracle36, ga_proto
     assert ok
 
 
-def test_c3_pure_layout_beats_random_mean(pop36, pop36_pure, oracle36, record):
+def test_c3_pure_layout_beats_random_mean(pop36, pop36_pure, record):
     # archetype-pure oracle energy must sit >= 10% below the mean of
     # 100 random layouts; the measured percentage is reported
-    pure_energy = oracle36.total(pop36_pure)
-    randoms = [oracle36.total(random_start(pop36_pure, 909, i)) for i in range(100)]
+    pure_energy = synth.oracle_total(pop36_pure.by_zone(), pop36)
+    randoms = [
+        synth.oracle_total(random_start(pop36_pure, 909, i).by_zone(), pop36) for i in range(100)
+    ]
     mean_random = float(np.mean(randoms))
     saving = 100.0 * (mean_random - pure_energy) / mean_random
     ok = pure_energy <= 0.90 * mean_random
@@ -204,19 +150,21 @@ def test_c3_pure_layout_beats_random_mean(pop36, pop36_pure, oracle36, record):
     assert ok
 
 
-def test_c4_diversity_energy_regression_significant(pop60_masked, pure60, oracle60, record):
+def test_c4_diversity_energy_regression_significant(pop60_masked, pure60, record):
     # on the 60-day jittered population every zone's OLS slope of daily
     # energy on daily diversity must be positive with p < 0.001
-    layout = op.random_layout(pure60, np.random.default_rng(3))
+    zones = op.random_layout(pure60, np.random.default_rng(3)).by_zone()
     idx = {o: i for i, o in enumerate(pop60_masked.occupants)}
-    n_days = oracle60.n_days
+    n_days = pop60_masked.n_steps // ingest.STEPS_PER_DAY
+    zone_order, step_energy = synth.oracle_lighting(zones, pop60_masked)
+    daily_energy = step_energy.reshape(len(zone_order), n_days, ingest.STEPS_PER_DAY).sum(axis=2)
     details = []
     ok = True
-    for zone_id, occs in sorted(layout.by_zone().items()):
+    for zone_id, energy in zip(zone_order, daily_energy):
+        occs = zones[zone_id]
         days = pop60_masked.states[[idx[o] for o in occs]].astype(float)
         days = days.reshape(len(occs), n_days, ingest.STEPS_PER_DAY)
         divs = np.array([dv.zone_diversity(days[:, d, :]) for d in range(n_days)])
-        energy = oracle60.zone_daily(occs)
         res = dv.ols_regress(divs, energy)
         details.append(f"{zone_id} p={res.p_value:.1e}")
         ok = ok and res.slope > 0 and res.p_value < 1e-3
@@ -233,21 +181,12 @@ def test_c5_forest_beats_linear_and_daily_beats_hourly(record):
     )
     cal = ingest.StepCalendar(pop.start, pop.n_steps)
     pop = weekend_absent(pop, cal)
-    ocfg = synth.LightingOracleConfig()
     pure = op.Layout.from_groups(synth.archetype_pure_layout(pop, 4))
     layouts = [pure, random_start(pure, 21, 0), random_start(pure, 21, 1)]
 
-    tables, targets, layout_ids = [], [], []
-    for j, lay in enumerate(layouts):
-        zones = lay.by_zone()
-        tab = su.build_features(pop, zones, cal)
-        lighting = synth.oracle_lighting_table(zones, pop, ocfg, cal)
-        tables.append(tab)
-        targets.append(su.targets_from_lighting(tab, lighting))
-        layout_ids.append(np.full(tab.n_rows, j, dtype=np.int64))
-    table = su.concat_tables(tables)
-    y = np.concatenate(targets)
-    layout_id = np.concatenate(layout_ids)
+    table, y = synth.oracle_training_set(pop, [lay.by_zone() for lay in layouts], calendar=cal)
+    # every layout contributes the same number of rows, stacked in order
+    layout_id = np.repeat(np.arange(len(layouts)), table.n_rows // len(layouts))
 
     train, test = su.time_split(table, y, fraction=0.8)
     mlr = su.fit_mlr(table.take(train), y[train])
@@ -431,7 +370,7 @@ def test_c9_commands_rerun_byte_identical(tmp_path, record):
     assert ok
 
 
-def test_c10_more_dimensions_never_hurt(pop60_masked, pure60, oracle60, record):
+def test_c10_more_dimensions_never_hurt(pop60_masked, pure60, record):
     # mean oracle energy of clustering-optimized layouts at d=30 must
     # not exceed that at d=3 (20 random starts each)
     m, occupants = rd.state_matrix(pop60_masked)
@@ -442,7 +381,7 @@ def test_c10_more_dimensions_never_hurt(pop60_masked, pure60, oracle60, record):
         energies = []
         for s in range(20):
             lay, _ = op.swap_optimize(vectors, random_start(pure60, 44, s), seed=s)
-            energies.append(oracle60.total(lay))
+            energies.append(synth.oracle_total(lay.by_zone(), pop60_masked))
         means[d] = float(np.mean(energies))
     ok = means[30] <= means[3]
     record(10, "higher projection dimension never hurts", ok,

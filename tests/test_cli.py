@@ -6,9 +6,18 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from zoneplan import states as states_mod
 from zoneplan import synth
 from zoneplan.cli import _make_parser, build_config, config_hash, main
-from zoneplan.ingest import STEP_SECONDS, PlugLoadEvents, load_grid, write_plug_load
+from zoneplan.ingest import (
+    STEP_SECONDS,
+    PlugLoadEvents,
+    ZoneMap,
+    load_grid,
+    write_lighting,
+    write_plug_load,
+    write_zone_map,
+)
 
 UTC = timezone.utc
 
@@ -81,6 +90,9 @@ def test_internal_error_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "cmd_count_layouts", boom)
     assert main(["count-layouts", "4", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "wires crossed" in err
 
 
 def test_count_layouts_stdout(capsys):
@@ -157,6 +169,27 @@ def test_config_files_merge_in_order(tmp_path):
     assert cfg["states"]["tol"] == 1e-4  # the later file wins
     assert cfg["states"]["max_iter"] == 5000  # defaults survive the deep merge
     assert cfg["surrogate"]["kind"] == "rf"  # --set applies after every file
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [("optimize.ga.populaton=5", "unknown config key optimize.ga.populaton"),
+     ("surogate.kind=zzz", "unknown config key surogate.kind"),
+     ("paths.states.x=1", "unknown config key paths.states.x"),
+     ('states.priors={"shpe": 1}', "unknown config key states.priors.shpe"),
+     ("optimize.ga=5", "config key optimize.ga must be a JSON object")],
+)
+def test_bad_set_key_exits_one_and_names_it(tmp_path, capsys, assignment, message):
+    argv = ["optimize", "--method", "ga", "--set", assignment, "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_config_file_key_exits_one_and_names_it(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"optimize": {"ga": {"populaton": 5}}}))
+    assert main(["count-layouts", "4", "2", "--config", str(cfg_path)]) == 1
+    assert f"{cfg_path}: unknown config key optimize.ga.populaton" in capsys.readouterr().err
 
 
 def test_inferred_window_ends_with_the_last_events_day(tmp_path):
@@ -301,6 +334,33 @@ def test_synth_demo_traces_monotone(demo_dir):
 
 def body_lines(text):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("kind", ["mlr", "rf"])
+def test_train_surrogate_cv_folds_writes_cv_metrics(tmp_path, kind):
+    # three days, so the whole-day time split has both sides
+    grid = synth.generate_population((2, 2, 2, 2), 3, seed=4)
+    zones = synth.archetype_pure_layout(grid, 4)
+    states_mod.write_states(grid, tmp_path / "states.csv")
+    write_zone_map(ZoneMap([(o, o, z) for z, occs in zones.items() for o in occs]),
+                   tmp_path / "zone_map.csv")
+    write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
+    out = tmp_path / "out"
+    code = main(
+        [
+            "train-surrogate", "--kind", kind,
+            "--states", str(tmp_path / "states.csv"),
+            "--zone-map", str(tmp_path / "zone_map.csv"),
+            "--lighting", str(tmp_path / "lighting.csv"),
+            "--set", "surrogate.cv_folds=3",
+            "--set", "surrogate.rf.n_trees=3",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    doc = json.loads(read_text(out / "metrics.json"))
+    assert set(doc["cv_metrics"]) == set(doc["test_metrics"])
+    assert all(np.isfinite(v) for v in doc["cv_metrics"].values())
 
 
 def test_simulate_round_trip(tmp_path, demo_dir):

@@ -11,7 +11,6 @@ from zoneplan.diversity import (
     distance_matrix,
     layout_diversity,
     ols_regress,
-    pairwise_distance,
     student_t_two_tailed_p,
     zone_diversity,
 )
@@ -22,36 +21,35 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False, width=64)
 # ---------------------------------------------------------------- distances
 
 
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    return distance_matrix(np.vstack([a, b]))[0, 1]
+
+
 def test_identical_vectors_distance_zero():
     v = np.array([1.0, 2.0, 3.0])
-    assert pairwise_distance(v, v) == 0.0
+    assert distance(v, v) == 0.0
 
 
 def test_unit_square_diagonal():
-    assert pairwise_distance(np.array([1.0, 1.0]), np.array([3.0, 3.0])) == pytest.approx(
+    assert distance(np.array([1.0, 1.0]), np.array([3.0, 3.0])) == pytest.approx(
         np.sqrt(8.0), abs=1e-12
     )
 
 
 def test_reversed_vector_distance():
     a = np.array([1.0, 2.0, 3.0])
-    assert pairwise_distance(a, a[::-1]) == pytest.approx(np.sqrt(8.0), abs=1e-12)
+    assert distance(a, a[::-1]) == pytest.approx(np.sqrt(8.0), abs=1e-12)
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        pairwise_distance(np.zeros(3), np.zeros(4))
-
-
-def test_unknown_metric_rejected():
-    with pytest.raises(ValueError):
-        pairwise_distance(np.zeros(2), np.zeros(2), metric="cosine")
+        zone_diversity([np.zeros(3), np.zeros(4)])
 
 
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, 4, elements=finite), arrays(np.float64, 4, elements=finite))
 def test_distance_symmetric(a, b):
-    assert pairwise_distance(a, b) == pytest.approx(pairwise_distance(b, a), rel=1e-12)
+    assert distance(a, b) == pytest.approx(distance(b, a), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,9 +59,9 @@ def test_distance_symmetric(a, b):
     arrays(np.float64, 3, elements=finite),
 )
 def test_triangle_inequality(a, b, c):
-    ab = pairwise_distance(a, b)
-    bc = pairwise_distance(b, c)
-    ac = pairwise_distance(a, c)
+    ab = distance(a, b)
+    bc = distance(b, c)
+    ac = distance(a, c)
     assert ac <= ab + bc + 1e-9
 
 

@@ -1,6 +1,6 @@
 """Ingest: event parsing, LOCF resampling, grids, zone maps, calendars."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -194,7 +194,7 @@ def test_resampling_idempotent_on_gridded_signal():
     rng = np.random.default_rng(0)
     vals = rng.uniform(0, 100, 96)
     pairs = [
-        (datetime(2018, 1, 1, tzinfo=UTC) + ingest.timedelta(minutes=15 * i), v)
+        (datetime(2018, 1, 1, tzinfo=UTC) + timedelta(minutes=15 * i), v)
         for i, v in enumerate(vals)
     ]
     grid = resample_15min(events(pairs), (T0, day(1)))
@@ -209,6 +209,37 @@ def test_grid_round_trip_lossless(tmp_path):
     assert back.occupants == grid.occupants
     assert back.start == grid.start
     np.testing.assert_array_equal(back.values, grid.values)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("O1,2018-01-01T00:15:00Z,abc", "power_w must be a number"),
+     ("O1,2018-01-01T00:15:00Z,nan", "power must be finite and >= 0"),
+     ("O1,2018-01-01T00:15:00Z,inf", "power must be finite and >= 0"),
+     ("O1,2018-01-01T00:15:00Z,-5", "power must be finite and >= 0"),
+     ("O1,yesterday,1.0", "bad timestamp"),
+     ("O1,2018-01-01T00:15:00Z", "expected 3 fields")],
+)
+def test_grid_bad_row_names_file_and_line(tmp_path, bad_row, message):
+    path = write_csv(tmp_path / "g.csv", ["O1,2018-01-01T00:00:00Z,1.0", bad_row])
+    with pytest.raises(InputError, match=message) as info:
+        load_grid(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_grid_timelines_must_be_shared_and_contiguous(tmp_path):
+    gap = write_csv(
+        tmp_path / "gap.csv", ["O1,2018-01-01T00:00:00Z,1.0", "O1,2018-01-01T00:30:00Z,1.0"]
+    )
+    with pytest.raises(InputError, match="contiguous"):
+        load_grid(gap)
+    short = write_csv(
+        tmp_path / "short.csv",
+        ["O1,2018-01-01T00:00:00Z,1.0", "O1,2018-01-01T00:15:00Z,1.0",
+         "O2,2018-01-01T00:00:00Z,1.0"],
+    )
+    with pytest.raises(InputError, match="occupant O2 does not share"):
+        load_grid(short)
 
 
 # ---------------------------------------------------------------- exclusions
@@ -254,8 +285,9 @@ def test_zone_map_loads_sizes_and_vacancies(tmp_path):
         "occupant_id,desk_id,zone_id\nO1,D1,Z1\n,D2,Z1\nO2,D3,Z2\nO3,D4,Z2\n"
     )
     zm = load_zone_map(path)
-    assert zm.zone_sizes == {"Z1": 2, "Z2": 2}
-    assert zm.occupied() == {"D1": "O1", "D3": "O2", "D4": "O3"}
+    assert zm.entries == [
+        ("O1", "D1", "Z1"), ("", "D2", "Z1"), ("O2", "D3", "Z2"), ("O3", "D4", "Z2")
+    ]
 
 
 def test_zone_map_duplicate_desk_rejected(tmp_path):
@@ -291,9 +323,24 @@ def test_calendar_saturday_is_weekend():
 
 def test_calendar_groups_partition_steps():
     cal = StepCalendar(T0, 2 * 96)
-    hour = cal.hour_group()
-    dayg = cal.day_group()
-    assert len(np.unique(hour)) == 48
-    assert len(np.unique(dayg)) == 2
-    # four quarter-hour steps per hour group
-    assert np.all(np.bincount(hour) == 4)
+    hours, counts = np.unique(cal.hour_epochs(), return_counts=True)
+    assert hours.size == 48
+    assert np.all(np.diff(hours) == 3600)
+    # four quarter-hour steps per hour
+    assert np.all(counts == 4)
+
+
+@pytest.mark.parametrize(
+    "start, n_days",
+    [
+        (datetime(2019, 12, 30, tzinfo=UTC), 70),  # a year boundary and 2020-02-29
+        (datetime(2020, 2, 28, 23, 45, tzinfo=UTC), 3),
+    ],
+)
+def test_calendar_matches_datetime_reference(start, n_days):
+    n_steps = n_days * 96
+    cal = StepCalendar(start, n_steps)
+    moments = [start + timedelta(minutes=15 * k) for k in range(n_steps)]
+    np.testing.assert_array_equal(cal.hours, [m.hour for m in moments])
+    np.testing.assert_array_equal(cal.dows, [m.weekday() for m in moments])
+    np.testing.assert_array_equal(cal.weekend, [m.weekday() >= 5 for m in moments])

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from zoneplan.diversity import distance_matrix
 from zoneplan.reduce import (
     ReducedOccupants,
-    load_factors,
     project,
     state_matrix,
     svd_decompose,
-    write_factors,
 )
 
 
@@ -38,7 +36,7 @@ def test_rank_one_matrix():
 def test_reconstruction_error_tiny():
     m = random_matrix(200, 10)
     f = svd_decompose(m)
-    assert np.max(np.abs(f.reconstruct() - m)) < 1e-8
+    assert np.max(np.abs((f.u * f.sigma) @ f.v.T - m)) < 1e-8
 
 
 def test_sign_convention_deterministic():
@@ -143,15 +141,3 @@ def test_projection_never_expands_distances(cols, seed):
         proj = distance_matrix(red.matrix.T)
         assert np.all(proj <= orig + 1e-9)
 
-
-# ---------------------------------------------------------------- round trip
-
-
-def test_factor_csv_round_trip(tmp_path):
-    f = svd_decompose(random_matrix(25, 5, seed=9))
-    write_factors(f, tmp_path)
-    back = load_factors(tmp_path)
-    np.testing.assert_allclose(back.u, f.u, atol=1e-15)
-    np.testing.assert_allclose(back.sigma, f.sigma, atol=1e-15)
-    np.testing.assert_allclose(back.v, f.v, atol=1e-15)
-    assert back.rank == f.rank

@@ -14,7 +14,6 @@ from zoneplan.states import (
     VbGmmPriors,
     effective_components,
     fit_vbgmm,
-    infer_states,
     infer_states_detailed,
     load_states,
     write_states,
@@ -118,7 +117,7 @@ def test_three_tight_clusters_label_one_two_three():
     row[:third] = rng.normal(2, 0.1, third)
     row[third : 2 * third] = rng.normal(40, 0.5, third)
     row[2 * third :] = rng.normal(90, 0.5, t - 2 * third)
-    sg = infer_states(grid_of({"O1": row}))
+    sg = infer_states_detailed(grid_of({"O1": row}))[0]
     states = sg.states[0]
     assert set(np.unique(states)) == {1, 2, 3}
     assert np.all(states[:third] == 1)
@@ -127,19 +126,19 @@ def test_three_tight_clusters_label_one_two_three():
 
 
 def test_constant_low_power_is_all_absent():
-    sg = infer_states(grid_of({"O1": np.full(96, 2.0)}))
+    sg = infer_states_detailed(grid_of({"O1": np.full(96, 2.0)}))[0]
     assert np.all(sg.states[0] == 1)
 
 
 def test_constant_high_power_is_all_active():
-    sg = infer_states(grid_of({"O1": np.full(96, 80.0)}))
+    sg = infer_states_detailed(grid_of({"O1": np.full(96, 80.0)}))[0]
     assert np.all(sg.states[0] == 3)
 
 
 def test_two_level_series_skips_middle_state():
     rng = np.random.default_rng(11)
     row = np.concatenate([rng.normal(2, 0.1, 288), rng.normal(80, 0.5, 288)])
-    sg = infer_states(grid_of({"O1": row}))
+    sg = infer_states_detailed(grid_of({"O1": row}))[0]
     states = sg.states[0]
     assert set(np.unique(states)) == {1, 3}
 
@@ -149,7 +148,7 @@ def test_labels_monotone_in_power():
     row = np.concatenate(
         [rng.normal(2, 0.2, 192), rng.normal(35, 1, 192), rng.normal(95, 1, 192)]
     )
-    sg = infer_states(grid_of({"O1": row}))
+    sg = infer_states_detailed(grid_of({"O1": row}))[0]
     states = sg.states[0]
     # sorting by power must never decrease the state label
     order = np.argsort(row)
@@ -159,8 +158,8 @@ def test_labels_monotone_in_power():
 def test_scaling_invariance_with_derived_priors():
     rng = np.random.default_rng(13)
     row = np.concatenate([rng.normal(3, 0.3, 288), rng.normal(60, 2, 288)])
-    sg1 = infer_states(grid_of({"O1": row}))
-    sg10 = infer_states(grid_of({"O1": row * 10.0}))
+    sg1 = infer_states_detailed(grid_of({"O1": row}))[0]
+    sg10 = infer_states_detailed(grid_of({"O1": row * 10.0}))[0]
     np.testing.assert_array_equal(sg1.states, sg10.states)
 
 
@@ -183,8 +182,8 @@ def test_infer_states_deterministic_per_occupant_order():
     # rows in the same order produce identical labels
     rng = np.random.default_rng(14)
     rows = {f"O{i}": rng.uniform(0, 60, 192) for i in range(3)}
-    a = infer_states(grid_of(rows))
-    b = infer_states(grid_of(rows))
+    a = infer_states_detailed(grid_of(rows))[0]
+    b = infer_states_detailed(grid_of(rows))[0]
     np.testing.assert_array_equal(a.states, b.states)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoneplan.ingest import StepCalendar
+from zoneplan.states import StateGrid
 from zoneplan.synth import (
     DEFAULT_ARCHETYPES,
     DEFAULT_START,
@@ -139,8 +140,6 @@ def test_archetype_pure_layout_groups_by_prefix(pop36):
 
 
 def one_occupant_states(row: np.ndarray):
-    from zoneplan.states import StateGrid
-
     return StateGrid(["O1"], DEFAULT_START, row[None, :].astype(np.int64))
 
 
@@ -170,8 +169,6 @@ def test_single_weekend_motion_holds_one_step():
     row[40] = 3
     sg = one_occupant_states(row)
     saturday = datetime(2018, 1, 6, tzinfo=UTC)
-    from zoneplan.states import StateGrid
-
     sg = StateGrid(["O1"], saturday, row[None, :].astype(np.int64))
     cal = StepCalendar(saturday, 96)
     cfg = LightingOracleConfig()
@@ -205,8 +202,6 @@ def test_upgrading_a_step_never_decreases_energy(pop36, pop36_calendar):
     idle = np.argwhere(bumped[:9] != 3)
     i, t = idle[len(idle) // 2]
     bumped[i, t] = 3
-    from zoneplan.states import StateGrid
-
     sg = StateGrid(list(pop36.occupants), pop36.start, bumped)
     _, after = oracle_lighting(zones, sg, cfg, pop36_calendar)
     assert after.sum() >= before.sum() - 1e-9
@@ -215,8 +210,6 @@ def test_upgrading_a_step_never_decreases_energy(pop36, pop36_calendar):
 def test_hold_carries_across_day_boundary():
     row = np.full(192, 1)
     row[95] = 3  # last step of day one
-    from zoneplan.states import StateGrid
-
     sg = StateGrid(["O1"], DEFAULT_START, row[None, :].astype(np.int64))
     cal = StepCalendar(sg.start, 192)
     cfg = LightingOracleConfig()
@@ -243,13 +236,27 @@ def test_daylight_factor_off_by_default():
     assert cfg.daylight_factor is False
 
 
+def test_daylight_factor_dims_only_lit_daytime_steps():
+    # O1 is in motion all day (always lit), O2 never (always standby)
+    states = np.vstack([np.full(96, 3), np.ones(96)]).astype(np.int8)
+    sg = StateGrid(["O1", "O2"], DEFAULT_START, states)
+    zones = {"Z1": ["O1"], "Z2": ["O2"]}
+    _, plain = oracle_lighting(zones, sg, LightingOracleConfig())
+    _, daylit = oracle_lighting(zones, sg, LightingOracleConfig(daylight_factor=True))
+    hours = np.arange(96) // 4
+    midday = (hours >= 8) & (hours <= 16)
+    night = (hours <= 6) | (hours >= 19)
+    assert np.all(daylit[0, midday] < plain[0, midday])
+    assert daylit[0, steps(12)] == 0.5 * plain[0, steps(12)]  # noon: half the lit power
+    np.testing.assert_array_equal(daylit[0, night], plain[0, night])
+    np.testing.assert_array_equal(daylit[1], plain[1])  # standby is never dimmed
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_oracle_energy_bounded(seed):
     rng = np.random.default_rng(seed)
     row = rng.choice([1, 2, 3], size=96)
-    from zoneplan.states import StateGrid
-
     sg = StateGrid(["O1"], DEFAULT_START, row[None, :].astype(np.int64))
     cal = StepCalendar(sg.start, 96)
     cfg = LightingOracleConfig()
