@@ -88,8 +88,21 @@ def _deep_update(base: dict, override: dict) -> dict:
     return base
 
 
+# the value types a leaf accepts, by the type of its default; a bool is
+# never taken for a number, and null or list defaults are not checked
+_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _leaf_type_ok(value, default) -> bool:
+    accepted = _LEAF_TYPES.get(type(default))
+    if accepted is None:
+        return True
+    return isinstance(value, accepted) and isinstance(value, bool) == isinstance(default, bool)
+
+
 def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
-    """Reject keys the default config lacks, descending where the default is a dict."""
+    """Reject keys the default config lacks and leaves of the wrong type,
+    descending where the default is a dict."""
     for key, value in user.items():
         name = prefix + key
         if key not in default:
@@ -98,6 +111,11 @@ def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ingest.InputError(f"config key {name} must be a JSON object")
             _check_keys(value, default[key], name + ".")
+        elif not _leaf_type_ok(value, default[key]):
+            raise ingest.InputError(
+                f"config key {name} must be {type(default[key]).__name__}, "
+                f"got {type(value).__name__}"
+            )
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
@@ -108,6 +126,8 @@ def _apply_set(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ingest.InputError(f"--set {key}: value nested too deeply") from None
     *groups, leaf = key.split(".")
     node, default = cfg, DEFAULT_CONFIG
     for part in groups:
@@ -127,7 +147,7 @@ def build_config(args: argparse.Namespace) -> dict:
         with open(path, encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ingest.InputError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ingest.InputError(f"{path}: config must be a JSON object")
@@ -263,52 +283,41 @@ def _load_layout_from_zone_map(cfg: dict) -> optimize.Layout:
 
 
 def cmd_diversity_report(cfg: dict) -> int:
-    state_grid = _load_states(cfg)
+    states_path = _require_path(cfg, "states", fallback=_out_dir(cfg) / "states.csv")
+    state_grid = states_mod.load_states(states_path)
     layout = _load_layout_from_zone_map(cfg)
     lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
     header = _header(cfg, "diversity-report")
     out = _out_dir(cfg)
     zones = layout.by_zone()
-    vectors = state_grid.vectors()
 
-    report = div.layout_diversity(zones, vectors)
+    report = div.layout_diversity(zones, state_grid.vectors())
+    try:
+        zone_order, daily_diversity = div.daily_zone_diversity(state_grid, zones)
+    except ValueError as exc:
+        raise ingest.InputError(f"{states_path}: {exc}") from None
     div.write_diversity_csv(report, out / "diversity.csv", header)
 
     cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
-    n_days = state_grid.n_steps // ingest.STEPS_PER_DAY
+    hour_starts, hour_column = cal.hour_columns()
+    energy = lighting.hourly(zone_order, hour_starts)
+    # each day's mean over the hours its steps touch
+    days = hour_column.reshape(-1, ingest.STEPS_PER_DAY)
+    daily_energy = np.array([[row[d[0] : d[-1] + 1].mean() for d in days] for row in energy])
     day_starts = state_grid.step_epochs()[:: ingest.STEPS_PER_DAY]
-    hour_epochs = cal.hour_epochs()
-    per_zone_daily: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    rows = []
-    for zone_id in sorted(zones):
-        divs = np.empty(n_days)
-        energies = np.empty(n_days)
-        for d in range(n_days):
-            sl = slice(d * ingest.STEPS_PER_DAY, (d + 1) * ingest.STEPS_PER_DAY)
-            day_vectors = {
-                occ: vec[sl] for occ, vec in vectors.items() if occ in set(zones[zone_id])
-            }
-            divs[d] = div.zone_diversity(
-                div.stack_vectors(day_vectors, list(zones[zone_id]))
-            ) if zones[zone_id] else 0.0
-            day_hours = sorted(set(hour_epochs[sl].tolist()))
-            energies[d] = float(
-                np.mean([lighting.energy(zone_id, h) for h in day_hours])
-            )
-            rows.append((zone_id, int(day_starts[d]), divs[d], energies[d]))
-        per_zone_daily[zone_id] = (divs, energies)
 
     with open(out / "diversity_daily.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
         fh.write("zone_id,day_start,diversity,mean_energy_wh\n")
-        for zone_id, day_start, d_val, e_val in rows:
-            fh.write(
-                f"{zone_id},{ingest.format_timestamp(day_start)},"
-                f"{float(d_val)!r},{float(e_val)!r}\n"
-            )
+        for j, zone_id in enumerate(zone_order):
+            for day_start, d_val, e_val in zip(day_starts, daily_diversity[j], daily_energy[j]):
+                fh.write(
+                    f"{zone_id},{ingest.format_timestamp(day_start)},"
+                    f"{float(d_val)!r},{float(e_val)!r}\n"
+                )
 
     results: list[tuple[str, div.RegressionResult | None]] = []
-    for zone_id, (divs, energies) in sorted(per_zone_daily.items()):
+    for zone_id, divs, energies in zip(zone_order, daily_diversity, daily_energy):
         try:
             results.append((zone_id, div.ols_regress(divs, energies)))
         except (div.DegenerateRegressor, ValueError):

@@ -14,6 +14,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
+from .ingest import STEPS_PER_DAY
+from .states import StateGrid
+
 
 class DegenerateRegressor(ValueError):
     """Raised when the regressor is constant and OLS has no unique slope."""
@@ -75,6 +78,29 @@ def layout_diversity(
         rows = stack_vectors(vectors, list(occupants))
         per_zone[zone_id] = zone_diversity(rows)
     return DiversityReport(per_zone, float(sum(per_zone.values())))
+
+
+def daily_zone_diversity(
+    states: StateGrid, zones: Mapping[str, Sequence[str]]
+) -> tuple[list[str], np.ndarray]:
+    """zone_diversity of each zone's members on each whole day of a state grid.
+
+    Returns the sorted zone ids and an (n_zones, n_days) array; a zone
+    without occupants gets 0.0.
+    """
+    if states.n_steps % STEPS_PER_DAY:
+        raise ValueError(
+            f"{states.n_steps} steps do not cover whole days of {STEPS_PER_DAY} steps"
+        )
+    schedules = dict(zip(states.occupants, states.states))  # int8 row views, no copy
+    zone_order = sorted(zones)
+    daily = np.zeros((len(zone_order), states.n_steps // STEPS_PER_DAY))
+    for j, zone_id in enumerate(zone_order):
+        members = list(zones[zone_id])
+        if members:
+            days = stack_vectors(schedules, members).reshape(len(members), -1, STEPS_PER_DAY)
+            daily[j] = [zone_diversity(days[:, d]) for d in range(daily.shape[1])]
+    return zone_order, daily
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -22,11 +23,11 @@ def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"bad timestamp {text!r}: {exc}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
 
 
 def format_timestamp(epoch_s: int | float) -> str:
@@ -43,28 +44,53 @@ def _epoch(dt: datetime) -> int:
 def _read_rows(path, expected_header: list[str]):
     """Yield (line_number, row) from a CSV, skipping '#' comment lines.
 
-    Every data row must have as many fields as the header.
+    Every data row must have as many fields as the header.  A CSV syntax
+    error or a byte that is not UTF-8 raises InputError naming the line.
+    Line numbers count physical lines; a row with a quoted line break is
+    numbered by its last line.
     """
     n_fields = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if header != expected_header:
-                    raise InputError(
-                        f"{path}: expected header {','.join(expected_header)}, "
-                        f"got {','.join(header)} at line {lineno}"
-                    )
-                continue
-            if len(row) != n_fields:
-                raise InputError(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
-            yield lineno, row
+        try:
+            for row in reader:
+                lineno = reader.line_num
+                if not row or (row[0].startswith("#")):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in row]
+                    if header != expected_header:
+                        raise InputError(
+                            f"{path}: expected header {','.join(expected_header)}, "
+                            f"got {','.join(header)} at line {lineno}"
+                        )
+                    continue
+                if len(row) != n_fields:
+                    raise InputError(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
+                yield lineno, row
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise InputError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
         if header is None:
             raise InputError(f"{path}: missing header row")
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line that is not valid UTF-8.
+
+    The text reader decodes in blocks, so its position does not say where
+    the bad byte is; no UTF-8 sequence spans a newline, so lines decode
+    independently.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
 
 
 @dataclass
@@ -272,11 +298,15 @@ def _read_series(
     return occupants, start, [series[occ][1] for occ in occupants]
 
 
-def _parse_power(text: str) -> float:
+def _parse_number(text: str, column: str) -> float:
     try:
-        p = float(text)
+        return float(text)
     except ValueError:
-        raise InputError(f"power_w must be a number, got {text!r}") from None
+        raise InputError(f"{column} must be a number, got {text!r}") from None
+
+
+def _parse_power(text: str) -> float:
+    p = _parse_number(text, "power_w")
     if not 0.0 <= p < np.inf:
         raise InputError(f"power must be finite and >= 0, got {text!r}")
     return p
@@ -334,28 +364,43 @@ class LightingTable:
 
     def __post_init__(self):
         for (zone, hour), wh in self.records.items():
-            if hour % 3600:
-                raise InputError(f"lighting record for {zone} not on the hour")
-            if wh < 0 or not np.isfinite(wh):
-                raise InputError(f"lighting energy must be finite and >= 0 ({zone})")
+            _check_lighting_record(zone, hour, wh)
 
-    def energy(self, zone: str, hour_epoch: int) -> float:
-        key = (zone, hour_epoch)
-        if key not in self.records:
+    def hourly(self, zone_order: Sequence[str], hour_starts: np.ndarray) -> np.ndarray:
+        """(n_zones, n_hours) energy; a missing record raises InputError naming
+        the earliest hour without one, and the first such zone in zone_order."""
+        hours = [int(h) for h in hour_starts]
+        rows = [[self.records.get((zone, h), np.nan) for h in hours] for zone in zone_order]
+        energy = np.array(rows, dtype=float).reshape(len(zone_order), len(hours))
+        missing = np.argwhere(np.isnan(energy.T))
+        if missing.size:
+            h, j = missing[0]
             raise InputError(
-                f"missing lighting record for zone {zone} at {format_timestamp(hour_epoch)}"
+                f"missing lighting record for zone {zone_order[j]} at {format_timestamp(hours[h])}"
             )
-        return self.records[key]
+        return energy
+
+
+def _check_lighting_record(zone: str, hour: int, wh: float) -> None:
+    if hour % 3600:
+        raise InputError(f"lighting record for {zone} not on the hour")
+    if not 0.0 <= wh < np.inf:
+        raise InputError(f"lighting energy must be finite and >= 0 ({zone})")
 
 
 def load_lighting(path) -> LightingTable:
     records: dict[tuple[str, int], float] = {}
     for lineno, row in _read_rows(path, ["zone_id", "hour_start", "energy_wh"]):
         zone = row[0].strip()
-        key = (zone, _epoch(parse_timestamp(row[1])))
+        try:
+            key = (zone, _epoch(parse_timestamp(row[1])))
+            wh = _parse_number(row[2], "energy_wh")
+            _check_lighting_record(*key, wh)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         if key in records:
             raise InputError(f"{path}:{lineno}: duplicate record for {key}")
-        records[key] = float(row[2])
+        records[key] = wh
     return LightingTable(records)
 
 
@@ -394,3 +439,10 @@ class StepCalendar:
         start_s = _epoch(self.start)
         steps = start_s + STEP_SECONDS * np.arange(self.n_steps, dtype=np.int64)
         return (steps // 3600) * 3600
+
+    def hour_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start epochs of the (contiguous) hours the steps touch and each step's column."""
+        hour_epochs = self.hour_epochs()
+        columns = (hour_epochs - hour_epochs[:1]) // 3600
+        n_hours = int(columns[-1]) + 1 if columns.size else 0
+        return hour_epochs[:1] + 3600 * np.arange(n_hours, dtype=np.int64), columns

@@ -34,7 +34,6 @@ class FeatureTable:
 
     zone_order: list[str]
     features: np.ndarray  # (n_rows, 7) float, columns per FEATURE_NAMES
-    step_index: np.ndarray  # (n_rows,) int
     hour_epoch: np.ndarray  # (n_rows,) int64, epoch second of the row's hour
     day_index: np.ndarray  # (n_rows,) int, whole days since the grid start
 
@@ -46,15 +45,10 @@ class FeatureTable:
     def n_zones(self) -> int:
         return len(self.zone_order)
 
-    def zone_names(self) -> list[str]:
-        col = self.features[:, 6].astype(int)
-        return [self.zone_order[z] for z in col]
-
     def take(self, idx: np.ndarray) -> "FeatureTable":
         return FeatureTable(
             list(self.zone_order),
             self.features[idx],
-            self.step_index[idx],
             self.hour_epoch[idx],
             self.day_index[idx],
         )
@@ -69,41 +63,17 @@ def build_features(
 
     zones maps zone_id to occupant ids (vacant desks excluded).  Every
     listed occupant must have a state row; occupants absent from the
-    layout simply contribute to no zone.
+    layout simply contribute to no zone.  The rows come from the same
+    integer keys that LayoutScorer scores, so n_zones * 336 *
+    (n_occupants + 1)**3 must stay below 2**63.
     """
-    cal = calendar or StepCalendar(states.start, states.n_steps)
-    if cal.n_steps != states.n_steps:
-        raise ValueError("calendar length does not match the state grid")
-    occ_index = {occ: i for i, occ in enumerate(states.occupants)}
     zone_order = sorted(zones)
-    n_steps = states.n_steps
+    encoder = _RowEncoder(states, calendar, {z: j for j, z in enumerate(zone_order)})
+    features = encoder.decode(encoder.keys(zones, zone_order).T.ravel())
     n_zones = len(zone_order)
-    counts = np.zeros((n_zones, 3, n_steps))
-    for j, zone_id in enumerate(zone_order):
-        members = zones[zone_id]
-        missing = [o for o in members if o not in occ_index]
-        if missing:
-            raise ValueError(f"zone {zone_id}: occupants without states: {missing}")
-        if len(members) == 0:
-            continue
-        rows = states.states[[occ_index[o] for o in members]]
-        for s in (1, 2, 3):
-            counts[j, s - 1] = (rows == s).sum(axis=0)
-
-    n_rows = n_steps * n_zones
-    feats = np.empty((n_rows, 7))
-    # step-major layout: rows [t*n_zones + j]
-    feats[:, 0] = counts[:, 0, :].T.ravel()
-    feats[:, 1] = counts[:, 1, :].T.ravel()
-    feats[:, 2] = counts[:, 2, :].T.ravel()
-    feats[:, 3] = np.repeat(cal.hours, n_zones)
-    feats[:, 4] = np.repeat(cal.dows, n_zones)
-    feats[:, 5] = np.repeat(cal.weekend, n_zones)
-    feats[:, 6] = np.tile(np.arange(n_zones), n_steps)
-    step_index = np.repeat(np.arange(n_steps), n_zones)
-    hour_epoch = np.repeat(cal.hour_epochs(), n_zones)
-    day_index = step_index // STEPS_PER_DAY
-    return FeatureTable(zone_order, feats, step_index, hour_epoch, day_index)
+    hour_epoch = np.repeat(encoder.calendar.hour_epochs(), n_zones)
+    day_index = np.repeat(np.arange(states.n_steps) // STEPS_PER_DAY, n_zones)
+    return FeatureTable(zone_order, features, hour_epoch, day_index)
 
 
 def concat_tables(tables: Sequence[FeatureTable]) -> FeatureTable:
@@ -116,19 +86,22 @@ def concat_tables(tables: Sequence[FeatureTable]) -> FeatureTable:
     return FeatureTable(
         list(zone_order),
         np.vstack([t.features for t in tables]),
-        np.concatenate([t.step_index for t in tables]),
         np.concatenate([t.hour_epoch for t in tables]),
         np.concatenate([t.day_index for t in tables]),
     )
 
 
 def targets_from_lighting(table: FeatureTable, lighting: LightingTable) -> np.ndarray:
-    """Per-row training targets: the row's hourly energy split over 4 steps."""
-    names = table.zone_names()
-    y = np.empty(table.n_rows)
-    for r in range(table.n_rows):
-        y[r] = lighting.energy(names[r], int(table.hour_epoch[r])) / 4.0
-    return y
+    """Per-row training targets: the row's hourly energy split over 4 steps.
+
+    Every hour from the table's first to its last needs a record for every
+    zone, as the rows of a build_features table do.
+    """
+    first = table.hour_epoch.min() if table.n_rows else 0
+    column = (table.hour_epoch - first) // 3600
+    hour_starts = first + 3600 * np.arange(column.max(initial=-1) + 1)
+    energy = lighting.hourly(table.zone_order, hour_starts)
+    return energy[table.features[:, 6].astype(int), column] / 4.0
 
 
 def sigmoid_count(s: np.ndarray) -> np.ndarray:
@@ -156,12 +129,16 @@ def encode(features: np.ndarray, n_zones: int) -> np.ndarray:
     return out
 
 
+def _require_model_zones(zone_ids: Sequence[str], index: Mapping[str, int]) -> None:
+    unknown = [z for z in zone_ids if z not in index]
+    if unknown:
+        raise ValueError(f"unknown zone ids for this model: {unknown}")
+
+
 def _model_zone_rows(table: FeatureTable, model_order: Sequence[str]) -> np.ndarray:
     """The table's raw rows with the zone column turned into model zone indices."""
     index = {z: i for i, z in enumerate(model_order)}
-    missing = [z for z in table.zone_order if z not in index]
-    if missing:
-        raise ValueError(f"unknown zone ids for this model: {missing}")
+    _require_model_zones(table.zone_order, index)
     remap = np.array([index[z] for z in table.zone_order], dtype=int)
     x = table.features.copy()
     x[:, 6] = remap[x[:, 6].astype(int)]
@@ -604,91 +581,95 @@ class EnergyReport:
     zone_order: list[str]
     hour_epochs: np.ndarray  # (n_hours,)
     hourly: np.ndarray  # (n_zones, n_hours) predicted wh
-    per_zone_total: dict[str, float]
-    per_day_total: np.ndarray  # (n_days,)
     grand_total: float
     baseline_total: float | None = None
     percent_change: float | None = None
 
 
-class LayoutScorer:
-    """Predicted lighting energy of layouts, each distinct feature row predicted once.
+class _RowEncoder:
+    """Feature rows of layouts as int64 keys, one per zone per step.
 
     A feature row (s1, s2, s3, hour, day_of_week, is_weekend, zone) takes
-    few distinct values, so each row is encoded as one integer key and the
-    model's clamped prediction is kept in a sorted memo.  Scoring a layout
-    gathers its rows' predictions in the same step-major order as
-    build_features and sums them; the model only sees keys it has not seen
-    before.  Predictions do not depend on the batch they are computed in,
-    so totals equal scoring the whole feature table at once.
+    few distinct values, so it packs into one integer:
+    key = (((zone * 336 + calendar) * m + s1) * m + s2) * m + s3, where
+    calendar = (hour * 7 + day_of_week) * 2 + is_weekend, m is
+    n_occupants + 1 (a zone count lies in [0, n_occupants]) and zone is
+    the zone's index in zone_index.
     """
 
     _CALENDAR_KEYS = 24 * 7 * 2
 
-    def __init__(self, model, states: StateGrid, calendar: StepCalendar | None = None):
+    def __init__(self, states: StateGrid, calendar: StepCalendar | None, zone_index: dict):
         cal = calendar or StepCalendar(states.start, states.n_steps)
         if cal.n_steps != states.n_steps:
             raise ValueError("calendar length does not match the state grid")
-        self.model = model
-        self.states = states
         self.calendar = cal
+        self.zone_index = zone_index
+        self._states = states.states
         self._occ_index = {occ: i for i, occ in enumerate(states.occupants)}
-        self._model_zone = {z: j for j, z in enumerate(model.zone_order)}
-        m = self._base = len(states.occupants) + 1  # a zone count lies in [0, n_occupants]
-        if len(model.zone_order) * self._CALENDAR_KEYS * m**3 >= 2**63:
+        m = self._base = len(states.occupants) + 1
+        if len(zone_index) * self._CALENDAR_KEYS * m**3 >= 2**63:
             raise ValueError("too many occupants and zones for 64-bit row keys")
-        # key = (((zone * 336 + calendar) * m + s1) * m + s2) * m + s3, where
-        # calendar = (hour * 7 + day_of_week) * 2 + is_weekend
         calendar_key = (cal.hours.astype(np.int64) * 7 + cal.dows) * 2 + cal.weekend
         self._step_key = calendar_key * m**3
         self._zone_key = self._CALENDAR_KEYS * m**3
         # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key
         self._state_weight = np.zeros(256, dtype=np.int64)
         self._state_weight[[1, 2, 3]] = (m * m, m, 1)
-        # sorted memo; the sentinel above every real key keeps lookups in range
-        self._keys = np.array([np.iinfo(np.int64).max])
-        self._values = np.array([np.nan])
 
-    def _row_keys(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
-        """Sorted zone ids and the (n_zones, n_steps) row keys of a layout."""
-        zone_order = sorted(zones)
-        unknown = [z for z in zone_order if z not in self._model_zone]
-        if unknown:
-            raise ValueError(f"unknown zone ids for this model: {unknown}")
-        keys = np.empty((len(zone_order), self.states.n_steps), dtype=np.int64)
+    def keys(self, zones: Mapping[str, Sequence[str]], zone_order: Sequence[str]) -> np.ndarray:
+        """The (n_zones, n_steps) row keys of the zones in zone_order."""
+        _require_model_zones(zone_order, self.zone_index)
+        keys = np.empty((len(zone_order), self._states.shape[1]), dtype=np.int64)
         for j, zone_id in enumerate(zone_order):
             members = zones[zone_id]
             try:
-                rows = self.states.states[[self._occ_index[o] for o in members]]
+                rows = self._states[[self._occ_index[o] for o in members]]
             except KeyError:
                 missing = [o for o in members if o not in self._occ_index]
                 raise ValueError(f"zone {zone_id}: occupants without states: {missing}") from None
-            keys[j] = self._step_key + self._model_zone[zone_id] * self._zone_key
+            keys[j] = self._step_key + self.zone_index[zone_id] * self._zone_key
             keys[j] += self._state_weight.take(rows).sum(axis=0)
-        return zone_order, keys
+        return keys
 
-    def _decode(self, keys: np.ndarray) -> np.ndarray:
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """Raw float feature rows, columns per FEATURE_NAMES, of 1-D keys."""
         m = self._base
-        counts, rest = keys % m**3, keys // m**3
-        calendar_key, zone = rest % self._CALENDAR_KEYS, rest // self._CALENDAR_KEYS
-        return np.column_stack(
-            [
-                counts // (m * m),
-                counts // m % m,
-                counts % m,
-                calendar_key // 14,
-                calendar_key // 2 % 7,
-                calendar_key % 2,
-                zone,
-            ]
-        ).astype(float)
+        rows = np.empty((keys.size, 7))
+        rest, counts = np.divmod(keys, m**3)
+        rows[:, 6], calendar_key = np.divmod(rest, self._CALENDAR_KEYS)
+        rows[:, 0], s2_s3 = np.divmod(counts, m * m)
+        rows[:, 1], rows[:, 2] = np.divmod(s2_s3, m)
+        rows[:, 3], day_key = np.divmod(calendar_key, 14)
+        rows[:, 4], rows[:, 5] = np.divmod(day_key, 2)
+        return rows
+
+
+class LayoutScorer:
+    """Predicted lighting energy of layouts, each distinct feature row predicted once.
+
+    Rows are _RowEncoder keys over the model's zone indices; the model's
+    clamped prediction of each key is kept in a sorted memo.  Scoring a
+    layout gathers its rows' predictions in build_features' step-major
+    order and sums them; the model only sees keys it has not seen before.
+    Predictions do not depend on their batch, so totals equal scoring the
+    whole feature table at once.
+    """
+
+    def __init__(self, model, states: StateGrid, calendar: StepCalendar | None = None):
+        self.model = model
+        self._encoder = _RowEncoder(states, calendar, {z: j for j, z in enumerate(model.zone_order)})
+        self.calendar = self._encoder.calendar
+        # sorted memo; the sentinel above every real key keeps lookups in range
+        self._keys = np.array([np.iinfo(np.int64).max])
+        self._values = np.array([np.nan])
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self._keys, keys)
         missing = keys[self._keys[pos] != keys]
         if missing.size:
             new = np.unique(missing)
-            pred = np.maximum(self.model.predict_raw(self._decode(new)), 0.0)
+            pred = np.maximum(self.model.predict_raw(self._encoder.decode(new)), 0.0)
             at = np.searchsorted(self._keys, new)
             self._keys = np.insert(self._keys, at, new)
             self._values = np.insert(self._values, at, pred)
@@ -697,7 +678,8 @@ class LayoutScorer:
 
     def predict(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
         """Zone order and clamped per-row predictions, step-major, zones inner."""
-        zone_order, keys = self._row_keys(zones)
+        zone_order = sorted(zones)
+        keys = self._encoder.keys(zones, zone_order)
         # zone-major keys rise through each day (hour is their leading
         # calendar part), which keeps the memo search local
         pred = self._lookup(keys.ravel()).reshape(keys.shape)
@@ -712,29 +694,20 @@ class LayoutScorer:
         zones: Mapping[str, Sequence[str]],
         baseline_zones: Mapping[str, Sequence[str]] | None = None,
     ) -> EnergyReport:
-        """Hourly, per-zone and per-day energy; optional baseline comparison."""
+        """Hourly energy per zone; optional baseline comparison."""
         zone_order, pred = self.predict(zones)
         n_zones = len(zone_order)
-        n_steps = self.states.n_steps
-        hour_ids, hour_inv = np.unique(
-            np.repeat(self.calendar.hour_epochs(), n_zones), return_inverse=True
-        )
-        zcol = np.tile(np.arange(n_zones), n_steps)
-        hourly = np.zeros((n_zones, hour_ids.size))
-        np.add.at(hourly, (zcol, hour_inv), pred)
-        per_zone = {z: float(hourly[j].sum()) for j, z in enumerate(zone_order)}
-        day_index = np.repeat(np.arange(n_steps), n_zones) // STEPS_PER_DAY
-        per_day = np.zeros(int(day_index.max()) + 1)
-        np.add.at(per_day, day_index, pred)
+        hour_starts, hour_column = self.calendar.hour_columns()
+        hourly = np.zeros((n_zones, hour_starts.size))
+        zcol = np.tile(np.arange(n_zones), self.calendar.n_steps)
+        np.add.at(hourly, (zcol, np.repeat(hour_column, n_zones)), pred)
         grand = float(pred.sum())
         baseline_total = None
         pct = None
         if baseline_zones is not None:
             baseline_total = self.total(baseline_zones)
             pct = 0.0 if baseline_total == 0 else 100.0 * (grand - baseline_total) / baseline_total
-        return EnergyReport(
-            zone_order, hour_ids, hourly, per_zone, per_day, grand, baseline_total, pct
-        )
+        return EnergyReport(zone_order, hour_starts, hourly, grand, baseline_total, pct)
 
 
 def predict_energy(

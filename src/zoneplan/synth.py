@@ -211,13 +211,12 @@ def oracle_lighting_table(
     """Oracle output folded to the hourly lighting CSV schema."""
     cal = calendar or StepCalendar(states.start, states.n_steps)
     zone_order, energy = oracle_lighting(zones, states, config, cal)
-    hour_epochs = cal.hour_epochs()
-    hours, inverse = np.unique(hour_epochs, return_inverse=True)
+    hour_starts, hour_column = cal.hour_columns()
     records: dict[tuple[str, int], float] = {}
     for j, zone_id in enumerate(zone_order):
-        sums = np.bincount(inverse, weights=energy[j], minlength=hours.size)
-        for h, wh in zip(hours, sums):
-            records[(zone_id, int(h))] = float(wh)
+        sums = np.bincount(hour_column, weights=energy[j], minlength=hour_starts.size)
+        for h, wh in zip(hour_starts.tolist(), sums.tolist()):
+            records[(zone_id, h)] = wh
     return LightingTable(records)
 
 

@@ -154,17 +154,13 @@ def test_c4_diversity_energy_regression_significant(pop60_masked, pure60, record
     # on the 60-day jittered population every zone's OLS slope of daily
     # energy on daily diversity must be positive with p < 0.001
     zones = op.random_layout(pure60, np.random.default_rng(3)).by_zone()
-    idx = {o: i for i, o in enumerate(pop60_masked.occupants)}
     n_days = pop60_masked.n_steps // ingest.STEPS_PER_DAY
     zone_order, step_energy = synth.oracle_lighting(zones, pop60_masked)
     daily_energy = step_energy.reshape(len(zone_order), n_days, ingest.STEPS_PER_DAY).sum(axis=2)
+    _, daily_diversity = dv.daily_zone_diversity(pop60_masked, zones)
     details = []
     ok = True
-    for zone_id, energy in zip(zone_order, daily_energy):
-        occs = zones[zone_id]
-        days = pop60_masked.states[[idx[o] for o in occs]].astype(float)
-        days = days.reshape(len(occs), n_days, ingest.STEPS_PER_DAY)
-        divs = np.array([dv.zone_diversity(days[:, d, :]) for d in range(n_days)])
+    for zone_id, divs, energy in zip(zone_order, daily_diversity, daily_energy):
         res = dv.ols_regress(divs, energy)
         details.append(f"{zone_id} p={res.p_value:.1e}")
         ok = ok and res.slope > 0 and res.p_value < 1e-3

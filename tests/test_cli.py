@@ -1,16 +1,20 @@
 """Command-line pipeline: exit codes, file outputs, deterministic reruns."""
 
+import argparse
 import json
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoneplan import states as states_mod
 from zoneplan import synth
-from zoneplan.cli import _make_parser, build_config, config_hash, main
+from zoneplan.cli import DEFAULT_CONFIG, _make_parser, build_config, config_hash, main
 from zoneplan.ingest import (
     STEP_SECONDS,
+    InputError,
     PlugLoadEvents,
     ZoneMap,
     load_grid,
@@ -177,7 +181,13 @@ def test_config_files_merge_in_order(tmp_path):
      ("surogate.kind=zzz", "unknown config key surogate.kind"),
      ("paths.states.x=1", "unknown config key paths.states.x"),
      ('states.priors={"shpe": 1}', "unknown config key states.priors.shpe"),
-     ("optimize.ga=5", "config key optimize.ga must be a JSON object")],
+     ("optimize.ga=5", "config key optimize.ga must be a JSON object"),
+     ('optimize.ga.population="abc"', "config key optimize.ga.population must be int, got str"),
+     ('states.k_max="5"', "config key states.k_max must be int, got str"),
+     ("optimize.ga.population=5.0", "config key optimize.ga.population must be int, got float"),
+     ("surrogate.ridge=true", "config key surrogate.ridge must be float, got bool"),
+     ("oracle.daylight_factor=1", "config key oracle.daylight_factor must be bool, got int"),
+     ("synth.start=5", "config key synth.start must be str, got int")],
 )
 def test_bad_set_key_exits_one_and_names_it(tmp_path, capsys, assignment, message):
     argv = ["optimize", "--method", "ga", "--set", assignment, "--out-dir", str(tmp_path)]
@@ -190,6 +200,84 @@ def test_unknown_config_file_key_exits_one_and_names_it(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"optimize": {"ga": {"populaton": 5}}}))
     assert main(["count-layouts", "4", "2", "--config", str(cfg_path)]) == 1
     assert f"{cfg_path}: unknown config key optimize.ga.populaton" in capsys.readouterr().err
+
+
+def test_mistyped_config_file_value_exits_one_and_names_it(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"states": {"k_max": "5"}}))
+    assert main(["count-layouts", "4", "2", "--config", str(cfg_path)]) == 1
+    assert f"{cfg_path}: config key states.k_max must be int, got str" in capsys.readouterr().err
+
+
+def test_leaf_values_of_a_compatible_type_are_accepted():
+    args = _make_parser().parse_args(
+        ["count-layouts", "4", "2", "--set", "surrogate.ridge=0",
+         "--set", "optimize.iter_limit=50", "--set", "window.start=2018-01-01T00:00:00Z"]
+    )
+    cfg = build_config(args)
+    assert cfg["surrogate"]["ridge"] == 0
+    assert cfg["optimize"]["iter_limit"] == 50
+    assert cfg["window"]["start"] == "2018-01-01T00:00:00Z"
+
+
+def _config_leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _config_leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+_DEFAULT_LEAVES = dict(_config_leaves(DEFAULT_CONFIG))
+# what a leaf may hold after build_config, by the type of its default
+_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.one_of(st.sampled_from(sorted(_DEFAULT_LEAVES)), st.text(max_size=20)),
+    value=st.one_of(
+        st.text(max_size=12),
+        st.sampled_from(['"abc"', "5", "5.0", "-1", "1e400", "true", "null", "[1]", "{}",
+                         '{"a": 1}', "[" * 5000]),
+    ),
+)
+def test_any_set_assignment_builds_a_typed_config_or_is_an_input_error(key, value):
+    try:
+        cfg = build_config(argparse.Namespace(set=[f"{key}={value}"]))
+    except InputError:
+        return
+    for name, default in _DEFAULT_LEAVES.items():
+        node = cfg
+        for part in name.split("."):
+            node = node[part]
+        accepted = _LEAF_TYPES.get(type(default))
+        if accepted:
+            assert isinstance(node, accepted), name
+            assert isinstance(node, bool) == isinstance(default, bool), name
+
+
+def test_diversity_report_rejects_a_partial_trailing_day(tmp_path, capsys):
+    # 3 days and 8 steps: the 8 steps must not be dropped silently
+    full = synth.generate_population((1, 1, 1, 1), 4, seed=0)
+    grid = states_mod.StateGrid(full.occupants, full.start, full.states[:, : 3 * 96 + 8])
+    states_mod.write_states(grid, tmp_path / "states.csv")
+    zones = {"Z1": grid.occupants[:2], "Z2": grid.occupants[2:]}
+    write_zone_map(
+        ZoneMap([(o, f"D{o}", z) for z, occs in zones.items() for o in occs]),
+        tmp_path / "zone_map.csv",
+    )
+    write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
+    out = tmp_path / "out"
+    code = main(
+        ["diversity-report", "--states", str(tmp_path / "states.csv"),
+         "--zone-map", str(tmp_path / "zone_map.csv"),
+         "--lighting", str(tmp_path / "lighting.csv"), "--out-dir", str(out)]
+    )
+    assert code == 1
+    message = f"{tmp_path / 'states.csv'}: 296 steps do not cover whole days"
+    assert message in capsys.readouterr().err
+    assert not (out / "diversity.csv").exists()
 
 
 def test_inferred_window_ends_with_the_last_events_day(tmp_path):

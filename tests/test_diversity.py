@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zoneplan import synth
 from zoneplan.diversity import (
     DegenerateRegressor,
+    daily_zone_diversity,
     distance_matrix,
     layout_diversity,
     ols_regress,
@@ -203,3 +205,23 @@ def test_r_squared_is_squared_pearson(xs, rnd):
     r = ols_regress(x, y)
     pearson = np.corrcoef(x, y)[0, 1]
     assert r.r_squared == pytest.approx(pearson**2, rel=1e-9, abs=1e-9)
+
+
+def test_daily_zone_diversity_is_zone_diversity_of_each_day():
+    pop = synth.generate_population((2, 2, 2, 2), 3, seed=4, jitter_minutes=30)
+    zones = {"Z2": pop.occupants[:5], "Z1": pop.occupants[5:], "Z3": []}
+    zone_order, daily = daily_zone_diversity(pop, zones)
+    assert zone_order == ["Z1", "Z2", "Z3"]
+    assert daily.shape == (3, 3)
+    for j, zone_id in enumerate(zone_order[:2]):
+        rows = pop.states[[pop.occupants.index(o) for o in zones[zone_id]]].astype(float)
+        for d in range(3):
+            assert daily[j, d] == zone_diversity(rows[:, d * 96 : (d + 1) * 96])
+    assert np.all(daily[2] == 0.0)
+
+
+def test_daily_zone_diversity_rejects_a_partial_day():
+    pop = synth.generate_population((1, 1, 1, 1), 2, seed=0)
+    pop.states = pop.states[:, :100]
+    with pytest.raises(ValueError, match="100 steps do not cover whole days"):
+        daily_zone_diversity(pop, {"Z1": pop.occupants})

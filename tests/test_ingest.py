@@ -22,6 +22,8 @@ from zoneplan.ingest import (
     write_grid,
     write_plug_load,
 )
+from zoneplan.optimize import load_layout
+from zoneplan.states import load_states
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -330,6 +332,16 @@ def test_calendar_groups_partition_steps():
     assert np.all(counts == 4)
 
 
+def test_hour_columns_fold_steps_into_touched_hours():
+    cal = StepCalendar(T0 + timedelta(minutes=15), 96)
+    hour_starts, column = cal.hour_columns()
+    # a day that starts at 00:15 touches 25 hours: 3 steps in the first, 1 in the last
+    assert hour_starts.size == 25
+    np.testing.assert_array_equal(hour_starts, ingest._epoch(T0) + 3600 * np.arange(25))
+    np.testing.assert_array_equal(hour_starts[column], cal.hour_epochs())
+    assert np.bincount(column).tolist() == [3] + [4] * 23 + [1]
+
+
 @pytest.mark.parametrize(
     "start, n_days",
     [
@@ -344,3 +356,114 @@ def test_calendar_matches_datetime_reference(start, n_days):
     np.testing.assert_array_equal(cal.hours, [m.hour for m in moments])
     np.testing.assert_array_equal(cal.dows, [m.weekday() for m in moments])
     np.testing.assert_array_equal(cal.weekend, [m.weekday() >= 5 for m in moments])
+
+
+# ---------------------------------------------------------------- boundaries
+
+
+def test_overlong_csv_field_names_file_and_line(tmp_path):
+    long_id = "x" * 200_000  # over csv's default field limit of 131,072
+    rows = ["O1,2018-01-01T00:00:00Z,1.0", f"{long_id},2018-01-01T00:15:00Z,1.0"]
+    path = write_csv(tmp_path / "p.csv", rows)
+    with pytest.raises(InputError, match="field larger than field limit") as info:
+        load_plug_load(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_non_utf8_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"occupant_id,timestamp,power_w\nO1,2018-01-01T00:00:00Z,1.0\nO\xff,x,1\n")
+    with pytest.raises(InputError, match="not UTF-8") as info:
+        load_plug_load(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_row_errors_count_physical_lines(tmp_path):
+    # the first record's quoted zone id spans lines 2 and 3
+    rows = ['"Z\n1",2018-01-01T00:00:00Z,1.0', "Z2,2018-01-01T00:00:00Z,abc"]
+    path = write_csv(tmp_path / "l.csv", rows, "zone_id,hour_start,energy_wh")
+    with pytest.raises(InputError, match="energy_wh must be a number") as info:
+        ingest.load_lighting(path)
+    assert str(info.value).startswith(f"{path}:4: ")
+
+
+@pytest.mark.parametrize("text", ["0001-01-01T00:00:00+23:59", "9999-12-31T23:59:59-23:59"])
+def test_out_of_range_timestamp_is_an_input_error(text):
+    with pytest.raises(InputError, match="bad timestamp"):
+        parse_timestamp(text)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("Z1,2018-01-01T01:00:00Z,abc", "energy_wh must be a number"),
+     ("Z1,2018-01-01T01:00:00Z,nan", "lighting energy must be finite and >= 0"),
+     ("Z1,2018-01-01T01:00:00Z,inf", "lighting energy must be finite and >= 0"),
+     ("Z1,2018-01-01T01:00:00Z,-3", "lighting energy must be finite and >= 0"),
+     ("Z1,2018-01-01T01:30:00Z,1.0", "not on the hour"),
+     ("Z1,noon,1.0", "bad timestamp"),
+     ("Z1,2018-01-01T00:00:00Z,2.0", "duplicate record")],
+)
+def test_lighting_bad_row_names_file_and_line(tmp_path, bad_row, message):
+    path = write_csv(
+        tmp_path / "l.csv", ["Z1,2018-01-01T00:00:00Z,1.0", bad_row], "zone_id,hour_start,energy_wh"
+    )
+    with pytest.raises(InputError, match=message) as info:
+        ingest.load_lighting(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_lighting_array_follows_zone_and_hour_order():
+    hours = ingest._epoch(T0) + 3600 * np.arange(3)
+    table = ingest.LightingTable(
+        {(z, int(h)): 10.0 * j + k for j, z in enumerate(["Z1", "Z2"]) for k, h in enumerate(hours)}
+    )
+    np.testing.assert_array_equal(table.hourly(["Z2", "Z1"], hours[1:]), [[11, 12], [1, 2]])
+    del table.records[("Z2", int(hours[2]))]
+    del table.records[("Z1", int(hours[1]))]
+    # the earliest hour that lacks a record is named, not the first zone
+    with pytest.raises(InputError, match="zone Z1 at 2018-01-01T01:00:00Z"):
+        table.hourly(["Z2", "Z1"], hours)
+
+
+_FUZZ_FIELDS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([
+        "2018-01-01T00:00:00Z", "2018-01-01T00:15:00Z", "2018-01-01T01:00:00",
+        "0001-01-01T00:00:00+23:59", "9999-12-31T23:59:59-23:59",
+        "1", "2", "3", "0", "-3", "1e400", "nan", "abc", "Z1", "D1", "O1", '"', "",
+    ]),
+)
+_FUZZ_BODIES = st.one_of(
+    st.lists(st.lists(_FUZZ_FIELDS, max_size=4).map(",".join), max_size=6).map(
+        lambda rows: "\n".join(rows).encode("utf-8")
+    ),
+    st.binary(max_size=40),
+)
+
+
+_LOADER_HEADERS = {
+    load_plug_load: "occupant_id,timestamp,power_w",
+    load_grid: "occupant_id,timestamp,power_w",
+    load_states: "occupant_id,timestamp,state",
+    load_zone_map: "occupant_id,desk_id,zone_id",
+    ingest.load_lighting: "zone_id,hour_start,energy_wh",
+    load_layout: "desk_id,zone_id,occupant_id",
+}
+
+
+@pytest.mark.parametrize("loader", list(_LOADER_HEADERS), ids=lambda f: f.__name__)
+def test_loaders_return_or_raise_input_error(tmp_path_factory, loader):
+    # whatever follows a valid header, a loader returns or raises InputError
+    path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+    header = _LOADER_HEADERS[loader]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_FUZZ_BODIES)
+    def check(body):
+        path.write_bytes(header.encode() + b"\n" + body)
+        try:
+            loader(path)
+        except InputError:
+            pass
+
+    check()

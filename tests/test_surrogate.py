@@ -57,7 +57,7 @@ def random_table(n_days=10, seed=0, n_zones=3):
     step_index = np.asarray(step_index)
     hour_epoch = cal.hour_epochs()[step_index]
     day_index = step_index // 96
-    return FeatureTable(zone_order, features, step_index, hour_epoch, day_index)
+    return FeatureTable(zone_order, features, hour_epoch, day_index)
 
 
 # ---------------------------------------------------------------- features
@@ -77,6 +77,15 @@ def test_build_features_counts_states(pop8, cal8=None):
     assert row[1] == np.sum(members == 2)
     assert row[2] == np.sum(members == 3)
     assert row[6] == j
+    # every row against per-zone state counts and the calendar
+    for j, zone_id in enumerate(table.zone_order):
+        rows = pop8.states[[pop8.occupants.index(o) for o in zones[zone_id]]]
+        for s in (1, 2, 3):
+            np.testing.assert_array_equal(table.features[j::2, s - 1], (rows == s).sum(axis=0))
+        calendar = np.column_stack([cal.hours, cal.dows, cal.weekend])
+        np.testing.assert_array_equal(table.features[j::2, 3:6], calendar)
+        assert np.all(table.features[j::2, 6] == j)
+    assert table.features.dtype == np.float64
 
 
 def test_build_features_empty_zone_all_zero_counts(pop8):
@@ -242,7 +251,6 @@ def test_rf_invariant_to_monotone_feature_rescaling():
     scaled = FeatureTable(
         table.zone_order,
         table.features.copy(),
-        table.step_index,
         table.hour_epoch,
         table.day_index,
     )
@@ -519,4 +527,8 @@ def test_targets_align_with_lighting_table(pop8):
     first_hour_rows = y[table.hour_epoch == table.hour_epoch[0]]
     z1 = first_hour_rows[::2]
     assert np.all(z1 == z1[0])
-    assert z1[0] * 4 == pytest.approx(lt.energy("Z1", int(table.hour_epoch[0])))
+    assert z1[0] * 4 == pytest.approx(lt.records[("Z1", int(table.hour_epoch[0]))])
+    # every row against a per-row lookup
+    names = [table.zone_order[int(z)] for z in table.features[:, 6]]
+    expected = [lt.records[(z, int(h))] / 4.0 for z, h in zip(names, table.hour_epoch)]
+    np.testing.assert_array_equal(y, expected)

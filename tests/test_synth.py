@@ -228,7 +228,7 @@ def test_oracle_table_matches_stepwise_sums(pop8):
     for j, z in enumerate(zone_order):
         for h in np.unique(hours):
             expected = energy[j, hours == h].sum()
-            assert table.energy(z, int(h)) == pytest.approx(expected, rel=1e-12)
+            assert table.records[(z, int(h))] == pytest.approx(expected, rel=1e-12)
 
 
 def test_daylight_factor_off_by_default():
