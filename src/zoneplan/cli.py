@@ -221,7 +221,8 @@ def _state_config(cfg: dict) -> states_mod.StateConfig:
     return states_mod.StateConfig(**group, priors=priors, seed=cfg["seed"])
 
 
-def _parse_window(cfg: dict, events) -> tuple[datetime, datetime]:
+def _parse_window(cfg: dict, events, path: Path) -> tuple[datetime, datetime]:
+    """The configured window, or the whole days spanned by the events in path."""
     w = cfg["window"]
     if w["start"] and w["end"]:
         return ingest.parse_timestamp(w["start"]), ingest.parse_timestamp(w["end"])
@@ -232,15 +233,22 @@ def _parse_window(cfg: dict, events) -> tuple[datetime, datetime]:
     step_end = (hi // step + 1) * step  # end of the step holding the last event
     start = (lo // day) * day
     end = ((step_end + day - 1) // day) * day
-    return (
-        datetime.fromtimestamp(start, tz=timezone.utc),
-        datetime.fromtimestamp(end, tz=timezone.utc),
-    )
+    try:
+        return (
+            datetime.fromtimestamp(start, tz=timezone.utc),
+            datetime.fromtimestamp(end, tz=timezone.utc),
+        )
+    except (ValueError, OverflowError, OSError):
+        raise ingest.InputError(
+            f"{path}: the events end on {ingest.format_timestamp(hi)}, so the window "
+            "would end after 9999-12-31; set window.end"
+        ) from None
 
 
 def cmd_ingest(cfg: dict) -> int:
-    events = ingest.load_plug_load(_require_path(cfg, "plug_load"))
-    window = _parse_window(cfg, events)
+    plug_load = _require_path(cfg, "plug_load")
+    events = ingest.load_plug_load(plug_load)
+    window = _parse_window(cfg, events, plug_load)
     grid = ingest.resample_15min(events, window)
     ranges = []
     for pair in cfg["window"]["exclude_days"]:
@@ -260,6 +268,14 @@ def cmd_infer_states(cfg: dict) -> int:
     grid = ingest.load_grid(grid_path)
     state_cfg = _state_config(cfg)
     state_grid, fits = states_mod.infer_states_detailed(grid, state_cfg)
+    for fit in fits:
+        for pass_name, model in (("first", fit.first), ("second", fit.second)):
+            if model is not None and not states_mod.converged(model, state_cfg.tol):
+                print(
+                    f"warning: occupant {fit.occupant_id}: {pass_name}-pass fit stopped at "
+                    f"max_iter after {len(model.elbo_trace)} iterations without converging",
+                    file=sys.stderr,
+                )
     out = _out_dir(cfg)
     states_mod.write_states(state_grid, out / "states.csv", _header(cfg, "infer-states"))
     states_mod.write_models(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -256,11 +257,42 @@ def exclude_days(
 
 def write_grid(grid: TimeSeriesGrid, path, header_comment: str | None = None) -> None:
     """Write the grid in the plug-load schema, one row per occupant per step."""
-    epochs = grid.step_epochs()
-    events = {
-        occ: PlugLoadEvents(occ, epochs, grid.values[i]) for i, occ in enumerate(grid.occupants)
-    }
-    write_plug_load(events, path, header_comment)
+    _write_series(path, "power_w", grid.occupants, grid.step_epochs(), grid.values, header_comment)
+
+
+def _write_series(
+    path,
+    value_name: str,
+    occupants: Sequence[str],
+    epochs: np.ndarray,
+    values: np.ndarray,
+    header_comment: str | None = None,
+    lineterminator: str = "\r\n",
+) -> None:
+    """Write occupant_id,timestamp,<value_name> rows on one shared timeline.
+
+    The counterpart of _read_series: occupant i's row of values, one per
+    epoch, in occupant order, each value written as str() of its Python
+    scalar.  The timeline is formatted once for all occupants.  Rows read
+    as csv.writer writes them: timestamps and numbers never need quoting,
+    so only the occupant id is quoted, when it must be.
+    """
+    stamps = [format_timestamp(t) for t in epochs.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write(f"occupant_id,timestamp,{value_name}{lineterminator}")
+        for occ, row in zip(occupants, values):
+            prefix = _csv_field(occ, lineterminator) + ","
+            rows = [f"{prefix}{t},{v}{lineterminator}" for t, v in zip(stamps, row.tolist())]
+            fh.write("".join(rows))
+
+
+def _csv_field(text: str, lineterminator: str) -> str:
+    """text as csv.writer writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=lineterminator).writerow([text, ""])
+    return buf.getvalue()[: -len(lineterminator) - 1]
 
 
 def _read_series(

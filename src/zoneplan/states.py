@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln
 
-from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, _read_series, format_timestamp
+from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, _read_series, _write_series
 
 _LN_2PI = float(np.log(2.0 * np.pi))
 
@@ -184,6 +184,24 @@ def _kl_normal_gamma(
     return float(np.sum(kl_mean + kl_gamma))
 
 
+_EXP_ZERO_BELOW = -746.0  # np.exp(a) is 0.0 for every a below -745.14
+
+
+def _exp(a: np.ndarray, zero: np.ndarray, keep: np.ndarray) -> None:
+    """a = np.exp(a) in place, bit for bit.
+
+    np.exp leaves its vector path for underflowing arguments and costs
+    15-130x more per element there, and a dead mixture component puts a
+    whole row of the iteration arrays below _EXP_ZERO_BELOW; such entries
+    are set to 0.0 without np.exp.  zero and keep are boolean scratch
+    arrays shaped like a.
+    """
+    np.less(a, _EXP_ZERO_BELOW, out=zero)
+    np.logical_not(zero, out=keep)
+    np.exp(a, out=a, where=keep)
+    np.copyto(a, 0.0, where=zero)
+
+
 def fit_vbgmm(
     samples: np.ndarray,
     k_max: int = 10,
@@ -198,6 +216,11 @@ def fit_vbgmm(
     updated until the variational bound improves by less than tol.  Constant
     input yields a degenerate single-component model (flagged); non-finite
     input raises.
+
+    The per-iteration arrays are component-major, one row of n samples per
+    component, allocated once and written in place.  The M-step sums over
+    samples add in sample order, as the sample-major ``(n, k_max)`` form's
+    ``sum(axis=0)`` did.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -220,24 +243,69 @@ def fit_vbgmm(
         resolved.rate,
     )
 
+    log_rho = np.empty((k_max, n))
+    resp = np.empty((k_max, n))
+    work = np.empty((k_max, n))
+    work_t = np.empty((n, k_max))
+    is_max = np.empty((k_max, n), dtype=bool)
+    zero = np.empty((k_max, n), dtype=bool)
+    keep = np.empty((k_max, n), dtype=bool)
+    lse = np.empty(n)
+    col_max = np.empty(n)
+    n_max = np.empty(n)
+
+    def normalize() -> None:
+        """lse = log-sum-exp of log_rho over components; resp = exp(log_rho - lse).
+
+        scipy.special.logsumexp's steps (Blanchard, Higham & Higham 2021):
+        the maximum entries are counted and left out of the shifted sum s,
+        and lse = log1p(s / count) + log(count) + max.  s is summed over a
+        sample-major copy so that each sample's terms add in scipy's order;
+        a row-by-row sum moves elbo_trace by up to 4e-5 relative on a
+        near-constant series.
+        """
+        np.max(log_rho, axis=0, out=col_max)
+        np.subtract(log_rho, col_max, out=work)
+        np.equal(work, 0.0, out=is_max)
+        _exp(work, zero, keep)
+        np.copyto(work, 0.0, where=is_max)
+        np.copyto(work_t, work.T)
+        np.sum(work_t, axis=1, out=lse)
+        if np.count_nonzero(is_max) > n:  # ties for the maximum
+            np.sum(is_max, axis=0, out=n_max)
+            np.divide(lse, n_max, out=lse)
+            np.log1p(lse, out=lse)
+            np.add(lse, np.log(n_max, out=n_max), out=lse)
+        else:  # a count of 1 changes nothing: s / 1 == s and log(1) == 0
+            np.log1p(lse, out=lse)
+        np.add(lse, col_max, out=lse)
+        np.subtract(log_rho, lse, out=resp)
+        _exp(resp, zero, keep)
+
     rng = np.random.default_rng(seed)
     std = float(np.std(x))
     init_means = np.quantile(x, (np.arange(k_max) + 0.5) / k_max)
     init_means = init_means + rng.normal(0.0, 0.01 * std, size=k_max)
     var = max(std**2, np.finfo(float).tiny)
-    log_r = -0.5 * (x[:, None] - init_means[None, :]) ** 2 / var
-    log_r -= logsumexp(log_r, axis=1, keepdims=True)
-    resp = np.exp(log_r)
+    np.subtract(x, init_means[:, None], out=log_rho)
+    np.square(log_rho, out=log_rho)
+    np.multiply(log_rho, -0.5, out=log_rho)
+    np.divide(log_rho, var, out=log_rho)
+    normalize()
 
     tiny = np.finfo(float).tiny
-    alpha = beta = m = a = b = None
     elbo_trace: list[float] = []
 
-    def m_step(r):
-        nk = r.sum(axis=0)
+    def m_step():
+        # sums over samples in sample order: the last column of a cumsum
+        nk = np.cumsum(resp, axis=1, out=work)[:, -1].copy()
         nk_safe = np.maximum(nk, tiny)
-        xbar = (r * x[:, None]).sum(axis=0) / nk_safe
-        sk = (r * (x[:, None] - xbar[None, :]) ** 2).sum(axis=0) / nk_safe
+        np.multiply(resp, x, out=work)
+        xbar = np.cumsum(work, axis=1, out=work)[:, -1] / nk_safe
+        np.subtract(x, xbar[:, None], out=work)
+        np.square(work, out=work)
+        np.multiply(work, resp, out=work)
+        sk = np.cumsum(work, axis=1, out=work)[:, -1] / nk_safe
         alpha = alpha0 + nk
         beta = beta0 + nk
         m = (beta0 * m0 + nk * xbar) / beta
@@ -245,24 +313,26 @@ def fit_vbgmm(
         b = b0 + 0.5 * (nk * sk + beta0 * nk * (xbar - m0) ** 2 / (beta0 + nk))
         return alpha, beta, m, a, b
 
-    alpha, beta, m, a, b = m_step(resp)
+    alpha, beta, m, a, b = m_step()
     for _ in range(max_iter):
         e_log_weight = digamma(alpha) - digamma(alpha.sum())
         e_log_prec = digamma(a) - np.log(b)
         e_prec = a / b
-        diff = x[:, None] - m[None, :]
-        log_rho = (e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI)[None, :] - 0.5 * (
-            e_prec[None, :] * diff**2 + 1.0 / beta[None, :]
-        )
-        lse = logsumexp(log_rho, axis=1)
-        resp = np.exp(log_rho - lse[:, None])
+        offset = e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI
+        np.subtract(x, m[:, None], out=log_rho)
+        np.square(log_rho, out=log_rho)
+        np.multiply(log_rho, e_prec[:, None], out=log_rho)
+        np.add(log_rho, 1.0 / beta[:, None], out=log_rho)
+        np.multiply(log_rho, 0.5, out=log_rho)
+        np.subtract(offset[:, None], log_rho, out=log_rho)
+        normalize()
         elbo = float(lse.sum()) - _kl_dirichlet(alpha, alpha0) - _kl_normal_gamma(
             m, beta, a, b, resolved
         )
         elbo_trace.append(elbo)
         if len(elbo_trace) >= 2 and elbo - elbo_trace[-2] < tol:
             break
-        alpha, beta, m, a, b = m_step(resp)
+        alpha, beta, m, a, b = m_step()
 
     return VbGmmModel(
         k_max=k_max,
@@ -280,6 +350,15 @@ def fit_vbgmm(
         n_samples=n,
         degenerate=False,
     )
+
+
+def converged(model: VbGmmModel, tol: float) -> bool:
+    """Whether the fit stopped on the tol rule rather than at max_iter.
+
+    A degenerate model runs no iteration and counts as converged.
+    """
+    trace = model.elbo_trace
+    return model.degenerate or (len(trace) >= 2 and trace[-1] - trace[-2] < tol)
 
 
 def effective_components(model: VbGmmModel, weight_floor: float = 1e-2) -> int:
@@ -418,8 +497,7 @@ def infer_states_detailed(
             low_comps, high_comps = _split_low_group(
                 np.arange(order.size), first.means[order], cfg.idle_threshold_w
             )
-            low_set = set(order[low_comps].tolist())
-            is_high = np.array([c not in low_set for c in comp])
+            is_high = ~np.isin(comp, order[low_comps])
             rule = "two-step" if n_eff == 2 else "two-step-merged"
             high_x = x[is_high]
             second = fit_vbgmm(
@@ -441,11 +519,7 @@ def infer_states_detailed(
                 med_comps, high2_comps = _split_by_largest_gap(
                     np.arange(order2.size), second.means[order2]
                 )
-                med_set = set(order2[med_comps].tolist())
-                high_labels = np.where(
-                    np.array([c in med_set for c in comp2]), 2, 3
-                ).astype(np.int8)
-                labels[is_high] = high_labels
+                labels[is_high] = np.where(np.isin(comp2, order2[med_comps]), 2, 3)
         states[i] = labels
         fits.append(OccupantFit(occ, first, second, rule))
 
@@ -454,15 +528,9 @@ def infer_states_detailed(
 
 def write_states(grid: StateGrid, path, header_comment: str | None = None) -> None:
     """Persist a StateGrid as occupant_id,timestamp,state rows."""
-    epochs = grid.step_epochs()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("occupant_id,timestamp,state\n")
-        for i, occ in enumerate(grid.occupants):
-            rows = grid.states[i]
-            for t, s in zip(epochs, rows):
-                fh.write(f"{occ},{format_timestamp(t)},{int(s)}\n")
+    _write_series(
+        path, "state", grid.occupants, grid.step_epochs(), grid.states, header_comment, "\n"
+    )
 
 
 def _parse_state(text: str) -> int:

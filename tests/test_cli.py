@@ -294,6 +294,21 @@ def test_inferred_window_ends_with_the_last_events_day(tmp_path):
     assert int(grid.start.timestamp()) == base
 
 
+def test_event_past_year_9999_is_an_input_error_naming_the_file(tmp_path, capsys):
+    # the inferred window would end on 10000-01-01, which datetime cannot hold
+    plug = tmp_path / "plug.csv"
+    plug.write_text(
+        "occupant_id,timestamp,power_w\nO1,2018-01-01T00:00:00Z,5.0\n"
+        "O1,9999-12-31T12:00:00Z,3.0\n",
+        encoding="utf-8",
+    )
+    code = main(["ingest", "--set", f"paths.plug_load={plug}", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plug}: ")
+    assert "window.end" in err
+
+
 def test_bad_state_csv_exits_one_with_location(tmp_path, capsys):
     states = tmp_path / "states.csv"
     states.write_text(
@@ -337,6 +352,26 @@ def test_infer_states_outputs(tmp_path):
         )
     )
     assert "occupants" in models and len(models["occupants"]) == 6
+
+
+def test_unconverged_fits_are_reported_on_stderr(tmp_path, capsys):
+    full_pipeline(tmp_path / "converged")
+    assert "warning" not in capsys.readouterr().err
+    plug = tmp_path / "converged" / "plug.csv"
+    out = tmp_path / "capped"
+    assert main(["ingest", "--set", f"paths.plug_load={plug}", "--out-dir", str(out)]) == 0
+    assert main(["infer-states", "--set", "states.max_iter=3", "--out-dir", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
+    models = json.loads(read_text(out / "state_models.json"))
+    expected = [
+        f"warning: occupant {occ['occupant_id']}: {name}-pass fit stopped at max_iter "
+        "after 3 iterations without converging"
+        for occ in models["occupants"]
+        for name in ("first", "second")
+        if occ[name] is not None and not occ[name]["degenerate"]
+    ]
+    assert expected and lines == expected
+    assert "warning" not in read_text(out / "states.csv")
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -214,6 +214,27 @@ def test_grid_round_trip_lossless(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "start, crossed",
+    [(datetime(2019, 12, 31, 22, tzinfo=UTC), "2020-01-01T00:00:00Z"),
+     (datetime(2020, 2, 28, tzinfo=UTC), "2020-02-29T23:45:00Z")],
+)
+def test_write_grid_bytes_match_per_row_formatting(tmp_path, start, crossed):
+    # write_grid formats the shared timeline once; write_plug_load formats
+    # every row on its own, across a year end and a leap day
+    rng = np.random.default_rng(2)
+    grid = TimeSeriesGrid(["O1", "desk 2, left"], start, rng.uniform(0, 80, (2, 2 * 96)))
+    write_grid(grid, tmp_path / "g.csv", header_comment="h")
+    epochs = grid.step_epochs()
+    per_row = {
+        occ: PlugLoadEvents(occ, epochs, grid.values[i]) for i, occ in enumerate(grid.occupants)
+    }
+    write_plug_load(per_row, tmp_path / "p.csv", header_comment="h")
+    expected = (tmp_path / "p.csv").read_bytes()
+    assert f",{crossed},".encode() in expected
+    assert (tmp_path / "g.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
     "bad_row, message",
     [("O1,2018-01-01T00:15:00Z,abc", "power_w must be a number"),
      ("O1,2018-01-01T00:15:00Z,nan", "power must be finite and >= 0"),

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, logsumexp
 
-from zoneplan.ingest import InputError, TimeSeriesGrid
+from zoneplan.ingest import STEP_SECONDS, InputError, TimeSeriesGrid, format_timestamp
 from zoneplan.states import (
+    _LN_2PI,
     StateConfig,
+    StateGrid,
     VbGmmModel,
     VbGmmPriors,
+    _degenerate_model,
+    _exp,
+    _kl_dirichlet,
+    _kl_normal_gamma,
+    converged,
     effective_components,
     fit_vbgmm,
     infer_states_detailed,
@@ -106,6 +114,180 @@ def test_model_json_round_trip():
     assert back.degenerate == model.degenerate
 
 
+# ---------------------------------------------------------------- kernel vs reference
+
+
+def reference_fit_vbgmm(
+    samples: np.ndarray,
+    k_max: int = 10,
+    priors: VbGmmPriors | None = None,
+    tol: float = 1e-6,
+    max_iter: int = 5000,
+    seed: int = 0,
+) -> VbGmmModel:
+    """Sample-major (n, k_max) VB-GMM iteration with scipy's logsumexp.
+
+    The reference the component-major fit_vbgmm is checked against.
+    """
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size == 0:
+        raise ValueError("no samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    if k_max < 2:
+        raise ValueError("k_max must be >= 2")
+    base_priors = priors if priors is not None else VbGmmPriors()
+    resolved = base_priors.resolve(x)
+    if np.all(x == x[0]):
+        return _degenerate_model(float(x[0]), x.size, resolved, k_max, seed)
+
+    n = x.size
+    alpha0, m0, beta0, a0, b0 = (
+        resolved.concentration,
+        resolved.mean,
+        resolved.mean_scale,
+        resolved.shape,
+        resolved.rate,
+    )
+
+    rng = np.random.default_rng(seed)
+    std = float(np.std(x))
+    init_means = np.quantile(x, (np.arange(k_max) + 0.5) / k_max)
+    init_means = init_means + rng.normal(0.0, 0.01 * std, size=k_max)
+    var = max(std**2, np.finfo(float).tiny)
+    log_r = -0.5 * (x[:, None] - init_means[None, :]) ** 2 / var
+    log_r -= logsumexp(log_r, axis=1, keepdims=True)
+    resp = np.exp(log_r)
+
+    tiny = np.finfo(float).tiny
+    alpha = beta = m = a = b = None
+    elbo_trace: list[float] = []
+
+    def m_step(r):
+        nk = r.sum(axis=0)
+        nk_safe = np.maximum(nk, tiny)
+        xbar = (r * x[:, None]).sum(axis=0) / nk_safe
+        sk = (r * (x[:, None] - xbar[None, :]) ** 2).sum(axis=0) / nk_safe
+        alpha = alpha0 + nk
+        beta = beta0 + nk
+        m = (beta0 * m0 + nk * xbar) / beta
+        a = a0 + nk / 2.0
+        b = b0 + 0.5 * (nk * sk + beta0 * nk * (xbar - m0) ** 2 / (beta0 + nk))
+        return alpha, beta, m, a, b
+
+    alpha, beta, m, a, b = m_step(resp)
+    for _ in range(max_iter):
+        e_log_weight = digamma(alpha) - digamma(alpha.sum())
+        e_log_prec = digamma(a) - np.log(b)
+        e_prec = a / b
+        diff = x[:, None] - m[None, :]
+        log_rho = (e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI)[None, :] - 0.5 * (
+            e_prec[None, :] * diff**2 + 1.0 / beta[None, :]
+        )
+        lse = logsumexp(log_rho, axis=1)
+        resp = np.exp(log_rho - lse[:, None])
+        elbo = float(lse.sum()) - _kl_dirichlet(alpha, alpha0) - _kl_normal_gamma(
+            m, beta, a, b, resolved
+        )
+        elbo_trace.append(elbo)
+        if len(elbo_trace) >= 2 and elbo - elbo_trace[-2] < tol:
+            break
+        alpha, beta, m, a, b = m_step(resp)
+
+    return VbGmmModel(
+        k_max=k_max,
+        weights=alpha / alpha.sum(),
+        means=m.copy(),
+        precisions=a / b,
+        dirichlet_concentration=alpha,
+        mean_location=m,
+        mean_scale=beta,
+        gamma_shape=a,
+        gamma_rate=b,
+        elbo_trace=elbo_trace,
+        priors=resolved,
+        seed=seed,
+        n_samples=n,
+        degenerate=False,
+    )
+
+
+MODEL_ARRAYS = (
+    "weights", "means", "precisions", "dirichlet_concentration", "mean_location",
+    "mean_scale", "gamma_shape", "gamma_rate",
+)
+
+
+def _three_levels(rng, n):
+    sizes = (n // 2, n // 4, n - n // 2 - n // 4)
+    return np.concatenate(
+        [rng.normal(2, 0.3, sizes[0]), rng.normal(40, 2, sizes[1]), rng.normal(90, 4, sizes[2])]
+    )
+
+
+def _two_far_clusters(rng, n):
+    return np.concatenate([rng.normal(0, 1, n // 2), rng.normal(50, 1, n - n // 2)])
+
+
+KERNEL_CASES = {
+    "k_max=2": (lambda rng: _three_levels(rng, 700), dict(k_max=2)),
+    "k_max=10": (lambda rng: _three_levels(rng, 2016), dict(k_max=10)),
+    "k_max=12": (lambda rng: _three_levels(rng, 700), dict(k_max=12)),
+    "n<k_max": (lambda rng: rng.uniform(0, 50, 5), dict(k_max=10)),
+    "near-constant": (lambda rng: 5.0 + 1e-9 * rng.standard_normal(300), dict(k_max=10)),
+    # components die (log densities far below every sample's maximum)
+    "far prior mean": (
+        lambda rng: _two_far_clusters(rng, 400),
+        dict(k_max=12, priors=VbGmmPriors(concentration=1.0, mean=1e6, rate=1e-10)),
+    ),
+    # components reset to the prior share one row, tied for the maximum
+    "tied maxima": (
+        lambda rng: np.concatenate([rng.normal(0, 1, 50), rng.normal(100, 1, 50)]),
+        dict(
+            k_max=10,
+            priors=VbGmmPriors(concentration=30.0, mean=0.0, mean_scale=1e-3, rate=1e-7),
+        ),
+    ),
+    # more than 128 components
+    "k_max=200": (lambda rng: rng.uniform(0, 50, 300), dict(k_max=200, max_iter=10)),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_fit_matches_the_sample_major_reference(case):
+    make, kwargs = KERNEL_CASES[case]
+    seed = list(KERNEL_CASES).index(case)
+    x = make(np.random.default_rng(100 + seed))
+    kwargs = {"max_iter": 400, **kwargs}
+    got = fit_vbgmm(x, seed=seed, **kwargs)
+    want = reference_fit_vbgmm(x, seed=seed, **kwargs)
+    assert len(got.elbo_trace) == len(want.elbo_trace)
+    np.testing.assert_allclose(got.elbo_trace, want.elbo_trace, rtol=1e-12, atol=0)
+    for name in MODEL_ARRAYS:
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=1e-12, atol=0, err_msg=name
+        )
+
+
+def test_exp_equals_np_exp_bit_for_bit():
+    # underflowing, subnormal and zero results included
+    a = np.concatenate([np.linspace(-800.0, 5.0, 20001), [-745.1332, -745.1333, -708.4, -np.inf]])
+    a = np.stack([a, a[::-1]])
+    got = a.copy()
+    _exp(got, np.empty(a.shape, dtype=bool), np.empty(a.shape, dtype=bool))
+    assert np.array_equal(got, np.exp(a))
+    assert np.count_nonzero((got > 0) & (got < np.finfo(float).tiny)) > 0
+
+
+def test_converged_tells_the_tol_stop_from_max_iter():
+    x = _three_levels(np.random.default_rng(20), 600)
+    assert converged(fit_vbgmm(x, seed=0), tol=1e-6)
+    stopped = fit_vbgmm(x, seed=0, max_iter=3)
+    assert len(stopped.elbo_trace) == 3
+    assert not converged(stopped, tol=1e-6)
+    assert converged(fit_vbgmm(np.full(50, 4.0)), tol=1e-6)
+
+
 # ---------------------------------------------------------------- labeling
 
 
@@ -196,6 +378,35 @@ def test_fit_never_crashes_on_uniform_noise(seed):
 
 
 # ---------------------------------------------------------------- round trip
+
+
+@pytest.mark.parametrize(
+    "start, crossed",
+    [("2019-12-31T22:00:00Z", "2020-01-01T00:00:00Z"),
+     ("2020-02-28T00:00:00Z", "2020-02-29T23:45:00Z")],
+)
+def test_write_states_bytes_match_per_row_formatting(tmp_path, start, crossed):
+    # the shared timeline is formatted once; each row must read as if it
+    # were formatted on its own, across a year end and a leap day
+    t0 = datetime.fromisoformat(start.replace("Z", "+00:00"))
+    rng = np.random.default_rng(0)
+    grid = StateGrid(["O1", "O2"], t0, rng.integers(1, 4, (2, 2 * 96)).astype(np.int8))
+    write_states(grid, tmp_path / "s.csv", header_comment="h")
+    epochs = int(t0.timestamp()) + STEP_SECONDS * np.arange(grid.n_steps)
+    rows = [
+        f"{occ},{format_timestamp(t)},{int(s)}\n"
+        for i, occ in enumerate(grid.occupants)
+        for t, s in zip(epochs, grid.states[i])
+    ]
+    expected = "# h\noccupant_id,timestamp,state\n" + "".join(rows)
+    assert f",{crossed}," in expected
+    assert (tmp_path / "s.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_states_csv_round_trips_an_occupant_id_with_a_comma(tmp_path):
+    grid = StateGrid(["desk 1, left", "O2"], T0, np.ones((2, 96), dtype=np.int8))
+    write_states(grid, tmp_path / "s.csv")
+    assert load_states(tmp_path / "s.csv").occupants == grid.occupants
 
 
 def test_states_csv_round_trip(tmp_path, pop8):
