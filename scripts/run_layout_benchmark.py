@@ -57,7 +57,7 @@ def main() -> int:
         lay = start(7070, s)
         for stage in range(6):
             lay, _ = op.swap_optimize(vectors, lay, iter_limit=300, seed=1000 + 100 * s + stage)
-            train_layouts.append(lay.copy())
+            train_layouts.append(lay)
     table, y = synth.oracle_training_set(
         pop, [lay.by_zone() for lay in train_layouts], ocfg, cal
     )
@@ -69,13 +69,8 @@ def main() -> int:
         pool.append(lay)
     cluster = pool[0]
 
-    scorer = su.LayoutScorer(model, pop, cal)
-
-    def fitness(layout: op.Layout) -> float:
-        return scorer.total(layout.by_zone())
-
     ga_best, _ = op.ga_optimize(
-        fitness, pure, op.GaConfig(generations=args.generations),
+        su.LayoutScorer(model, pop, cal).totals, pure, op.GaConfig(generations=args.generations),
         seed=args.ga_seed, seeds_in=pool,
     )
 

@@ -221,6 +221,10 @@ def _state_config(cfg: dict) -> states_mod.StateConfig:
     return states_mod.StateConfig(**group, priors=priors, seed=cfg["seed"])
 
 
+# about ten years; a longer inferred window comes from a mistyped timestamp
+MAX_INFERRED_DAYS = 3660
+
+
 def _parse_window(cfg: dict, events, path: Path) -> tuple[datetime, datetime]:
     """The configured window, or the whole days spanned by the events in path."""
     w = cfg["window"]
@@ -233,6 +237,12 @@ def _parse_window(cfg: dict, events, path: Path) -> tuple[datetime, datetime]:
     step_end = (hi // step + 1) * step  # end of the step holding the last event
     start = (lo // day) * day
     end = ((step_end + day - 1) // day) * day
+    if end - start > MAX_INFERRED_DAYS * day:
+        raise ingest.InputError(
+            f"{path}: the events span {(end - start) // day} days, up to "
+            f"{ingest.format_timestamp(hi)}; over {MAX_INFERRED_DAYS} days, set window.start "
+            "and window.end"
+        )
     try:
         return (
             datetime.fromtimestamp(start, tz=timezone.utc),
@@ -409,15 +419,6 @@ def cmd_train_surrogate(cfg: dict) -> int:
     return 0
 
 
-def _energy_fitness(scorer: surrogate.LayoutScorer):
-    """Layout fitness = predicted total energy."""
-
-    def fitness(layout: optimize.Layout) -> float:
-        return scorer.total(layout.by_zone())
-
-    return fitness
-
-
 def _load_seed_layouts(path_value) -> list[optimize.Layout]:
     path = Path(path_value)
     if path.is_dir():
@@ -466,10 +467,9 @@ def cmd_optimize(cfg: dict) -> int:
     if cfg["optimize"]["seed_layouts"]:
         seeds_in = _load_seed_layouts(cfg["optimize"]["seed_layouts"])
 
-    scorer = fitness = None
+    scorer = None
     if model is not None:
         scorer = surrogate.LayoutScorer(model, state_grid, cal)
-        fitness = _energy_fitness(scorer)
     runs = []
     for k in range(batch):
         run_seed = master + k
@@ -482,7 +482,7 @@ def cmd_optimize(cfg: dict) -> int:
             objective = trace.best_so_far[-1]
         elif method == "ga":
             layout, trace = optimize.ga_optimize(
-                fitness, template, ga_config, seed=run_seed, seeds_in=seeds_in
+                scorer.totals, template, ga_config, seed=run_seed, seeds_in=seeds_in
             )
             objective = trace.best_so_far[-1]
         else:
@@ -618,9 +618,9 @@ def cmd_synth_demo(cfg: dict) -> int:
     optimize.write_layout(cluster_layout, out / "cluster_layout.csv", header)
     optimize.write_trace(cluster_trace, out / "cluster_trace.csv", header)
 
-    fitness = _energy_fitness(surrogate.LayoutScorer(model, state_grid, cal))
+    scorer = surrogate.LayoutScorer(model, state_grid, cal)
     ga_layout, ga_trace = optimize.ga_optimize(
-        fitness, pure, optimize.GaConfig(**cfg["optimize"]["ga"]), seed=seed
+        scorer.totals, pure, optimize.GaConfig(**cfg["optimize"]["ga"]), seed=seed
     )
     optimize.write_layout(ga_layout, out / "ga_layout.csv", header)
     optimize.write_trace(ga_trace, out / "ga_trace.csv", header)

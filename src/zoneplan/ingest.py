@@ -139,19 +139,6 @@ def load_plug_load(path) -> dict[str, PlugLoadEvents]:
     }
 
 
-def write_plug_load(events: dict[str, PlugLoadEvents], path, header_comment: str | None = None) -> None:
-    """Write events in the same CSV schema that load_plug_load reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["occupant_id", "timestamp", "power_w"])
-        for occ in events:
-            ev = events[occ]
-            for t, p in zip(ev.times, ev.powers):
-                writer.writerow([occ, format_timestamp(t), repr(float(p))])
-
-
 @dataclass
 class TimeSeriesGrid:
     """Mean power per occupant on a regular 15-minute grid spanning whole days."""

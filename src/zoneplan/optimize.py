@@ -2,8 +2,9 @@
 
 A layout assigns occupants to desks grouped into fixed-size zones.  The
 swap optimizer minimizes total zone diversity with incremental deltas;
-the GA minimizes any caller-supplied fitness (typically surrogate
-energy).  Both are fully seeded and deterministic.
+the GA breeds a population held as one desk-slot array and minimizes any
+caller-supplied population fitness (typically surrogate energy).  Both
+are fully seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diversity import distance_matrix, layout_diversity, stack_vectors, zone_diversity
+from .diversity import distance_matrix, layout_diversity, stack_vectors
 from .ingest import InputError, ZoneMap, _read_rows
 
 
@@ -63,9 +64,6 @@ class Layout:
             for k, occ in enumerate(occs)
         }
         return cls(zones, assignment)
-
-    def copy(self) -> "Layout":
-        return Layout({z: list(d) for z, d in self.zones.items()}, dict(self.assignment))
 
     def occupants(self) -> list[str]:
         return sorted(self.assignment.values())
@@ -176,32 +174,6 @@ def layout_objective(layout: Layout, vectors: Mapping[str, np.ndarray]) -> float
     return layout_diversity(layout.by_zone(), vectors).total
 
 
-def swap_delta(
-    layout: Layout,
-    occupant_a: str,
-    occupant_b: str,
-    vectors: Mapping[str, np.ndarray],
-) -> float:
-    """Objective change from swapping two occupants, touching only their zones."""
-    by_zone = layout.by_zone()
-    zone_of = {occ: z for z, occs in by_zone.items() for occ in occs}
-    za, zb = zone_of[occupant_a], zone_of[occupant_b]
-    if za == zb:
-        raise ValueError("occupants are in the same zone")
-
-    def zdiv(occs: list[str]) -> float:
-        return zone_diversity(stack_vectors(vectors, occs)) if occs else 0.0
-
-    def swapped(occs: list[str], old: str, new: str) -> list[str]:
-        return [new if o == old else o for o in occs]
-
-    before = zdiv(by_zone[za]) + zdiv(by_zone[zb])
-    after = zdiv(swapped(by_zone[za], occupant_a, occupant_b)) + zdiv(
-        swapped(by_zone[zb], occupant_b, occupant_a)
-    )
-    return after - before
-
-
 def swap_optimize(
     vectors: Mapping[str, np.ndarray],
     initial: Layout,
@@ -247,11 +219,11 @@ def swap_optimize(
         return ind
 
     m = d @ indicator()  # m[i, z] = total distance from occupant i to zone z
-    zone_sum = np.array(
-        [d[np.ix_(occ_zone == z, occ_zone == z)].sum() for z in range(nz)]
-    )
 
     def total() -> float:
+        zone_sum = np.array(
+            [d[np.ix_(occ_zone == z, occ_zone == z)].sum() for z in range(nz)]
+        )
         return float(np.sum(np.where(live, zone_sum / denom, 0.0)))
 
     rng = np.random.default_rng(seed)
@@ -269,17 +241,18 @@ def swap_optimize(
         za = occ_zone[a]
         own = np.where(live[occ_zone], 1.0 / denom[occ_zone], 0.0)
         wa = (1.0 / denom[za]) if live[za] else 0.0
-        delta = (m[:, za] - m[a, za] - d[a]) * wa + (
-            m[a, occ_zone] - m[idx_all, occ_zone] - d[a]
-        ) * own
+        # a zone's distance sum counts each pair twice, so a swap changes it
+        # by twice the bracketed sums
+        delta = 2.0 * (
+            (m[:, za] - m[a, za] - d[a]) * wa
+            + (m[a, occ_zone] - m[idx_all, occ_zone] - d[a]) * own
+        )
         delta = np.where(occ_zone == za, np.inf, delta)
         delta[a] = 0.0  # the null swap
         b = int(np.flatnonzero(delta == delta.min())[0])
         if b != a:
             zb = occ_zone[b]
             current += float(delta[b])
-            zone_sum[za] += m[b, za] - m[a, za] - d[a, b]
-            zone_sum[zb] += m[a, zb] - m[b, zb] - d[a, b]
             m[:, za] += d[:, b] - d[:, a]
             m[:, zb] += d[:, a] - d[:, b]
             occ_zone[a], occ_zone[b] = zb, za
@@ -289,9 +262,6 @@ def swap_optimize(
             accepted.append((it, occs[a], occs[b]))
         if (it + 1) % 1024 == 0:
             m = d @ indicator()
-            zone_sum = np.array(
-                [d[np.ix_(occ_zone == z, occ_zone == z)].sum() for z in range(nz)]
-            )
             current = total()
         objectives.append(current)
         best.append(current if not best else min(best[-1], current))
@@ -299,79 +269,75 @@ def swap_optimize(
     final = Layout({z: list(dk) for z, dk in initial.zones.items()}, dict(occ_at))
     exact = layout_objective(final, vectors)
     if objectives:
-        objectives[-1] = exact
-        best[-1] = min(best[-1], exact)
+        # no move raises the objective, so the final layout is the best one;
+        # its exact objective replaces the incrementally updated value
+        objectives[-1] = best[-1] = exact
     return final, OptTrace(objectives, best, accepted, kind="swap")
 
 
-def crossover(parent_a: Layout, parent_b: Layout, seed: int = 0) -> Layout:
-    """Desk-wise random parent pick with feasibility repair.
+def crossover(
+    parents_a: np.ndarray, parents_b: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One child per row pair: desk-wise random parent pick with feasibility repair.
 
-    Desks are processed in canonical order; a pick that would duplicate
-    an already-placed occupant falls back to the other parent, then to
-    deferral; deferred desks are filled with the unplaced occupants in
-    seeded-random order (vacancies fill whatever remains).
+    Rows map desk slots to occupant indices (-1 vacant).  In slot order, a
+    pick that would repeat a placed occupant, or exceed the parents'
+    vacancy count, falls back to the other parent, then to deferral.
+    Deferred desks take the unplaced occupants in rising order of one
+    random key per occupant, drawn after the (P, D) picks.
     """
-    if not parent_a.same_structure(parent_b):
-        raise ValueError("parents differ in zones or occupants")
-    rng = np.random.default_rng(seed)
-    desks = parent_a.desk_order()
-    none_budget = len(desks) - len(parent_a.assignment)
-    used: set[str] = set()
-    child: dict[str, str] = {}
-    deferred: list[str] = []
-    picks = rng.integers(0, 2, size=len(desks))
-    for desk, pick in zip(desks, picks):
-        first = parent_a if pick == 0 else parent_b
-        second = parent_b if pick == 0 else parent_a
-        placed = False
-        for parent in (first, second):
-            occ = parent.assignment.get(desk)
-            if occ is None:
-                if none_budget > 0:
-                    none_budget -= 1
-                    placed = True
-                    break
-            elif occ not in used:
-                child[desk] = occ
-                used.add(occ)
-                placed = True
-                break
-        if not placed:
-            deferred.append(desk)
-    unplaced = sorted(set(parent_a.assignment.values()) - used)
-    order = rng.permutation(len(unplaced))
-    fill = [unplaced[i] for i in order]
-    for desk in deferred:
-        if fill:
-            child[desk] = fill.pop(0)
-    return Layout({z: list(d) for z, d in parent_a.zones.items()}, child)
+    if parents_a.shape != parents_b.shape:
+        raise ValueError("parents differ in shape")
+    n, n_desks = parents_a.shape
+    budget = np.count_nonzero(parents_a < 0, axis=1)
+    n_occ = n_desks - int(budget[0])
+    picks = rng.integers(0, 2, size=(n, n_desks))
+    fill_keys = rng.random((n, n_occ))
+    first = np.where(picks == 0, parents_a, parents_b)
+    second = np.where(picks == 0, parents_b, parents_a)
+    child = np.full((n, n_desks), -1, dtype=parents_a.dtype)
+    used = np.zeros((n, n_occ), dtype=bool)
+    deferred = np.zeros((n, n_desks), dtype=bool)
+    rows = np.arange(n)
+    for j in range(n_desks):
+        placed = np.zeros(n, dtype=bool)
+        for parent in (first[:, j], second[:, j]):
+            vacancy = ~placed & (parent < 0) & (budget > 0)
+            budget -= vacancy
+            occupant = ~placed & (parent >= 0) & ~used[rows, parent]
+            child[occupant, j] = parent[occupant]
+            used[rows[occupant], parent[occupant]] = True
+            placed |= vacancy | occupant
+        deferred[:, j] = ~placed
+    fill = np.argsort(np.where(used, np.inf, fill_keys), axis=1, kind="stable")
+    rank = np.cumsum(deferred, axis=1) - 1
+    r, c = np.nonzero(deferred & (rank < (n_occ - used.sum(axis=1))[:, None]))
+    child[r, c] = fill[r, rank[r, c]]
+    return child
 
 
-def mutate(layout: Layout, m_mut: float, seed: int = 0) -> Layout:
-    """With probability m_mut, swap one random desk per zone across zones."""
+def mutate(
+    population: np.ndarray, m_mut: float, rng: np.random.Generator, bounds: np.ndarray
+) -> np.ndarray:
+    """With probability m_mut per layout, swap one random desk per zone across zones.
+
+    Zone z holds desk slots bounds[z]:bounds[z + 1]; zones are visited in
+    that order, each swapping with a random desk of a random other zone.
+    """
     if not 0.0 <= m_mut <= 1.0:
         raise ValueError("m_mut must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    if rng.random() >= m_mut:
-        return layout.copy()
-    out = layout.copy()
-    zone_ids = sorted(out.zones)
-    if len(zone_ids) < 2:
+    out = population.copy()
+    rows = np.flatnonzero(rng.random(len(out)) < m_mut)
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    n_zones = sizes.size
+    if n_zones < 2:
         return out
-    for z in zone_ids:
-        desks = out.zones[z]
-        da = desks[int(rng.integers(len(desks)))]
-        others = [w for w in zone_ids if w != z]
-        zb = others[int(rng.integers(len(others)))]
-        desks_b = out.zones[zb]
-        db = desks_b[int(rng.integers(len(desks_b)))]
-        oa = out.assignment.pop(da, None)
-        ob = out.assignment.pop(db, None)
-        if oa is not None:
-            out.assignment[db] = oa
-        if ob is not None:
-            out.assignment[da] = ob
+    for z in range(n_zones):
+        da = starts[z] + rng.integers(0, sizes[z], size=rows.size)
+        zb = rng.integers(0, n_zones - 1, size=rows.size)
+        zb += zb >= z  # a random zone other than z
+        db = starts[zb] + rng.integers(0, sizes[zb])
+        out[rows, da], out[rows, db] = out[rows, db], out[rows, da]
     return out
 
 
@@ -402,7 +368,7 @@ class GaConfig:
 
 
 def ga_optimize(
-    fitness: Callable[[Layout], float],
+    fitness: Callable[[Mapping[str, np.ndarray], Sequence[str]], np.ndarray],
     template: Layout,
     config: GaConfig | None = None,
     seed: int = 0,
@@ -410,67 +376,72 @@ def ga_optimize(
 ) -> tuple[Layout, OptTrace]:
     """Generational GA: B best + R random survivors breed a fully new population.
 
-    No elitism carries layouts over; the best-ever layout is tracked
-    separately and returned.  The trace records each generation's best
+    The population is one (P, D) int array mapping desk slots
+    (template.desk_order()) to indices into template.occupants(), -1 when
+    vacant.  Each generation is scored by one call, fitness(zones,
+    occupants) -> P values (lower is better), with zones mapping zone_id to
+    its slots' columns.  No elitism carries layouts over; the best-ever
+    layout is returned, and the trace records each generation's best
     fitness and the running best.
     """
     cfg = config or GaConfig()
     cfg.validate()
     rng = np.random.default_rng(seed)
+    desks = template.desk_order()
+    occupants = template.occupants()
+    zone_ids = sorted(template.zones)
+    bounds = np.cumsum([0] + [len(template.zones[z]) for z in zone_ids])
 
-    population: list[Layout] = []
-    for layout in seeds_in or []:
-        if not template.same_structure(layout):
-            raise ValueError("seed layout differs from the template in zones or occupants")
-        population.append(layout.copy())
-    population = population[: cfg.population]
-    while len(population) < cfg.population:
-        population.append(random_layout(template, rng))
+    layouts = list(seeds_in or [])
+    if not all(template.same_structure(layout) for layout in layouts):
+        raise ValueError("seed layout differs from the template in zones or occupants")
+    layouts = layouts[: cfg.population]
+    while len(layouts) < cfg.population:
+        layouts.append(random_layout(template, rng))
+    occ_index = {o: i for i, o in enumerate(occupants)}
+    population = np.array(
+        [[occ_index.get(lay.assignment.get(d), -1) for d in desks] for lay in layouts],
+        dtype=np.intp,
+    )
 
-    best_layout: Layout | None = None
+    best_row: np.ndarray | None = None
     best_fit = np.inf
     objectives: list[float] = []
     best_series: list[float] = []
 
     for gen in range(cfg.generations):
-        fits = np.array([fitness(lay) for lay in population])
-        if not np.all(np.isfinite(fits)):
-            raise ValueError("fitness must be finite on valid layouts")
+        zones = {z: population[:, bounds[j] : bounds[j + 1]] for j, z in enumerate(zone_ids)}
+        fits = np.asarray(fitness(zones, occupants), dtype=float)
+        if fits.shape != (cfg.population,) or not np.all(np.isfinite(fits)):
+            raise ValueError("fitness must give one finite value per layout")
         order = np.lexsort((np.arange(fits.size), fits))
         gen_best = int(order[0])
         if fits[gen_best] < best_fit:
             best_fit = float(fits[gen_best])
-            best_layout = population[gen_best].copy()
+            best_row = population[gen_best].copy()
         objectives.append(float(fits[gen_best]))
         best_series.append(best_fit)
         if gen == cfg.generations - 1:
             break
 
         elite_idx = list(order[: cfg.elites])
-        pool = [i for i in range(len(population)) if i not in set(elite_idx)]
+        pool = [i for i in range(cfg.population) if i not in set(elite_idx)]
         n_rand = min(cfg.random_survivors, len(pool))
         rand_idx = (
             list(rng.choice(pool, size=n_rand, replace=False)) if n_rand else []
         )
-        survivors = [population[i] for i in elite_idx + rand_idx]
-        pairs = [
-            (i, j) for i in range(len(survivors)) for j in range(i + 1, len(survivors))
-        ]
-        pair_order = rng.permutation(len(pairs))
-        children: list[Layout] = []
-        k = 0
-        while len(children) < cfg.population:
-            pa, pb = pairs[pair_order[k % len(pairs)]]
-            k += 1
-            for _ in range(cfg.children_per_pair):
-                if len(children) >= cfg.population:
-                    break
-                child = crossover(
-                    survivors[pa], survivors[pb], seed=int(rng.integers(2**63))
-                )
-                child = mutate(child, cfg.mutation_prob, seed=int(rng.integers(2**63)))
-                children.append(child)
-        population = children
+        survivors = np.array(elite_idx + rand_idx)
+        first, second = np.triu_indices(len(survivors), 1)  # pairs (0, 1), (0, 2), ...
+        pair_order = rng.permutation(len(first))
+        # child c comes from the (c // children_per_pair)-th pair drawn, cycling
+        drawn = pair_order[np.arange(cfg.population) // cfg.children_per_pair % len(first)]
+        children = crossover(
+            population[survivors[first[drawn]]], population[survivors[second[drawn]]], rng
+        )
+        population = mutate(children, cfg.mutation_prob, rng, bounds)
 
-    assert best_layout is not None
-    return best_layout, OptTrace(objectives, best_series, kind="ga")
+    assert best_row is not None
+    best = {desk: occupants[i] for desk, i in zip(desks, best_row) if i >= 0}
+    return Layout({z: list(d) for z, d in template.zones.items()}, best), OptTrace(
+        objectives, best_series, kind="ga"
+    )

@@ -26,6 +26,8 @@ from .ingest import (
 from .states import StateGrid
 
 FEATURE_NAMES = ("s1", "s2", "s3", "hour", "day_of_week", "is_weekend", "zone")
+# row keys a population is scored in at once; bounds the scoring's memory
+SCORE_KEYS = 2**14
 
 
 @dataclass
@@ -69,7 +71,7 @@ def build_features(
     """
     zone_order = sorted(zones)
     encoder = _RowEncoder(states, calendar, {z: j for j, z in enumerate(zone_order)})
-    features = encoder.decode(encoder.keys(zones, zone_order).T.ravel())
+    features = encoder.decode(encoder.keys(encoder.rows(zones))[0].T.ravel())
     n_zones = len(zone_order)
     hour_epoch = np.repeat(encoder.calendar.hour_epochs(), n_zones)
     day_index = np.repeat(np.arange(states.n_steps) // STEPS_PER_DAY, n_zones)
@@ -605,7 +607,8 @@ class _RowEncoder:
             raise ValueError("calendar length does not match the state grid")
         self.calendar = cal
         self.zone_index = zone_index
-        self._states = states.states
+        # a zero row after the occupants' rows: row -1 (a vacant desk) adds nothing
+        self._states = np.vstack([states.states, np.zeros((1, cal.n_steps), states.states.dtype)])
         self._occ_index = {occ: i for i, occ in enumerate(states.occupants)}
         m = self._base = len(states.occupants) + 1
         if len(zone_index) * self._CALENDAR_KEYS * m**3 >= 2**63:
@@ -617,19 +620,30 @@ class _RowEncoder:
         self._state_weight = np.zeros(256, dtype=np.int64)
         self._state_weight[[1, 2, 3]] = (m * m, m, 1)
 
-    def keys(self, zones: Mapping[str, Sequence[str]], zone_order: Sequence[str]) -> np.ndarray:
-        """The (n_zones, n_steps) row keys of the zones in zone_order."""
+    def occupant_rows(self, occupants: Sequence[str]) -> np.ndarray:
+        """The state-grid row of each occupant id."""
+        try:
+            return np.array([self._occ_index[o] for o in occupants], dtype=np.intp)
+        except KeyError:
+            missing = [o for o in occupants if o not in self._occ_index]
+            raise ValueError(f"occupants without states: {missing}") from None
+
+    def rows(self, zones: Mapping[str, Sequence[str]]) -> dict[str, np.ndarray]:
+        """One layout given as zone_id -> occupant ids, as keys() takes it."""
+        return {z: self.occupant_rows(members)[None, :] for z, members in zones.items()}
+
+    def keys(self, rows: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Row keys (n_layouts, n_zones, n_steps), zones in sorted id order.
+
+        rows maps zone_id to (n_layouts, desks) state-grid rows, -1 vacant.
+        """
+        zone_order = sorted(rows)
         _require_model_zones(zone_order, self.zone_index)
-        keys = np.empty((len(zone_order), self._states.shape[1]), dtype=np.int64)
+        n_layouts = len(rows[zone_order[0]]) if zone_order else 1
+        keys = np.empty((n_layouts, len(zone_order), self._states.shape[1]), dtype=np.int64)
         for j, zone_id in enumerate(zone_order):
-            members = zones[zone_id]
-            try:
-                rows = self._states[[self._occ_index[o] for o in members]]
-            except KeyError:
-                missing = [o for o in members if o not in self._occ_index]
-                raise ValueError(f"zone {zone_id}: occupants without states: {missing}") from None
-            keys[j] = self._step_key + self.zone_index[zone_id] * self._zone_key
-            keys[j] += self._state_weight.take(rows).sum(axis=0)
+            keys[:, j] = self._step_key + self.zone_index[zone_id] * self._zone_key
+            keys[:, j] += self._state_weight.take(self._states[rows[zone_id]]).sum(axis=1)
         return keys
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
@@ -651,7 +665,8 @@ class LayoutScorer:
     Rows are _RowEncoder keys over the model's zone indices; the model's
     clamped prediction of each key is kept in a sorted memo.  Scoring a
     layout gathers its rows' predictions in build_features' step-major
-    order and sums them; the model only sees keys it has not seen before.
+    order and sums them, and totals() does so for a whole GA population at
+    once; the model only sees keys it has not seen before.
     Predictions do not depend on their batch, so totals equal scoring the
     whole feature table at once.
     """
@@ -679,7 +694,7 @@ class LayoutScorer:
     def predict(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
         """Zone order and clamped per-row predictions, step-major, zones inner."""
         zone_order = sorted(zones)
-        keys = self._encoder.keys(zones, zone_order)
+        keys = self._encoder.keys(self._encoder.rows(zones))[0]
         # zone-major keys rise through each day (hour is their leading
         # calendar part), which keeps the memo search local
         pred = self._lookup(keys.ravel()).reshape(keys.shape)
@@ -688,6 +703,25 @@ class LayoutScorer:
     def total(self, zones: Mapping[str, Sequence[str]]) -> float:
         """Predicted energy of a layout given as zone_id -> occupant ids."""
         return float(self.predict(zones)[1].sum())
+
+    def totals(self, zones: Mapping[str, np.ndarray], occupants: Sequence[str]) -> np.ndarray:
+        """Predicted energy of each layout of a population, as the GA scores it.
+
+        zones maps zone_id to an (n_layouts, desks) int array of indices
+        into occupants, -1 at a vacant desk.  Each layout's rows are summed
+        step-major like total(), so both give the same bits.
+        """
+        # index -1 picks the appended -1, the encoder's empty row
+        row_of = np.append(self._encoder.occupant_rows(occupants), -1)
+        rows = {z: row_of[members] for z, members in zones.items()}
+        n_layouts = len(next(iter(rows.values())))
+        chunk = max(1, SCORE_KEYS // (len(rows) * self.calendar.n_steps))
+        out = np.empty(n_layouts)
+        for lo in range(0, n_layouts, chunk):
+            keys = self._encoder.keys({z: r[lo : lo + chunk] for z, r in rows.items()})
+            pred = self._lookup(keys.ravel()).reshape(keys.shape)
+            out[lo : lo + len(keys)] = pred.transpose(0, 2, 1).reshape(len(keys), -1).sum(axis=1)
+        return out
 
     def report(
         self,

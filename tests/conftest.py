@@ -4,10 +4,13 @@ Session scope keeps the expensive generators to one call each; tests must
 treat fixture objects as read-only.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
 from zoneplan import ingest, optimize, synth
+from zoneplan.diversity import layout_diversity
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -68,3 +71,35 @@ def paired_vectors():
 def paired_adversarial(paired_vectors):
     # Adversarial start: each zone mixes the two pairs.
     return optimize.Layout.from_groups({"Z1": ["a1", "b1"], "Z2": ["a2", "b2"]})
+
+
+def diversity_fitness(vectors):
+    """GA population fitness: each layout's total zone diversity, one layout at a time."""
+
+    def fitness(zones, occupants):
+        n_layouts = len(next(iter(zones.values())))
+        return np.array([
+            layout_diversity(
+                {z: [occupants[i] for i in rows[k] if i >= 0] for z, rows in zones.items()},
+                vectors,
+            ).total
+            for k in range(n_layouts)
+        ])
+
+    return fitness
+
+
+def write_plug_load(events: dict, path, header_comment: str | None = None) -> None:
+    """Plug-load events as the CSV load_plug_load reads, each row formatted on its own.
+
+    The per-row reference for the series writers, which format a shared
+    timeline once.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["occupant_id", "timestamp", "power_w"])
+        for occ, ev in events.items():
+            for t, p in zip(ev.times, ev.powers):
+                writer.writerow([occ, ingest.format_timestamp(t), repr(float(p))])

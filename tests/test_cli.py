@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_plug_load
+from zoneplan import ingest
 from zoneplan import states as states_mod
 from zoneplan import synth
 from zoneplan.cli import DEFAULT_CONFIG, _make_parser, build_config, config_hash, main
@@ -19,7 +21,6 @@ from zoneplan.ingest import (
     ZoneMap,
     load_grid,
     write_lighting,
-    write_plug_load,
     write_zone_map,
 )
 
@@ -307,6 +308,31 @@ def test_event_past_year_9999_is_an_input_error_naming_the_file(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {plug}: ")
     assert "window.end" in err
+
+
+def test_oversized_inferred_window_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # a mistyped year 9000 would give a 2,550,124-day grid; resample_15min is
+    # replaced, so a missing check fails without allocating anything
+    def no_resample(events, window):
+        raise AssertionError(f"resample_15min called for {window}")
+
+    plug = tmp_path / "plug.csv"
+    plug.write_text(
+        "occupant_id,timestamp,power_w\nO1,2018-01-01T00:00:00Z,5.0\n"
+        "O1,9000-01-01T12:00:00Z,3.0\n",
+        encoding="utf-8",
+    )
+    argv = ["ingest", "--set", f"paths.plug_load={plug}", "--out-dir", str(tmp_path / "out")]
+    monkeypatch.setattr(ingest, "resample_15min", no_resample)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plug}: ")
+    assert "2550124 days" in err and "set window.start and window.end" in err
+    monkeypatch.undo()
+    # an explicit window is taken as given
+    window = ["window.start=2018-01-01T00:00:00Z", "window.end=2018-01-02T00:00:00Z"]
+    assert main(argv + ["--set", window[0], "--set", window[1]]) == 0
+    assert load_grid(tmp_path / "out" / "grid.csv").n_steps == 96
 
 
 def test_bad_state_csv_exits_one_with_location(tmp_path, capsys):

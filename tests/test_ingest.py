@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_plug_load
 from zoneplan import ingest
 from zoneplan.ingest import (
     InputError,
@@ -20,7 +21,6 @@ from zoneplan.ingest import (
     parse_timestamp,
     resample_15min,
     write_grid,
-    write_plug_load,
 )
 from zoneplan.optimize import load_layout
 from zoneplan.states import load_states

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diversity_fitness
 from zoneplan.diversity import layout_diversity
 from zoneplan.optimize import (
     GaConfig,
@@ -19,7 +20,6 @@ from zoneplan.optimize import (
     load_layout,
     mutate,
     random_layout,
-    swap_delta,
     swap_optimize,
     write_layout,
     write_trace,
@@ -113,38 +113,6 @@ def test_layout_csv_keeps_vacancies(tmp_path):
     assert lay.zones["Z1"] == ["D1", "D2"]
 
 
-# ---------------------------------------------------------------- swap moves
-
-
-def test_swap_delta_matches_recompute():
-    vectors, template = random_instance(0)
-    rng = np.random.default_rng(1)
-    for trial in range(200):
-        lay = random_layout(template, rng)
-        zones = lay.by_zone()
-        za, zb = rng.choice(sorted(zones), size=2, replace=False)
-        a = zones[za][rng.integers(len(zones[za]))]
-        b = zones[zb][rng.integers(len(zones[zb]))]
-        delta = swap_delta(lay, a, b, vectors)
-        swapped = {z: list(v) for z, v in zones.items()}
-        swapped[za][swapped[za].index(a)] = b
-        swapped[zb][swapped[zb].index(b)] = a
-        full = layout_diversity(swapped, vectors).total - layout_diversity(zones, vectors).total
-        assert delta == pytest.approx(full, abs=1e-9)
-
-
-def test_swap_delta_identical_vectors_zero():
-    v = np.array([1.0, 2.0])
-    vectors = {"a": v, "b": v.copy(), "c": v * 3, "d": v * 3}
-    lay = Layout.from_groups({"Z1": ["a", "c"], "Z2": ["b", "d"]})
-    assert swap_delta(lay, "a", "b", vectors) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_swap_delta_same_zone_rejected(paired_adversarial, paired_vectors):
-    with pytest.raises(ValueError):
-        swap_delta(paired_adversarial, "a1", "b1", paired_vectors)
-
-
 # ---------------------------------------------------------------- swap optimizer
 
 
@@ -193,42 +161,138 @@ def test_swap_deterministic(paired_vectors, paired_adversarial):
     assert a[1].objectives == b[1].objectives
 
 
-# ---------------------------------------------------------------- crossover
+# ---------------------------------------------------------------- population arrays
+
+
+def population_of(template: Layout, layouts) -> np.ndarray:
+    """Layouts as GA rows: desk slot -> index into template.occupants(), -1 vacant."""
+    index = {o: i for i, o in enumerate(template.occupants())}
+    desks = template.desk_order()
+    return np.array([[index.get(lay.assignment.get(d), -1) for d in desks] for lay in layouts])
+
+
+def random_population(template: Layout, seed: int, n: int) -> np.ndarray:
+    return population_of(
+        template, [random_layout(template, np.random.default_rng(seed + k)) for k in range(n)]
+    )
+
+
+def zone_bounds(template: Layout) -> np.ndarray:
+    return np.cumsum([0] + [len(template.zones[z]) for z in sorted(template.zones)])
+
+
+def is_valid_row(row, n_occ, n_desks) -> bool:
+    # every occupant exactly once, every other desk vacant
+    return sorted(row[row >= 0].tolist()) == list(range(n_occ)) and row.size == n_desks
+
+
+def reference_crossover(parent_a, parent_b, picks, fill_keys) -> dict:
+    """Per-desk reference for the array crossover: one child, dict in, dict out.
+
+    Desks in canonical order take the picked parent's occupant, else the
+    other parent's, else are deferred; a vacancy is taken only while the
+    parents' vacancy count lasts.  Deferred desks are filled with the
+    unplaced occupants in rising fill_keys order (keys per occupant index
+    in sorted-id order).
+    """
+    desks = parent_a.desk_order()
+    occupants = parent_a.occupants()
+    none_budget = len(desks) - len(parent_a.assignment)
+    used: set[str] = set()
+    child: dict[str, str] = {}
+    deferred: list[str] = []
+    for desk, pick in zip(desks, picks):
+        first = parent_a if pick == 0 else parent_b
+        second = parent_b if pick == 0 else parent_a
+        placed = False
+        for parent in (first, second):
+            occ = parent.assignment.get(desk)
+            if occ is None:
+                if none_budget > 0:
+                    none_budget -= 1
+                    placed = True
+                    break
+            elif occ not in used:
+                child[desk] = occ
+                used.add(occ)
+                placed = True
+                break
+        if not placed:
+            deferred.append(desk)
+    unplaced = [i for i in np.argsort(fill_keys, kind="stable") if occupants[i] not in used]
+    fill = [occupants[i] for i in unplaced]
+    for desk in deferred:
+        if fill:
+            child[desk] = fill.pop(0)
+    return child
+
+
+@st.composite
+def vacant_structures(draw):
+    # zones of 1-4 desks, 0-3 of the desks vacant, 1-6 parent pairs
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n_desks = sum(sizes)
+    n_occ = n_desks - draw(st.integers(0, min(3, n_desks - 1)))
+    return sizes, n_occ, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vacant_structures())
+def test_array_crossover_matches_the_per_desk_reference(case):
+    sizes, n_occ, n_pairs, seed = case
+    zones = {f"Z{z}": [f"Z{z}-d{k}" for k in range(size)] for z, size in enumerate(sizes)}
+    template = Layout(zones, dict(zip([d for z in sorted(zones) for d in zones[z]],
+                                      [f"o{i:02d}" for i in range(n_occ)])))
+    rng = np.random.default_rng(seed)
+    parents = [random_layout(template, rng) for _ in range(2 * n_pairs)]
+    pa, pb = parents[:n_pairs], parents[n_pairs:]
+    children = crossover(population_of(template, pa), population_of(template, pb),
+                         np.random.default_rng(seed + 1))
+    # replay the crossover's draws: picks, then one fill key per occupant
+    replay = np.random.default_rng(seed + 1)
+    picks = replay.integers(0, 2, size=children.shape)
+    fill_keys = replay.random((n_pairs, n_occ))
+    for k in range(n_pairs):
+        expected = reference_crossover(pa[k], pb[k], picks[k], fill_keys[k])
+        got = Layout(template.zones, {
+            d: template.occupants()[i] for d, i in zip(template.desk_order(), children[k]) if i >= 0
+        })
+        assert got.assignment == expected
+        assert is_valid_row(children[k], n_occ, sum(sizes))
 
 
 def test_crossover_identical_parents_identity(paired_adversarial):
-    child = crossover(paired_adversarial, paired_adversarial, seed=0)
-    assert child.assignment == paired_adversarial.assignment
+    parents = population_of(paired_adversarial, [paired_adversarial] * 3)
+    child = crossover(parents, parents, np.random.default_rng(0))
+    assert np.array_equal(child, parents)
 
 
 def test_crossover_deterministic():
-    vectors, template = random_instance(4)
-    pa = random_layout(template, np.random.default_rng(10))
-    pb = random_layout(template, np.random.default_rng(11))
-    c1 = crossover(pa, pb, seed=3)
-    c2 = crossover(pa, pb, seed=3)
-    assert c1.assignment == c2.assignment
+    _, template = random_instance(4)
+    pa = population_of(template, [random_layout(template, np.random.default_rng(10))] * 4)
+    pb = population_of(template, [random_layout(template, np.random.default_rng(11))] * 4)
+    c1 = crossover(pa, pb, np.random.default_rng(3))
+    c2 = crossover(pa, pb, np.random.default_rng(3))
+    assert np.array_equal(c1, c2)
 
 
 def test_crossover_mismatched_structures_rejected():
-    a = Layout.from_groups({"Z1": ["a", "b"]})
-    b = Layout.from_groups({"Z1": ["a"], "Z2": ["b"]})
+    a = np.array([[0, 1]])
+    b = np.array([[0, 1, -1]])  # the same two occupants over three desks
     with pytest.raises(ValueError):
-        crossover(a, b, seed=0)
+        crossover(a, b, np.random.default_rng(0))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
 def test_crossover_child_is_valid_permutation(sa, sb, sc):
     _, template = random_instance(5, n_zones=3, per_zone=3)
-    pa = random_layout(template, np.random.default_rng(sa))
-    pb = random_layout(template, np.random.default_rng(sb))
-    child = crossover(pa, pb, seed=sc)
-    assert sorted(child.occupants()) == sorted(template.occupants())
-    assert child.same_structure(template)
-    # each desk's occupant comes from a parent or the repair fill
-    for desk, occ in child.assignment.items():
-        assert occ in {pa.assignment.get(desk), pb.assignment.get(desk)} or True
+    children = crossover(
+        random_population(template, sa, 4), random_population(template, sb, 4),
+        np.random.default_rng(sc),
+    )
+    for row in children:
+        assert is_valid_row(row, 9, 9)
 
 
 # ---------------------------------------------------------------- mutation
@@ -236,42 +300,80 @@ def test_crossover_child_is_valid_permutation(sa, sb, sc):
 
 def test_mutate_zero_probability_is_identity():
     _, template = random_instance(6)
-    out = mutate(template, 0.0, seed=0)
-    assert out.assignment == template.assignment
+    pop = population_of(template, [template] * 5)
+    out = mutate(pop, 0.0, np.random.default_rng(0), zone_bounds(template))
+    assert np.array_equal(out, pop)
 
 
 def test_mutate_fires_with_probability_one():
     _, template = random_instance(7, n_zones=2, per_zone=3)
-    out = mutate(template, 1.0, seed=1)
-    assert sorted(out.occupants()) == sorted(template.occupants())
-    assert out.same_structure(template)
-    assert out.assignment != template.assignment
+    pop = population_of(template, [template] * 5)
+    out = mutate(pop, 1.0, np.random.default_rng(1), zone_bounds(template))
+    # two cross-zone swaps per layout; the second undoes the first 1 time in 9
+    assert not np.array_equal(out, pop)
+    for row, before in zip(out, pop):
+        assert is_valid_row(row, 6, 6)
+        assert len(set(row[:3]) - set(before[:3])) <= 2
 
 
 def test_mutate_deterministic():
     _, template = random_instance(8)
-    a = mutate(template, 1.0, seed=9)
-    b = mutate(template, 1.0, seed=9)
-    assert a.assignment == b.assignment
+    pop = population_of(template, [template] * 5)
+    a = mutate(pop, 0.5, np.random.default_rng(9), zone_bounds(template))
+    b = mutate(pop, 0.5, np.random.default_rng(9), zone_bounds(template))
+    assert np.array_equal(a, b)
+
+
+def reference_mutate(layout: Layout, m_mut: float, rng) -> dict:
+    """Per-layout reference for the array mutate: one layout, dict in, dict out.
+
+    Draws, in order: the fire test, then per zone in sorted order a desk,
+    another zone (by rank among the other zones) and a desk there.
+    """
+    out = dict(layout.assignment)
+    zone_ids = sorted(layout.zones)
+    if rng.random() >= m_mut or len(zone_ids) < 2:
+        return out
+    for z in zone_ids:
+        da = layout.zones[z][int(rng.integers(0, len(layout.zones[z])))]
+        others = [w for w in zone_ids if w != z]
+        zb = others[int(rng.integers(0, len(others)))]
+        db = layout.zones[zb][int(rng.integers(0, len(layout.zones[zb])))]
+        oa, ob = out.pop(da, None), out.pop(db, None)
+        if oa is not None:
+            out[db] = oa
+        if ob is not None:
+            out[da] = ob
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(vacant_structures())
+def test_array_mutate_matches_the_per_layout_reference(case):
+    sizes, n_occ, _, seed = case
+    zones = {f"Z{z}": [f"Z{z}-d{k}" for k in range(size)] for z, size in enumerate(sizes)}
+    desks = [d for z in sorted(zones) for d in zones[z]]
+    template = Layout(zones, dict(zip(desks, [f"o{i:02d}" for i in range(n_occ)])))
+    layout = random_layout(template, np.random.default_rng(seed))
+    # one layout per call, so the array draws are the reference's scalars
+    out = mutate(population_of(template, [layout]), 0.7, np.random.default_rng(seed + 1),
+                 zone_bounds(template))
+    expected = reference_mutate(layout, 0.7, np.random.default_rng(seed + 1))
+    occupants = template.occupants()
+    assert {d: occupants[i] for d, i in zip(desks, out[0]) if i >= 0} == expected
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mutate_preserves_permutation(seed):
     _, template = random_instance(9, n_zones=3, per_zone=3)
-    out = mutate(template, 1.0, seed=seed)
-    assert sorted(out.occupants()) == sorted(template.occupants())
-    assert out.same_structure(template)
+    vacant = Layout(template.zones, dict(list(template.assignment.items())[:7]))
+    pop = random_population(vacant, seed, 6)
+    for row in mutate(pop, 1.0, np.random.default_rng(seed), zone_bounds(vacant)):
+        assert is_valid_row(row, 7, 9)
 
 
 # ---------------------------------------------------------------- genetic algorithm
-
-
-def diversity_fitness(vectors):
-    def fitness(layout):
-        return layout_diversity(layout.by_zone(), vectors).total
-
-    return fitness
 
 
 def test_ga_solves_paired_fixture(paired_vectors, paired_adversarial):
@@ -317,6 +419,24 @@ def test_ga_deterministic(paired_vectors, paired_adversarial):
     b = ga_optimize(diversity_fitness(paired_vectors), paired_adversarial, cfg, seed=4)
     assert a[0].assignment == b[0].assignment
     assert a[1].best_so_far == b[1].best_so_far
+
+
+def test_ga_generation_zero_is_the_seeds_then_random_padding():
+    # generation 0 is drawn as before the population became an array, so
+    # the trace's first row equals that of the per-layout GA
+    vectors, template = random_instance(12)
+    seeds = [random_layout(template, np.random.default_rng(50))]
+    cfg = GaConfig(population=10, elites=3, random_survivors=2, generations=3)
+    _, trace = ga_optimize(diversity_fitness(vectors), template, cfg, seed=5, seeds_in=seeds)
+    rng = np.random.default_rng(5)
+    first = seeds + [random_layout(template, rng) for _ in range(9)]
+    assert trace.objectives[0] == min(layout_objective(lay, vectors) for lay in first)
+
+
+def test_ga_rejects_a_seed_of_another_structure(paired_vectors, paired_adversarial):
+    other = Layout.from_groups({"Z1": ["a1", "a2", "b1", "b2"]})
+    with pytest.raises(ValueError, match="differs from the template"):
+        ga_optimize(diversity_fitness(paired_vectors), paired_adversarial, seeds_in=[other])
 
 
 def test_ga_infeasible_config_rejected(paired_vectors, paired_adversarial):

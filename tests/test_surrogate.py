@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from zoneplan import synth
 from zoneplan.ingest import LightingTable, StepCalendar
-from zoneplan.optimize import Layout, random_layout
+from zoneplan.optimize import GaConfig, Layout, ga_optimize, random_layout
 from zoneplan.surrogate import (
     FEATURE_NAMES,
+    SCORE_KEYS,
     FeatureTable,
     LayoutScorer,
     MlrModel,
@@ -490,6 +491,67 @@ def test_scorer_rejects_unknown_zone_and_stateless_occupant(scorer_case, pop8):
         scorer.total({"Z9": pop8.occupants})
     with pytest.raises(ValueError, match="without states"):
         scorer.total({"Z1": ["nobody"]})
+
+
+def vacant_template(pop8) -> Layout:
+    # 8 occupants over two zones of 5 desks: two vacant desks
+    zones = {"Z1": [f"Z1-d{k}" for k in range(5)], "Z2": [f"Z2-d{k}" for k in range(5)]}
+    desks = zones["Z1"] + zones["Z2"]
+    return Layout(zones, dict(zip(desks[1:9], pop8.occupants)))
+
+
+def population_zones(population: np.ndarray) -> dict:
+    return {"Z1": population[:, :5], "Z2": population[:, 5:]}
+
+
+def layout_of(row, template: Layout) -> dict:
+    occupants = template.occupants()
+    return {
+        "Z1": [occupants[i] for i in row[:5] if i >= 0],
+        "Z2": [occupants[i] for i in row[5:] if i >= 0],
+    }
+
+
+def test_batched_totals_equal_total_bit_for_bit(scorer_case, pop8):
+    model, _, cal = scorer_case
+    template = vacant_template(pop8)
+    rng = np.random.default_rng(500)
+    tokens = np.r_[np.arange(8), -1, -1]
+    population = np.array([tokens[rng.permutation(10)] for _ in range(100)])
+    population[:3] = [[-1, -1, 0, 1, 2, 3, 4, 5, 6, 7],  # a zone short of occupants
+                      [0, 1, 2, 3, 4, 5, 6, 7, -1, -1],
+                      [0, 1, 2, 3, -1, 4, 5, 6, 7, -1]]
+    # 2 zones x 192 steps per layout: the population spans three chunks
+    assert 100 * 2 * pop8.n_steps > 2 * SCORE_KEYS
+    scorer = LayoutScorer(model, pop8, cal)
+    batched = scorer.totals(population_zones(population), template.occupants())
+    one_at_a_time = LayoutScorer(model, pop8, cal)
+    for row, got in zip(population, batched):
+        assert got == one_at_a_time.total(layout_of(row, template))
+
+
+def test_ga_generation_zero_scores_as_layouts_do(scorer_case, pop8):
+    # the trace's first row is the best total() of the seeds and the
+    # random_layout padding drawn from the run's generator
+    model, _, cal = scorer_case
+    template = vacant_template(pop8)
+    seeds = [random_layout(template, np.random.default_rng(600))]
+    cfg = GaConfig(population=12, elites=3, random_survivors=2, generations=2)
+    fitness = LayoutScorer(model, pop8, cal).totals
+    _, trace = ga_optimize(fitness, template, cfg, seed=8, seeds_in=seeds)
+    rng = np.random.default_rng(8)
+    first = seeds + [random_layout(template, rng) for _ in range(11)]
+    scorer = LayoutScorer(model, pop8, cal)
+    assert trace.objectives[0] == min(scorer.total(lay.by_zone()) for lay in first)
+
+
+def test_batched_totals_reject_a_stateless_occupant(scorer_case, pop8):
+    model, _, cal = scorer_case
+    population = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
+    with pytest.raises(ValueError, match="without states"):
+        LayoutScorer(model, pop8, cal).totals(
+            {"Z1": population[:, :4], "Z2": population[:, 4:]}, pop8.occupants[:7] + ["nobody"]
+        )
 
 
 # ---------------------------------------------------------------- persistence
