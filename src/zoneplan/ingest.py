@@ -42,35 +42,45 @@ def _epoch(dt: datetime) -> int:
     return int(dt.timestamp())
 
 
-def _read_rows(path, expected_header: list[str]):
-    """Yield (line_number, row) from a CSV, skipping '#' comment lines.
+def _parse_epoch(text: str) -> int:
+    """Epoch second of a CSV timestamp column (see parse_timestamp)."""
+    return int(parse_timestamp(text).timestamp())
 
-    Every data row must have as many fields as the header.  A CSV syntax
-    error or a byte that is not UTF-8 raises InputError naming the line.
-    Line numbers count physical lines; a row with a quoted line break is
-    numbered by its last line.
+
+def _key(text: str, column: str) -> str:
+    """A key column's value, which must not be empty."""
+    if not text:
+        raise InputError(f"empty {column}")
+    return text
+
+
+def _read_rows(path, expected_header: list[str], parse_row) -> None:
+    """Call parse_row(a, b, c) on each data row of a three-column CSV, fields stripped.
+
+    All six input schemas have three columns.  '#' lines are skipped.
+    CSV syntax errors, non-UTF-8 bytes and parse_row's InputErrors are
+    raised as InputErrors that start with path:line, counting physical
+    lines (a row with a quoted line break is numbered by its last line).
     """
-    n_fields = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = None
         try:
             for row in reader:
-                lineno = reader.line_num
                 if not row or (row[0].startswith("#")):
                     continue
                 if header is None:
                     header = [c.strip() for c in row]
                     if header != expected_header:
                         raise InputError(
-                            f"{path}: expected header {','.join(expected_header)}, "
-                            f"got {','.join(header)} at line {lineno}"
+                            f"expected header {','.join(expected_header)}, got {','.join(header)}"
                         )
                     continue
-                if len(row) != n_fields:
-                    raise InputError(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
-                yield lineno, row
-        except csv.Error as exc:
+                if len(row) != 3:
+                    raise InputError(f"expected 3 fields, got {len(row)}")
+                first, second, third = row
+                parse_row(first.strip(), second.strip(), third.strip())
+        except (csv.Error, InputError) as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise InputError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
@@ -109,33 +119,13 @@ def load_plug_load(path) -> dict[str, PlugLoadEvents]:
     Rows must be time-sorted within each occupant; duplicate or backward
     timestamps raise an error naming the offending line.
     """
-    times: dict[str, list[int]] = {}
-    powers: dict[str, list[float]] = {}
-    for lineno, row in _read_rows(path, ["occupant_id", "timestamp", "power_w"]):
-        occ, ts_text, power_text = (c.strip() for c in row)
-        if not occ:
-            raise InputError(f"{path}:{lineno}: empty occupant_id")
-        try:
-            t = _epoch(parse_timestamp(ts_text))
-            p = float(power_text)
-        except (InputError, ValueError):
-            raise InputError(f"{path}:{lineno}: malformed row {row!r}") from None
-        if not np.isfinite(p) or p < 0:
-            raise InputError(f"{path}:{lineno}: power must be finite and >= 0")
-        prev = times.get(occ)
-        if prev and t <= prev[-1]:
-            raise InputError(
-                f"{path}:{lineno}: non-monotone timestamp for occupant {occ}"
-            )
-        times.setdefault(occ, []).append(t)
-        powers.setdefault(occ, []).append(p)
     return {
         occ: PlugLoadEvents(
             occ,
-            np.asarray(times[occ], dtype=np.int64),
-            np.asarray(powers[occ], dtype=np.float64),
+            np.asarray(times, dtype=np.int64),
+            np.asarray(powers, dtype=np.float64),
         )
-        for occ in times
+        for occ, (times, powers) in _read_series(path, "power_w", _parse_power).items()
     }
 
 
@@ -282,28 +272,36 @@ def _csv_field(text: str, lineterminator: str) -> str:
     return buf.getvalue()[: -len(lineterminator) - 1]
 
 
-def _read_series(
-    path, value_name: str, kind: str, parse_value
-) -> tuple[list[str], datetime, list[list]]:
-    """Read occupant_id,timestamp,<value_name> rows that share one 15-minute timeline.
+def _read_series(path, value_name: str, parse_value) -> dict[str, tuple[list[int], list]]:
+    """Read occupant_id,timestamp,<value_name> rows, grouped by occupant.
 
-    parse_value converts one value cell or raises InputError; every row
-    error names the file and line.  Returns the occupants in first-seen
-    order, the timeline start and each occupant's values in file order.
+    parse_value converts one value cell or raises InputError.  Each
+    occupant's timestamps must increase strictly.  Returns the occupants
+    in first-seen order, each with its epochs and values in file order.
     """
     series: dict[str, tuple[list[int], list]] = {}
-    for lineno, row in _read_rows(path, ["occupant_id", "timestamp", value_name]):
-        try:
-            value = parse_value(row[2])
-            epoch = int(parse_timestamp(row[1]).timestamp())
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-        occ = row[0].strip()
-        if occ not in series:
-            series[occ] = ([], [])
-        times, values = series[occ]
+
+    def parse_row(occ, stamp, text):
+        group = series.get(occ)
+        if group is None:
+            group = series[_key(occ, "occupant_id")] = ([], [])
+        times, values = group
+        epoch = _parse_epoch(stamp)
+        value = parse_value(text)
+        if times and epoch <= times[-1]:
+            raise InputError(f"non-monotone timestamp for occupant {occ}")
         times.append(epoch)
         values.append(value)
+
+    _read_rows(path, ["occupant_id", "timestamp", value_name], parse_row)
+    return series
+
+
+def _read_timeline(
+    path, value_name: str, kind: str, parse_value
+) -> tuple[list[str], datetime, list[list]]:
+    """_read_series for rows on one shared, contiguous 15-minute timeline."""
+    series = _read_series(path, value_name, parse_value)
     if not series:
         raise InputError(f"{path}: no {kind} rows")
     occupants = list(series)
@@ -332,8 +330,11 @@ def _parse_power(text: str) -> float:
 
 
 def load_grid(path) -> TimeSeriesGrid:
-    occupants, start, values = _read_series(path, "power_w", "grid", _parse_power)
-    return TimeSeriesGrid(occupants, start, np.array(values, dtype=np.float64))
+    occupants, start, values = _read_timeline(path, "power_w", "grid", _parse_power)
+    try:
+        return TimeSeriesGrid(occupants, start, np.array(values, dtype=np.float64))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -353,26 +354,41 @@ class ZoneMap:
         if len(set(occs)) != len(occs):
             raise InputError("an occupant may hold at most one desk")
         if not self.entries:
-            raise InputError("zone map is empty")
+            raise InputError("no desk rows")
 
 
 def load_zone_map(path) -> ZoneMap:
+    return _read_desk_table(path, ["occupant_id", "desk_id", "zone_id"])
+
+
+def _read_desk_table(path, header: list[str]) -> ZoneMap:
+    """Read a zone map or layout CSV, whose three columns may come in any order."""
     entries = []
-    for lineno, row in _read_rows(path, ["occupant_id", "desk_id", "zone_id"]):
-        occ, desk, zone = (c.strip() for c in row)
-        if not desk or not zone:
-            raise InputError(f"{path}:{lineno}: desk_id and zone_id are required")
-        entries.append((occ, desk, zone))
-    return ZoneMap(entries)
+
+    def parse_row(*fields):
+        row = dict(zip(header, fields))
+        desk, zone = _key(row["desk_id"], "desk_id"), _key(row["zone_id"], "zone_id")
+        entries.append((row["occupant_id"], desk, zone))
+
+    _read_rows(path, header, parse_row)
+    try:
+        return ZoneMap(entries)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_zone_map(zone_map: ZoneMap, path, header_comment: str | None = None) -> None:
+    _write_rows(path, ["occupant_id", "desk_id", "zone_id"], zone_map.entries, header_comment)
+
+
+def _write_rows(path, header: list[str], rows, header_comment=None, lineterminator="\n") -> None:
+    """Write a table CSV after an optional '# ' comment line, fields quoted by csv.writer."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write("occupant_id,desk_id,zone_id\n")
-        for occ, desk, zone in zone_map.entries:
-            fh.write(f"{occ},{desk},{zone}\n")
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -409,28 +425,25 @@ def _check_lighting_record(zone: str, hour: int, wh: float) -> None:
 
 def load_lighting(path) -> LightingTable:
     records: dict[tuple[str, int], float] = {}
-    for lineno, row in _read_rows(path, ["zone_id", "hour_start", "energy_wh"]):
-        zone = row[0].strip()
-        try:
-            key = (zone, _epoch(parse_timestamp(row[1])))
-            wh = _parse_number(row[2], "energy_wh")
-            _check_lighting_record(*key, wh)
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+
+    def parse_row(zone, stamp, energy):
+        key = (_key(zone, "zone_id"), _parse_epoch(stamp))
+        wh = _parse_number(energy, "energy_wh")
+        _check_lighting_record(*key, wh)
         if key in records:
-            raise InputError(f"{path}:{lineno}: duplicate record for {key}")
+            raise InputError(f"duplicate record for {key}")
         records[key] = wh
+
+    _read_rows(path, ["zone_id", "hour_start", "energy_wh"], parse_row)
     return LightingTable(records)
 
 
 def write_lighting(table: LightingTable, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["zone_id", "hour_start", "energy_wh"])
-        for zone, hour in sorted(table.records):
-            writer.writerow([zone, format_timestamp(hour), repr(float(table.records[(zone, hour)]))])
+    rows = [
+        (zone, format_timestamp(hour), repr(float(table.records[(zone, hour)])))
+        for zone, hour in sorted(table.records)
+    ]
+    _write_rows(path, ["zone_id", "hour_start", "energy_wh"], rows, header_comment, "\r\n")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diversity import distance_matrix, layout_diversity, stack_vectors
-from .ingest import InputError, ZoneMap, _read_rows
+from .ingest import ZoneMap, _read_desk_table, _write_rows
 
 
 @dataclass
@@ -143,30 +143,12 @@ def write_trace(trace: OptTrace, path, header_comment: str | None = None) -> Non
 
 def write_layout(layout: Layout, path, header_comment: str | None = None) -> None:
     zone_of = layout.zone_of_desk()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("desk_id,zone_id,occupant_id\n")
-        for desk in layout.desk_order():
-            fh.write(f"{desk},{zone_of[desk]},{layout.assignment.get(desk, '')}\n")
+    rows = [(d, zone_of[d], layout.assignment.get(d, "")) for d in layout.desk_order()]
+    _write_rows(path, ["desk_id", "zone_id", "occupant_id"], rows, header_comment)
 
 
 def load_layout(path) -> Layout:
-    zones: dict[str, list[str]] = {}
-    assignment: dict[str, str] = {}
-    for lineno, row in _read_rows(path, ["desk_id", "zone_id", "occupant_id"]):
-        desk, zone, occ = (v.strip() for v in row)
-        if not desk or not zone:
-            raise InputError(f"{path}:{lineno}: desk_id and zone_id are required")
-        zones.setdefault(zone, []).append(desk)
-        if occ:
-            assignment[desk] = occ
-    if not zones:
-        raise InputError(f"{path}: no layout rows")
-    try:
-        return Layout(zones, assignment)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return Layout.from_zone_map(_read_desk_table(path, ["desk_id", "zone_id", "occupant_id"]))
 
 
 def layout_objective(layout: Layout, vectors: Mapping[str, np.ndarray]) -> float:

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, _read_series, _write_series
+from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, _read_timeline, _write_series
 
 _LN_2PI = float(np.log(2.0 * np.pi))
 
@@ -544,7 +544,7 @@ def _parse_state(text: str) -> int:
 
 
 def load_states(path) -> StateGrid:
-    occupants, start, states = _read_series(path, "state", "state", _parse_state)
+    occupants, start, states = _read_timeline(path, "state", "state", _parse_state)
     return StateGrid(occupants, start, np.array(states, dtype=np.int8))
 
 

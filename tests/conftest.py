@@ -5,6 +5,8 @@ treat fixture objects as read-only.
 """
 
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,15 @@ from zoneplan import ingest, optimize, synth
 from zoneplan.diversity import layout_diversity
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_module(path: Path):
+    """Import a repository file that is not on the import path (bench/, scripts/)."""
+    spec = importlib.util.spec_from_file_location(f"_{path.parent.name}_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> None:

@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, file outputs, deterministic reruns."""
 
 import argparse
+import csv
 import json
 from datetime import datetime, timezone
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_plug_load
+from conftest import REPO, load_module, write_plug_load
 from zoneplan import ingest
 from zoneplan import states as states_mod
 from zoneplan import synth
@@ -23,6 +24,7 @@ from zoneplan.ingest import (
     write_lighting,
     write_zone_map,
 )
+from zoneplan.optimize import load_layout
 
 UTC = timezone.utc
 
@@ -367,6 +369,27 @@ def full_pipeline(tmp_path, seed="0"):
     return out
 
 
+def csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ingest_then_infer_states_recovers_generated_states(tmp_path, seed):
+    # the benchmark's generator writes plug-load events from known states;
+    # ingest infers the window from the events
+    load_module(REPO / "bench" / "gen.py").generate(tmp_path / "in", seed, 8, 7, plug_load=True)
+    out = tmp_path / "out"
+    assert main(["ingest", "--plug-load", str(tmp_path / "in" / "plug_load.csv"),
+                 "--out-dir", str(out)]) == 0
+    assert main(["infer-states", "--grid", str(out / "grid.csv"), "--out-dir", str(out)]) == 0
+    truth = csv_rows(tmp_path / "in" / "truth_states.csv")
+    got = csv_rows(out / "states.csv")
+    assert [r[:2] for r in got] == [r[:2] for r in truth]
+    agreement = np.mean([a[2] == b[2] for a, b in zip(got, truth)])
+    assert agreement >= 0.97  # the benchmark's state-agreement floor
+
+
 def test_infer_states_outputs(tmp_path):
     out = full_pipeline(tmp_path)
     states_csv = read_text(out / "states.csv")
@@ -510,6 +533,27 @@ def test_train_surrogate_cv_folds_writes_cv_metrics(tmp_path, kind):
     doc = json.loads(read_text(out / "metrics.json"))
     assert set(doc["cv_metrics"]) == set(doc["test_metrics"])
     assert all(np.isfinite(v) for v in doc["cv_metrics"].values())
+
+
+def test_ids_with_a_comma_and_a_quote_survive_optimize_then_simulate(tmp_path):
+    grid = synth.generate_population((2, 2, 2, 2), 3, seed=4)
+    grid.occupants[:2] = ["A,1", 'B"2']
+    zones = {f"{z}, east": occs for z, occs in synth.archetype_pure_layout(grid, 4).items()}
+    entries = [(o, f'desk "{o}"', z) for z, occs in zones.items() for o in occs]
+    states_mod.write_states(grid, tmp_path / "states.csv")
+    write_zone_map(ZoneMap(entries), tmp_path / "zone_map.csv")
+    write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
+    inputs = ["--states", str(tmp_path / "states.csv"),
+              "--zone-map", str(tmp_path / "zone_map.csv")]
+    assert main(["train-surrogate", "--kind", "mlr", *inputs,
+                 "--lighting", str(tmp_path / "lighting.csv"),
+                 "--out-dir", str(tmp_path / "train")]) == 0
+    assert main(["optimize", "--method", "cluster", "--dims", "3", *inputs,
+                 "--out-dir", str(tmp_path / "cluster")]) == 0
+    layout = tmp_path / "cluster" / "layout_000.csv"
+    assert sorted(load_layout(layout).occupants()) == sorted(grid.occupants)
+    assert main(["simulate", *inputs, "--model", str(tmp_path / "train" / "model.json"),
+                 "--layout", str(layout), "--out-dir", str(tmp_path / "sim")]) == 0
 
 
 def test_simulate_round_trip(tmp_path, demo_dir):

@@ -90,10 +90,34 @@ def test_negative_power_rejected(tmp_path):
         load_plug_load(path)
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("O1,2018-01-01T00:15:00Z,abc", "power_w must be a number, got 'abc'"),
+     ("O1,2018-01-01T00:15:00Z,-1.0", "power must be finite and >= 0, got '-1.0'"),
+     ("O1,yesterday,1.0", "bad timestamp 'yesterday'"),
+     (",2018-01-01T00:15:00Z,1.0", "empty occupant_id")],
+)
+def test_plug_load_row_errors_name_the_column(tmp_path, bad_row, message):
+    path = write_csv(tmp_path / "p.csv", ["O1,2018-01-01T00:00:00Z,1.0", bad_row])
+    with pytest.raises(InputError) as info:
+        load_plug_load(path)
+    assert str(info.value).startswith(f"{path}:3: {message}")
+
+
 def test_wrong_header_rejected(tmp_path):
     path = write_csv(tmp_path / "p.csv", [], header="a,b,c")
     with pytest.raises(InputError, match="header"):
         load_plug_load(path)
+
+
+def test_wrong_header_names_file_and_line(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("# provenance line\na,b,c\n")
+    with pytest.raises(InputError) as info:
+        load_plug_load(path)
+    assert str(info.value) == (
+        f"{path}:2: expected header occupant_id,timestamp,power_w, got a,b,c"
+    )
 
 
 def test_comment_lines_skipped(tmp_path):
@@ -265,6 +289,50 @@ def test_grid_timelines_must_be_shared_and_contiguous(tmp_path):
         load_grid(short)
 
 
+@pytest.mark.parametrize(
+    "loader, header, rows, location, message",
+    [(load_grid, "occupant_id,timestamp,power_w",
+      ["O1,2018-01-01T00:00:00Z,1.0", ",2018-01-01T00:00:00Z,1.0"], 3, "empty occupant_id"),
+     (load_states, "occupant_id,timestamp,state",
+      ["O1,2018-01-01T00:00:00Z,1", " ,2018-01-01T00:00:00Z,1"], 3, "empty occupant_id"),
+     (ingest.load_lighting, "zone_id,hour_start,energy_wh",
+      ["Z1,2018-01-01T00:00:00Z,1.0", ",2018-01-01T00:00:00Z,1.0"], 3, "empty zone_id"),
+     (load_grid, "occupant_id,timestamp,power_w",
+      ["O1,2018-01-01T00:15:00Z,1.0", "O1,2018-01-01T00:00:00Z,1.0"], 3,
+      "non-monotone timestamp for occupant O1"),
+     (load_states, "occupant_id,timestamp,state",
+      ["O1,2018-01-01T00:00:00Z,1", "O2,2018-01-01T00:00:00Z,1",
+       "O2,2018-01-01T00:00:00Z,1"], 4, "non-monotone timestamp for occupant O2")],
+)
+def test_empty_key_or_backward_step_names_file_and_line(
+    tmp_path, loader, header, rows, location, message
+):
+    path = write_csv(tmp_path / "in.csv", rows, header)
+    with pytest.raises(InputError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:{location}: {message}"
+
+
+@pytest.mark.parametrize(
+    "loader, header, row, n_rows",
+    [(load_grid, "occupant_id,timestamp,power_w", "O1 , {} , 2.5", 96),
+     (load_states, "occupant_id,timestamp,state", "O1 , {} , 2", 1),
+     (ingest.load_lighting, "zone_id,hour_start,energy_wh", "Z1 , {} , 2.5", 1)],
+)
+def test_fields_with_spaces_around_them_are_accepted(tmp_path, loader, header, row, n_rows):
+    rows = [row.format(ingest.format_timestamp(ingest._epoch(T0) + 900 * k)) for k in range(n_rows)]
+    spaced = write_csv(tmp_path / "spaced.csv", rows, header)
+    plain = write_csv(tmp_path / "plain.csv", [r.replace(" ", "") for r in rows], header)
+    assert repr(loader(spaced)) == repr(loader(plain))
+
+
+def test_grid_of_a_partial_day_names_the_file(tmp_path):
+    path = write_csv(tmp_path / "g.csv", ["O1,2018-01-01T00:00:00Z,1.0"])
+    with pytest.raises(InputError) as info:
+        load_grid(path)
+    assert str(info.value) == f"{path}: grid column count must cover whole days"
+
+
 # ---------------------------------------------------------------- exclusions
 
 
@@ -325,6 +393,35 @@ def test_zone_map_duplicate_occupant_rejected(tmp_path):
     path.write_text("occupant_id,desk_id,zone_id\nO1,D1,Z1\nO1,D2,Z2\n")
     with pytest.raises(InputError, match="occupant"):
         load_zone_map(path)
+
+
+@pytest.mark.parametrize("loader", [load_zone_map, load_layout], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "rows, message",
+    [([("O1", "D1", "Z1"), ("O2", "D1", "Z2")], "desk_ids must be unique"),
+     ([("O1", "D1", "Z1"), ("O1", "D2", "Z2")], "an occupant may hold at most one desk"),
+     ([], "no desk rows")],
+)
+def test_desk_table_structure_errors_name_the_file(tmp_path, loader, rows, message):
+    header = _LOADER_HEADERS[loader].split(",")
+    path = tmp_path / "desks.csv"
+    lines = [",".join(dict(zip(["occupant_id", "desk_id", "zone_id"], r))[c] for c in header)
+             for r in rows]
+    write_csv(path, lines, ",".join(header))
+    with pytest.raises(InputError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("loader", [load_zone_map, load_layout], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("column", ["desk_id", "zone_id"])
+def test_desk_table_empty_key_names_file_and_line(tmp_path, loader, column):
+    header = _LOADER_HEADERS[loader].split(",")
+    row = {"occupant_id": "O1", "desk_id": "D1", "zone_id": "Z1", column: " "}
+    path = write_csv(tmp_path / "desks.csv", [",".join(row[c] for c in header)], ",".join(header))
+    with pytest.raises(InputError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:2: empty {column}"
 
 
 # ---------------------------------------------------------------- calendar

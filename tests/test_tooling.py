@@ -1,0 +1,48 @@
+"""The benchmark tracer and the experiment scripts still fit the library."""
+
+import functools
+import importlib
+
+import pytest
+
+from conftest import REPO, load_module
+from zoneplan import surrogate
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps functions by name; a renamed one would only show in a traced run
+    tracer = load_module(REPO / "bench" / "tracer.py")
+    for module_name, names in tracer.TARGETS.items():
+        module = importlib.import_module(f"zoneplan.{module_name}")
+        for name in names:
+            target = module
+            for part in name.split("."):
+                target = getattr(target, part)
+            assert callable(target), f"{module_name}.{name}"
+    traced = {f"{m}.{n}" for m, names in tracer.TARGETS.items() for n in names}
+    assert set(tracer.COUNTS) <= traced
+
+
+SCRIPT_RUNS = {
+    "run_known_optimum": (["--seeds", "2"],
+                          "seed,final_objective,gap,iterations_to_best,recovered"),
+    "run_dimension_sweep": (["--seeds", "2", "--days", "2", "--dims", "1", "3"],
+                            "d,seed,oracle_energy_wh"),
+    "run_layout_benchmark": (["--random-baseline", "2", "--train-layouts", "2",
+                              "--cluster-seeds", "2", "--generations", "2"],
+                             "label,oracle_energy_wh,pct_vs_random_mean"),
+}
+
+
+@pytest.mark.parametrize("script", list(SCRIPT_RUNS))
+def test_script_writes_its_csv(tmp_path, monkeypatch, script):
+    options, header = SCRIPT_RUNS[script]
+    # a 4-tree forest keeps the layout benchmark quick; its plumbing is what is checked
+    monkeypatch.setattr(surrogate, "RfConfig", functools.partial(surrogate.RfConfig, n_trees=4))
+    out = tmp_path / "result.csv"
+    argv = [script, "--counts", "2", "2", "2", "2", *options, "--out", str(out)]
+    monkeypatch.setattr("sys.argv", argv)
+    assert load_module(REPO / "scripts" / f"{script}.py").main() == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1
