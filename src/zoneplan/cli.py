@@ -332,15 +332,13 @@ def cmd_diversity_report(cfg: dict) -> int:
     daily_energy = np.array([[row[d[0] : d[-1] + 1].mean() for d in days] for row in energy])
     day_starts = state_grid.step_epochs()[:: ingest.STEPS_PER_DAY]
 
-    with open(out / "diversity_daily.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("zone_id,day_start,diversity,mean_energy_wh\n")
-        for j, zone_id in enumerate(zone_order):
-            for day_start, d_val, e_val in zip(day_starts, daily_diversity[j], daily_energy[j]):
-                fh.write(
-                    f"{zone_id},{ingest.format_timestamp(day_start)},"
-                    f"{float(d_val)!r},{float(e_val)!r}\n"
-                )
+    daily_rows = [
+        (zone_id, ingest.format_timestamp(day_start), float(d_val), float(e_val))
+        for zone_id, divs, energies in zip(zone_order, daily_diversity, daily_energy)
+        for day_start, d_val, e_val in zip(day_starts, divs, energies)
+    ]
+    columns = ["zone_id", "day_start", "diversity", "mean_energy_wh"]
+    ingest._write_rows(out / "diversity_daily.csv", columns, daily_rows, [header])
 
     results: list[tuple[str, div.RegressionResult | None]] = []
     for zone_id, divs, energies in zip(zone_order, daily_diversity, daily_energy):
@@ -405,16 +403,11 @@ def cmd_train_surrogate(cfg: dict) -> int:
             table.take(train_idx), y[train_idx], folds, lambda tbl, ty: fit(tbl, ty).predict_rows
         )
         doc["cv_metrics"] = _metrics_doc(cv)
-    with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ingest._write_json(out / "metrics.json", doc)
     if kind == "rf":
-        importance = surrogate.feature_importance(model)
-        with open(out / "importance.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {_header(cfg, 'train-surrogate')}\n")
-            fh.write("feature,importance\n")
-            for name in surrogate.FEATURE_NAMES:
-                fh.write(f"{name},{importance[name]!r}\n")
+        importance = surrogate.feature_importance(model).items()  # in FEATURE_NAMES order
+        comment = _header(cfg, "train-surrogate")
+        ingest._write_rows(out / "importance.csv", ["feature", "importance"], importance, [comment])
     print(f"wrote {out / 'model.json'} and {out / 'metrics.json'}")
     return 0
 
@@ -491,34 +484,28 @@ def cmd_optimize(cfg: dict) -> int:
         optimize.write_trace(trace, out / f"trace_{k:03d}.csv", header)
         runs.append((k, layout, objective))
 
-    with open(out / "optimize_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write(f"# method: {method} representation: {representation}\n")
-        if model is None:
-            fh.write("run,objective\n")
-            for k, _, objective in runs:
-                fh.write(f"{k},{objective!r}\n")
-        else:
-            existing = scorer.total(template.by_zone())
-            n_rand = int(cfg["optimize"]["random_baseline"])
-            rand_energies = []
-            for j in range(n_rand):
-                rng = np.random.default_rng(master + 100_000 + j)
-                rand_layout = optimize.random_layout(template, rng)
-                rand_energies.append(scorer.total(rand_layout.by_zone()))
-            rand_mean = float(np.mean(rand_energies)) if rand_energies else float("nan")
-            fh.write(f"# existing_energy_wh: {existing!r}\n")
-            fh.write(f"# random_mean_energy_wh: {rand_mean!r} (n={n_rand})\n")
-            fh.write("run,objective,energy_wh,pct_vs_existing,pct_vs_random_mean\n")
-            pct_exist_base = 0.0 if rand_mean == 0 else 100.0 * (existing - rand_mean) / rand_mean
-            fh.write(f"existing,,{existing!r},0.0,{pct_exist_base!r}\n")
-            for k, layout, objective in runs:
-                energy = scorer.total(layout.by_zone())
-                pct_exist = 0.0 if existing == 0 else 100.0 * (energy - existing) / existing
-                pct_rand = 0.0 if rand_mean == 0 else 100.0 * (energy - rand_mean) / rand_mean
-                fh.write(
-                    f"{k},{objective!r},{energy!r},{pct_exist!r},{pct_rand!r}\n"
-                )
+    comments = [header, f"method: {method} representation: {representation}"]
+    if model is None:
+        columns = ["run", "objective"]
+        rows = [(k, objective) for k, _, objective in runs]
+    else:
+        existing = scorer.total(template.by_zone())
+        n_rand = int(cfg["optimize"]["random_baseline"])
+        rand_energies = []
+        for j in range(n_rand):
+            rng = np.random.default_rng(master + 100_000 + j)
+            rand_layout = optimize.random_layout(template, rng)
+            rand_energies.append(scorer.total(rand_layout.by_zone()))
+        rand_mean = float(np.mean(rand_energies)) if rand_energies else float("nan")
+        comments.append(f"existing_energy_wh: {existing!r}")
+        comments.append(f"random_mean_energy_wh: {rand_mean!r} (n={n_rand})")
+        columns = ["run", "objective", "energy_wh", "pct_vs_existing", "pct_vs_random_mean"]
+        pct = surrogate.percent_change
+        rows = [("existing", "", existing, 0.0, pct(existing, rand_mean))]
+        for k, layout, objective in runs:
+            energy = scorer.total(layout.by_zone())
+            rows.append((k, objective, energy, pct(energy, existing), pct(energy, rand_mean)))
+    ingest._write_rows(out / "optimize_summary.csv", columns, rows, comments)
     print(f"wrote {batch} layout/trace pairs and {out / 'optimize_summary.csv'}")
     return 0
 
@@ -569,12 +556,13 @@ def cmd_synth_demo(cfg: dict) -> int:
         jitter_minutes=float(s["jitter_minutes"]),
     )
     states_mod.write_states(state_grid, out / "states.csv", header)
-    with open(out / "heatmap.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("occupant_id,step_index,state\n")
-        for i, occ in enumerate(state_grid.occupants):
-            for t in range(state_grid.n_steps):
-                fh.write(f"{occ},{t},{int(state_grid.states[i, t])}\n")
+    heatmap = (
+        (occ, t, state)
+        for occ, row in zip(state_grid.occupants, state_grid.states.tolist())
+        for t, state in enumerate(row)
+    )
+    columns = ["occupant_id", "step_index", "state"]
+    ingest._write_rows(out / "heatmap.csv", columns, heatmap, [header])
 
     cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
     pure_zones = synth.archetype_pure_layout(state_grid, n_zones)
@@ -638,13 +626,10 @@ def cmd_synth_demo(cfg: dict) -> int:
         ("cluster", oracle_total(cluster_layout)),
         ("ga", oracle_total(ga_layout)),
     ]
-    with open(out / "savings.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write(f"# rf_holdout_mae: {metrics.mae!r} r2_hourly: {metrics.r_squared!r}\n")
-        fh.write("label,oracle_energy_wh,pct_vs_random_mean\n")
-        for label, value in entries_rows:
-            pct = 0.0 if rand_mean == 0 else 100.0 * (value - rand_mean) / rand_mean
-            fh.write(f"{label},{value!r},{pct!r}\n")
+    columns = ["label", "oracle_energy_wh", "pct_vs_random_mean"]
+    rows = [(k, v, surrogate.percent_change(v, rand_mean)) for k, v in entries_rows]
+    comments = [header, f"rf_holdout_mae: {metrics.mae!r} r2_hourly: {metrics.r_squared!r}"]
+    ingest._write_rows(out / "savings.csv", columns, rows, comments)
     print(f"wrote synthetic demo outputs to {out}")
     return 0
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
-from .ingest import STEPS_PER_DAY
+from .ingest import STEPS_PER_DAY, _write_rows
 from .states import StateGrid
 
 
@@ -162,14 +162,9 @@ def ols_regress(x: np.ndarray, y: np.ndarray) -> RegressionResult:
 
 
 def write_diversity_csv(report: DiversityReport, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("# representation: raw\n")
-        fh.write("zone_id,diversity\n")
-        for zone_id in sorted(report.per_zone):
-            fh.write(f"{zone_id},{report.per_zone[zone_id]!r}\n")
-        fh.write(f"total,{report.total!r}\n")
+    rows = [(zone_id, report.per_zone[zone_id]) for zone_id in sorted(report.per_zone)]
+    rows.append(("total", report.total))
+    _write_rows(path, ["zone_id", "diversity"], rows, [header_comment, "representation: raw"])
 
 
 def write_regression_csv(
@@ -177,16 +172,12 @@ def write_regression_csv(
     path,
     header_comment: str | None = None,
 ) -> None:
-    """Emit per-zone regression rows; None marks a degenerate regressor."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("zone_id,slope,std_err,t,p,r2,n\n")
-        for zone_id, res in results:
-            if res is None:
-                fh.write(f"# {zone_id}: degenerate regressor (constant diversity)\n")
-                continue
-            fh.write(
-                f"{zone_id},{res.slope!r},{res.slope_std_err!r},"
-                f"{res.t_statistic!r},{res.p_value!r},{res.r_squared!r},{res.n}\n"
-            )
+    """Emit per-zone regression rows; a comment names each degenerate (None) zone."""
+    comments, rows = [header_comment], []
+    for zone_id, res in results:
+        if res is None:
+            comments.append(f"{zone_id}: degenerate regressor (constant diversity)")
+            continue
+        row = (res.slope, res.slope_std_err, res.t_statistic, res.p_value, res.r_squared, res.n)
+        rows.append((zone_id, *row))
+    _write_rows(path, ["zone_id", "slope", "std_err", "t", "p", "r2", "n"], rows, comments)

@@ -1,12 +1,15 @@
-"""Raw data loading and resampling onto a regular 15-minute power grid."""
+"""Raw data loading, 15-minute resampling, and the writer of every output file."""
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,17 +60,18 @@ def _key(text: str, column: str) -> str:
 def _read_rows(path, expected_header: list[str], parse_row) -> None:
     """Call parse_row(a, b, c) on each data row of a three-column CSV, fields stripped.
 
-    All six input schemas have three columns.  '#' lines are skipped.
-    CSV syntax errors, non-UTF-8 bytes and parse_row's InputErrors are
-    raised as InputErrors that start with path:line, counting physical
-    lines (a row with a quoted line break is numbered by its last line).
+    All six input schemas have three columns.  Empty lines are skipped, and
+    so are '#' lines before the header (after it, '#' is data).  CSV syntax
+    errors, non-UTF-8 bytes and parse_row's InputErrors are raised as
+    InputErrors that start with path:line, counting physical lines (a row
+    with a quoted line break is numbered by its last line).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = None
         try:
             for row in reader:
-                if not row or (row[0].startswith("#")):
+                if not row or (header is None and row[0].startswith("#")):
                     continue
                 if header is None:
                     header = [c.strip() for c in row]
@@ -244,32 +248,38 @@ def _write_series(
     epochs: np.ndarray,
     values: np.ndarray,
     header_comment: str | None = None,
-    lineterminator: str = "\r\n",
 ) -> None:
     """Write occupant_id,timestamp,<value_name> rows on one shared timeline.
 
     The counterpart of _read_series: occupant i's row of values, one per
     epoch, in occupant order, each value written as str() of its Python
     scalar.  The timeline is formatted once for all occupants.  Rows read
-    as csv.writer writes them: timestamps and numbers never need quoting,
+    as _write_rows writes them: timestamps and numbers never need quoting,
     so only the occupant id is quoted, when it must be.
     """
     stamps = [format_timestamp(t) for t in epochs.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"occupant_id,timestamp,{value_name}{lineterminator}")
+    with _create_csv(path, ["occupant_id", "timestamp", value_name], [header_comment]) as (fh, _):
         for occ, row in zip(occupants, values):
-            prefix = _csv_field(occ, lineterminator) + ","
-            rows = [f"{prefix}{t},{v}{lineterminator}" for t, v in zip(stamps, row.tolist())]
+            prefix = _csv_field(occ) + ","
+            rows = [f"{prefix}{t},{v}\n" for t, v in zip(stamps, row.tolist())]
             fh.write("".join(rows))
 
 
-def _csv_field(text: str, lineterminator: str) -> str:
-    """text as csv.writer writes it as one field of a longer row."""
+def _csv_field(text: str) -> str:
+    """text as _write_rows writes it as one field of a longer row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator=lineterminator).writerow([text, ""])
-    return buf.getvalue()[: -len(lineterminator) - 1]
+    _csv_writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_writer(fh):
+    """The one CSV row format: csv.writer quoting, rows ending in '\\n'.
+
+    csv.writer quotes only the characters of its own line terminator, so it
+    ends rows in '\\r\\n' to quote a bare '\\r'; each is written with '\\n'.
+    """
+    lf_rows = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+    return csv.writer(lf_rows, lineterminator="\r\n")
 
 
 def _read_series(path, value_name: str, parse_value) -> dict[str, tuple[list[int], list]]:
@@ -378,17 +388,30 @@ def _read_desk_table(path, header: list[str]) -> ZoneMap:
 
 
 def write_zone_map(zone_map: ZoneMap, path, header_comment: str | None = None) -> None:
-    _write_rows(path, ["occupant_id", "desk_id", "zone_id"], zone_map.entries, header_comment)
+    _write_rows(path, ["occupant_id", "desk_id", "zone_id"], zone_map.entries, [header_comment])
 
 
-def _write_rows(path, header: list[str], rows, header_comment=None, lineterminator="\n") -> None:
-    """Write a table CSV after an optional '# ' comment line, fields quoted by csv.writer."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
+def _write_rows(path, header: Sequence[str], rows, comments: Sequence[str | None] = ()) -> None:
+    """Write a CSV: a '# ' line per line of each comment, the header, then rows."""
+    with _create_csv(path, header, comments) as (_, writer):
         writer.writerows(rows)
+
+
+@contextmanager
+def _create_csv(path, header: Sequence[str], comments: Sequence[str | None]):
+    """Open path for writing, write the comment lines and header; yield (file, csv.writer)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(f"# {line}\n" for c in comments if c for line in c.splitlines()))
+        writer = _csv_writer(fh)
+        writer.writerow(header)
+        yield fh, writer
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write doc as JSON: 2-space indent, sorted keys, a final newline."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -440,10 +463,10 @@ def load_lighting(path) -> LightingTable:
 
 def write_lighting(table: LightingTable, path, header_comment: str | None = None) -> None:
     rows = [
-        (zone, format_timestamp(hour), repr(float(table.records[(zone, hour)])))
+        (zone, format_timestamp(hour), float(table.records[(zone, hour)]))
         for zone, hour in sorted(table.records)
     ]
-    _write_rows(path, ["zone_id", "hour_start", "energy_wh"], rows, header_comment, "\r\n")
+    _write_rows(path, ["zone_id", "hour_start", "energy_wh"], rows, [header_comment])
 
 
 @dataclass

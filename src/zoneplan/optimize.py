@@ -129,22 +129,17 @@ class OptTrace:
     objectives: list[float]
     best_so_far: list[float]
     accepted: list[tuple[int, str, str]] = field(default_factory=list)
-    kind: str = "swap"
 
 
 def write_trace(trace: OptTrace, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("iteration,objective,best_so_far\n")
-        for i, (obj, best) in enumerate(zip(trace.objectives, trace.best_so_far)):
-            fh.write(f"{i},{obj!r},{best!r}\n")
+    rows = [(i, *pair) for i, pair in enumerate(zip(trace.objectives, trace.best_so_far))]
+    _write_rows(path, ["iteration", "objective", "best_so_far"], rows, [header_comment])
 
 
 def write_layout(layout: Layout, path, header_comment: str | None = None) -> None:
     zone_of = layout.zone_of_desk()
     rows = [(d, zone_of[d], layout.assignment.get(d, "")) for d in layout.desk_order()]
-    _write_rows(path, ["desk_id", "zone_id", "occupant_id"], rows, header_comment)
+    _write_rows(path, ["desk_id", "zone_id", "occupant_id"], rows, [header_comment])
 
 
 def load_layout(path) -> Layout:
@@ -254,7 +249,7 @@ def swap_optimize(
         # no move raises the objective, so the final layout is the best one;
         # its exact objective replaces the incrementally updated value
         objectives[-1] = best[-1] = exact
-    return final, OptTrace(objectives, best, accepted, kind="swap")
+    return final, OptTrace(objectives, best, accepted)
 
 
 def crossover(
@@ -424,6 +419,5 @@ def ga_optimize(
 
     assert best_row is not None
     best = {desk: occupants[i] for desk, i in zip(desks, best_row) if i >= 0}
-    return Layout({z: list(d) for z, d in template.zones.items()}, best), OptTrace(
-        objectives, best_series, kind="ga"
-    )
+    layout = Layout({z: list(d) for z, d in template.zones.items()}, best)
+    return layout, OptTrace(objectives, best_series)

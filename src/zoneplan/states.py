@@ -8,14 +8,20 @@ Final labels are {1, 2, 3}, ordered by mean power.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .ingest import STEP_SECONDS, InputError, TimeSeriesGrid, _read_timeline, _write_series
+from .ingest import (
+    STEP_SECONDS,
+    InputError,
+    TimeSeriesGrid,
+    _read_timeline,
+    _write_json,
+    _write_series,
+)
 
 _LN_2PI = float(np.log(2.0 * np.pi))
 
@@ -528,9 +534,7 @@ def infer_states_detailed(
 
 def write_states(grid: StateGrid, path, header_comment: str | None = None) -> None:
     """Persist a StateGrid as occupant_id,timestamp,state rows."""
-    _write_series(
-        path, "state", grid.occupants, grid.step_epochs(), grid.states, header_comment, "\n"
-    )
+    _write_series(path, "state", grid.occupants, grid.step_epochs(), grid.states, header_comment)
 
 
 def _parse_state(text: str) -> int:
@@ -564,6 +568,4 @@ def write_models(fits: list[OccupantFit], config: StateConfig, path, extra: dict
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)

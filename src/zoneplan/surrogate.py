@@ -21,6 +21,8 @@ from .ingest import (
     InputError,
     LightingTable,
     StepCalendar,
+    _write_json,
+    _write_rows,
     format_timestamp,
 )
 from .states import StateGrid
@@ -588,6 +590,11 @@ class EnergyReport:
     percent_change: float | None = None
 
 
+def percent_change(value: float, base: float) -> float:
+    """Percent change of value from base; 0 when base is 0."""
+    return 0.0 if base == 0 else 100.0 * (value - base) / base
+
+
 class _RowEncoder:
     """Feature rows of layouts as int64 keys, one per zone per step.
 
@@ -740,7 +747,7 @@ class LayoutScorer:
         pct = None
         if baseline_zones is not None:
             baseline_total = self.total(baseline_zones)
-            pct = 0.0 if baseline_total == 0 else 100.0 * (grand - baseline_total) / baseline_total
+            pct = percent_change(grand, baseline_total)
         return EnergyReport(zone_order, hour_starts, hourly, grand, baseline_total, pct)
 
 
@@ -756,26 +763,20 @@ def predict_energy(
 
 
 def write_energy_report(report: EnergyReport, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"# grand_total_wh: {report.grand_total!r}\n")
-        if report.baseline_total is not None:
-            fh.write(f"# baseline_total_wh: {report.baseline_total!r}\n")
-            fh.write(f"# percent_change: {report.percent_change!r}\n")
-        fh.write("zone_id,period_start,energy_pred_wh\n")
-        for j, zone_id in enumerate(report.zone_order):
-            for h, epoch in enumerate(report.hour_epochs):
-                fh.write(
-                    f"{zone_id},{format_timestamp(int(epoch))},"
-                    f"{float(report.hourly[j, h])!r}\n"
-                )
+    comments = [header_comment, f"grand_total_wh: {report.grand_total!r}"]
+    if report.baseline_total is not None:
+        comments.append(f"baseline_total_wh: {report.baseline_total!r}")
+        comments.append(f"percent_change: {report.percent_change!r}")
+    rows = [
+        (zone_id, format_timestamp(int(epoch)), float(report.hourly[j, h]))
+        for j, zone_id in enumerate(report.zone_order)
+        for h, epoch in enumerate(report.hour_epochs)
+    ]
+    _write_rows(path, ["zone_id", "period_start", "energy_pred_wh"], rows, comments)
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, model.to_dict())
 
 
 def load_model(path):

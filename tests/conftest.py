@@ -109,7 +109,7 @@ def write_plug_load(events: dict, path, header_comment: str | None = None) -> No
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["occupant_id", "timestamp", "power_w"])
         for occ, ev in events.items():
             for t, p in zip(ev.times, ev.powers):

@@ -554,6 +554,16 @@ def test_ids_with_a_comma_and_a_quote_survive_optimize_then_simulate(tmp_path):
     assert sorted(load_layout(layout).occupants()) == sorted(grid.occupants)
     assert main(["simulate", *inputs, "--model", str(tmp_path / "train" / "model.json"),
                  "--layout", str(layout), "--out-dir", str(tmp_path / "sim")]) == 0
+    assert main(["diversity-report", *inputs, "--lighting", str(tmp_path / "lighting.csv"),
+                 "--out-dir", str(tmp_path / "div")]) == 0
+    # every CSV written reads back as rows as wide as its header
+    ragged = []
+    for path in sorted(tmp_path.rglob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+        if any(len(row) != len(header) for row in rows):
+            ragged.append(path.name)
+    assert ragged == []
 
 
 def test_simulate_round_trip(tmp_path, demo_dir):

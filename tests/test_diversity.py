@@ -14,6 +14,7 @@ from zoneplan.diversity import (
     layout_diversity,
     ols_regress,
     student_t_two_tailed_p,
+    write_regression_csv,
     zone_diversity,
 )
 
@@ -225,3 +226,19 @@ def test_daily_zone_diversity_rejects_a_partial_day():
     pop.states = pop.states[:, :100]
     with pytest.raises(ValueError, match="100 steps do not cover whole days"):
         daily_zone_diversity(pop, {"Z1": pop.occupants})
+
+
+def test_regression_csv_notes_a_degenerate_zone_before_the_header(tmp_path):
+    fit = ols_regress(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 4.0]))
+    results = [("Z1", fit), ("Z2", None), ("Z\n3", None)]
+    write_regression_csv(results, tmp_path / "r.csv", header_comment="h")
+    lines = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()
+    # a line break in a note's zone id starts another comment line
+    assert lines[:5] == [
+        "# h",
+        "# Z2: degenerate regressor (constant diversity)",
+        "# Z",
+        "# 3: degenerate regressor (constant diversity)",
+        "zone_id,slope,std_err,t,p,r2,n",
+    ]
+    assert [line.split(",")[0] for line in lines[5:]] == ["Z1"]

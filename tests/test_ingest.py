@@ -14,6 +14,7 @@ from zoneplan.ingest import (
     PlugLoadEvents,
     StepCalendar,
     TimeSeriesGrid,
+    ZoneMap,
     exclude_days,
     load_grid,
     load_plug_load,
@@ -21,6 +22,7 @@ from zoneplan.ingest import (
     parse_timestamp,
     resample_15min,
     write_grid,
+    write_zone_map,
 )
 from zoneplan.optimize import load_layout
 from zoneplan.states import load_states
@@ -265,7 +267,8 @@ def test_write_grid_bytes_match_per_row_formatting(tmp_path, start, crossed):
      ("O1,2018-01-01T00:15:00Z,inf", "power must be finite and >= 0"),
      ("O1,2018-01-01T00:15:00Z,-5", "power must be finite and >= 0"),
      ("O1,yesterday,1.0", "bad timestamp"),
-     ("O1,2018-01-01T00:15:00Z", "expected 3 fields")],
+     ("O1,2018-01-01T00:15:00Z", "expected 3 fields"),
+     ("# a comment after the header", "expected 3 fields")],
 )
 def test_grid_bad_row_names_file_and_line(tmp_path, bad_row, message):
     path = write_csv(tmp_path / "g.csv", ["O1,2018-01-01T00:00:00Z,1.0", bad_row])
@@ -379,6 +382,23 @@ def test_zone_map_loads_sizes_and_vacancies(tmp_path):
     assert zm.entries == [
         ("O1", "D1", "Z1"), ("", "D2", "Z1"), ("O2", "D3", "Z2"), ("O3", "D4", "Z2")
     ]
+
+
+def test_zone_map_round_trips_a_hash_leading_occupant_id(tmp_path):
+    # comments come only before the header, so a '#' id after it is data
+    zone_map = ZoneMap([("#1", "D1", "Z1"), ("O2", "D2", "Z1")])
+    write_zone_map(zone_map, tmp_path / "z.csv", header_comment="h")
+    assert load_zone_map(tmp_path / "z.csv").entries == zone_map.entries
+
+
+def test_ids_with_a_carriage_return_round_trip(tmp_path):
+    # a bare '\r' reads as a line end unless the writers quote it
+    entries = [("a\rb", "D1", "Z\r1"), ("O2", "D2", "Z\r1")]
+    write_zone_map(ZoneMap(entries), tmp_path / "z.csv")
+    assert load_zone_map(tmp_path / "z.csv").entries == entries
+    grid = TimeSeriesGrid(["a\rb", "O2"], T0, np.ones((2, 96)))
+    write_grid(grid, tmp_path / "g.csv")
+    assert load_grid(tmp_path / "g.csv").occupants == grid.occupants
 
 
 def test_zone_map_duplicate_desk_rejected(tmp_path):
@@ -585,3 +605,25 @@ def test_loaders_return_or_raise_input_error(tmp_path_factory, loader):
             pass
 
     check()
+
+
+_LOADER_ROWS = {
+    load_plug_load: ["O1,{},2.5"],
+    load_grid: ["O1,{},2.5"] * 96,
+    load_states: ["O1,{},2"] * 96,
+    load_zone_map: ["O1,D1,Z1", ",D2,Z1"],
+    ingest.load_lighting: ["Z1,2018-01-01T00:00:00Z,2.5", "Z2,2018-01-01T01:00:00Z,0"],
+    load_layout: ["D1,Z1,O1", "D2,Z1,"],
+}
+
+
+@pytest.mark.parametrize("loader", list(_LOADER_ROWS), ids=lambda f: f.__name__)
+def test_crlf_input_loads_like_lf_input(tmp_path, loader):
+    # every writer ends lines with LF; CRLF files from elsewhere still load
+    stamps = [ingest.format_timestamp(ingest._epoch(T0) + 900 * k) for k in range(96)]
+    rows = [row.format(stamp) for row, stamp in zip(_LOADER_ROWS[loader], stamps)]
+    lines = ["# a comment", _LOADER_HEADERS[loader], *rows]
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes("".join(f"{line}\n" for line in lines).encode())
+    crlf.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+    assert repr(loader(crlf)) == repr(loader(lf))

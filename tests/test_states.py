@@ -409,6 +409,15 @@ def test_states_csv_round_trips_an_occupant_id_with_a_comma(tmp_path):
     assert load_states(tmp_path / "s.csv").occupants == grid.occupants
 
 
+def test_states_csv_round_trips_a_hash_leading_occupant_id(tmp_path):
+    # comments come only before the header, so a '#' id after it is data
+    grid = StateGrid(["#1", "O2"], T0, np.array([[1, 2, 3] * 32, [3, 2, 1] * 32], dtype=np.int8))
+    write_states(grid, tmp_path / "s.csv", header_comment="h")
+    back = load_states(tmp_path / "s.csv")
+    assert back.occupants == grid.occupants
+    np.testing.assert_array_equal(back.states, grid.states)
+
+
 def test_states_csv_round_trip(tmp_path, pop8):
     write_states(pop8, tmp_path / "s.csv")
     back = load_states(tmp_path / "s.csv")
