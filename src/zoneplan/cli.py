@@ -144,11 +144,7 @@ def build_config(args: argparse.Namespace) -> dict:
         path = Path(value)
         if not path.exists():
             raise ingest.InputError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ingest.InputError(f"{path}: invalid JSON: {exc}") from exc
+        user = ingest._read_json(path)
         if not isinstance(user, dict):
             raise ingest.InputError(f"{path}: config must be a JSON object")
         try:
@@ -195,6 +191,11 @@ def config_hash(cfg: dict) -> str:
 
 def _header(cfg: dict, command: str) -> str:
     return f"zoneplan {command} config={config_hash(cfg)} seed={cfg['seed']}"
+
+
+def _provenance(cfg: dict, command: str) -> dict:
+    """The command and config hash that every JSON output records."""
+    return {"command": command, "config_hash": config_hash(cfg)}
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -292,7 +293,7 @@ def cmd_infer_states(cfg: dict) -> int:
         fits,
         state_cfg,
         out / "state_models.json",
-        extra={"config_hash": config_hash(cfg), "command": "infer-states"},
+        extra=_provenance(cfg, "infer-states"),
     )
     print(f"wrote {out / 'states.csv'} and {out / 'state_models.json'}")
     return 0
@@ -387,10 +388,9 @@ def cmd_train_surrogate(cfg: dict) -> int:
         y[test_idx], pred, test_table.hour_epoch, test_table.day_index
     )
     out = _out_dir(cfg)
-    surrogate.save_model(model, out / "model.json")
+    surrogate.save_model(model, out / "model.json", _provenance(cfg, "train-surrogate"))
     doc = {
-        "command": "train-surrogate",
-        "config_hash": config_hash(cfg),
+        **_provenance(cfg, "train-surrogate"),
         "seed": cfg["seed"],
         "kind": kind,
         "n_train_rows": int(train_idx.size),
@@ -594,7 +594,7 @@ def cmd_synth_demo(cfg: dict) -> int:
     )
     rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
     model = surrogate.fit_random_forest(train_table, train_y, rf_config, seed=seed)
-    surrogate.save_model(model, out / "model.json")
+    surrogate.save_model(model, out / "model.json", _provenance(cfg, "synth-demo"))
     hold_table, hold_y = synth.oracle_training_set(state_grid, layouts[n_train:], oracle_cfg, cal)
     hold_pred = model.predict_rows(hold_table)
     metrics = surrogate.evaluate(hold_y, hold_pred, hold_table.hour_epoch, hold_table.day_index)

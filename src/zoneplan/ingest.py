@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,14 +125,8 @@ def load_plug_load(path) -> dict[str, PlugLoadEvents]:
     Rows must be time-sorted within each occupant; duplicate or backward
     timestamps raise an error naming the offending line.
     """
-    return {
-        occ: PlugLoadEvents(
-            occ,
-            np.asarray(times, dtype=np.int64),
-            np.asarray(powers, dtype=np.float64),
-        )
-        for occ, (times, powers) in _read_series(path, "power_w", _parse_power).items()
-    }
+    series = _read_series(path, _POWER)
+    return {occ: PlugLoadEvents(occ, *series.rows(i)) for i, occ in enumerate(series.occupants)}
 
 
 @dataclass
@@ -255,8 +251,15 @@ def _write_series(
     epoch, in occupant order, each value written as str() of its Python
     scalar.  The timeline is formatted once for all occupants.  Rows read
     as _write_rows writes them: timestamps and numbers never need quoting,
-    so only the occupant id is quoted, when it must be.
+    so only the occupant id is quoted, when it must be.  An id the reader
+    would strip or reject raises ValueError.
     """
+    for occ in occupants:
+        if not occ or occ != occ.strip():
+            raise ValueError(
+                f"occupant id {occ!r} would not read back: ids must be non-empty "
+                "and have no surrounding whitespace"
+            )
     stamps = [format_timestamp(t) for t in epochs.tolist()]
     with _create_csv(path, ["occupant_id", "timestamp", value_name], [header_comment]) as (fh, _):
         for occ, row in zip(occupants, values):
@@ -282,47 +285,296 @@ def _csv_writer(fh):
     return csv.writer(lf_rows, lineterminator="\r\n")
 
 
-def _read_series(path, value_name: str, parse_value) -> dict[str, tuple[list[int], list]]:
-    """Read occupant_id,timestamp,<value_name> rows, grouped by occupant.
+class _Values(NamedTuple):
+    """A series file's value column: its name, its dtype, and its parsers.
 
-    parse_value converts one value cell or raises InputError.  Each
-    occupant's timestamps must increase strictly.  Returns the occupants
-    in first-seen order, each with its epochs and values in file order.
+    cell converts one cell for the row path; column converts a whole
+    column of unstripped cells for the column path and must give cell's
+    results, or raise.
     """
+
+    name: str
+    dtype: type
+    cell: Callable[[str], object]
+    column: Callable[[Sequence[str]], np.ndarray]
+
+
+class _Series(NamedTuple):
+    """A series file's rows grouped by occupant, in first-seen order.
+
+    Occupant i's rows are [bounds[i], bounds[i + 1]) of epochs and values,
+    in file order.
+    """
+
+    occupants: list[str]
+    bounds: np.ndarray
+    epochs: np.ndarray
+    values: np.ndarray
+
+    def rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        a, b = self.bounds[i], self.bounds[i + 1]
+        return self.epochs[a:b], self.values[a:b]
+
+
+class _Reject(Exception):
+    """The column path does not take this file; the row path reads it."""
+
+
+class _NotPlain(Exception):
+    """The file holds a '"', CR or NUL, which only csv.reader splits right."""
+
+
+_BLOCK_CHARS = 1 << 15  # column path block, about 2^10 rows
+_BLOCK_ROWS = 1 << 10
+
+
+def _read_series(path, values: _Values, shared_timeline: bool = False) -> _Series:
+    """Read occupant_id,timestamp,<values.name> rows, grouped by occupant.
+
+    Each occupant's timestamps must increase strictly.  The column path
+    reads the file a block of rows at a time; any file it does not take is
+    re-read by the row path, which defines what is accepted and names the
+    file and line of the first bad row.  Both give the same result.
+    shared_timeline says that the occupants are expected to repeat the
+    first one's timestamps (grid and state files), which the column path
+    then converts once.
+    """
+    try:
+        return _read_series_columns(path, values, shared_timeline)
+    except (_Reject, InputError, csv.Error, UnicodeDecodeError):
+        return _read_series_rows(path, values)
+
+
+def _read_series_rows(path, values: _Values) -> _Series:
+    """The row path: each row parsed and checked on its own, in file order."""
     series: dict[str, tuple[list[int], list]] = {}
 
     def parse_row(occ, stamp, text):
         group = series.get(occ)
         if group is None:
             group = series[_key(occ, "occupant_id")] = ([], [])
-        times, values = group
+        times, cells = group
         epoch = _parse_epoch(stamp)
-        value = parse_value(text)
+        value = values.cell(text)
         if times and epoch <= times[-1]:
             raise InputError(f"non-monotone timestamp for occupant {occ}")
         times.append(epoch)
-        values.append(value)
+        cells.append(value)
 
-    _read_rows(path, ["occupant_id", "timestamp", value_name], parse_row)
-    return series
+    _read_rows(path, ["occupant_id", "timestamp", values.name], parse_row)
+    groups = list(series.values())
+    bounds = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum([len(times) for times, _ in groups], out=bounds[1:])
+    return _Series(
+        list(series),
+        bounds,
+        np.array([t for times, _ in groups for t in times], dtype=np.int64),
+        np.array([v for _, cells in groups for v in cells], dtype=values.dtype),
+    )
 
 
-def _read_timeline(
-    path, value_name: str, kind: str, parse_value
-) -> tuple[list[str], datetime, list[list]]:
-    """_read_series for rows on one shared, contiguous 15-minute timeline."""
-    series = _read_series(path, value_name, parse_value)
-    if not series:
+def _read_series_columns(path, values: _Values, shared_timeline: bool = False) -> _Series:
+    """The column path: ids, timestamps and values converted a column at a time.
+
+    Raises _Reject, or an InputError without a line, for a file it does
+    not take as it is.
+    """
+    header = ["occupant_id", "timestamp", values.name]
+    try:
+        return _series_from_blocks(_plain_blocks(path, header), values, shared_timeline)
+    except _NotPlain:
+        return _series_from_blocks(_csv_blocks(path, header), values, shared_timeline)
+
+
+class _OccupantIndex(dict):
+    """Id cell as written -> occupant index, numbering stripped ids in first-seen order."""
+
+    def __init__(self):
+        super().__init__()
+        self.occupants: dict[str, int] = {}
+
+    def __missing__(self, cell: str) -> int:
+        occ = _key(cell.strip(), "occupant_id")
+        index = self[cell] = self.occupants.setdefault(occ, len(self.occupants))
+        return index
+
+
+def _series_from_blocks(blocks, values: _Values, shared_timeline: bool) -> _Series:
+    """Convert and group (ids, timestamps, values) cell blocks; raises where the row path must decide."""
+    index = _OccupantIndex()
+    first_timeline: dict[str, int] = {}  # the first occupant's stamp cells -> epochs
+    parts = []
+    for ids, stamps, cells in blocks:
+        occ_index = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+        try:
+            epochs = np.fromiter(map(first_timeline.__getitem__, stamps), np.int64, len(stamps))
+        except KeyError:
+            epochs = _epoch_column(stamps)
+            if shared_timeline:
+                rows = np.flatnonzero(occ_index == 0)
+                first_timeline.update(zip(map(stamps.__getitem__, rows), epochs[rows].tolist()))
+        parts.append((occ_index, epochs, values.column(cells)))
+    if not parts:
+        parts.append((np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, values.dtype)))
+    occ_index, epochs, column = (np.concatenate(col) for col in zip(*parts))
+    if np.any(occ_index[1:] < occ_index[:-1]):
+        order = np.argsort(occ_index, kind="stable")
+        occ_index, epochs, column = occ_index[order], epochs[order], column[order]
+    same_occupant = occ_index[1:] == occ_index[:-1]
+    if np.any(epochs[1:][same_occupant] <= epochs[:-1][same_occupant]):
+        raise _Reject("non-monotone timestamp")
+    bounds = np.searchsorted(occ_index, np.arange(len(index.occupants) + 1))
+    return _Series(list(index.occupants), bounds, epochs, column)
+
+
+def _plain_blocks(path, header: list[str]):
+    """Yield (ids, timestamps, values) cell lists of a file, a block of rows at a time.
+
+    Rows are split with str.split, which is what csv.reader does to a line
+    without a '"', CR or NUL; a file holding one raises _NotPlain.
+    """
+    limit = csv.field_size_limit()
+    in_body = False
+    carry = ""
+    with open(path, newline="", encoding="utf-8") as fh:
+        while True:
+            chunk = fh.read(_BLOCK_CHARS)
+            text = carry + chunk
+            if not chunk:
+                if not text:
+                    break
+                text += "\n"  # a last line without a line break
+            cut = text.rfind("\n") + 1
+            text, carry = text[:cut], text[cut:]
+            if '"' in text or "\r" in text or "\0" in text:
+                raise _NotPlain
+            if not in_body:
+                text, in_body = _after_header(text, header, limit)
+            if text:
+                yield _split_rows(text, limit)
+    if not in_body:
+        raise _Reject("missing header row")
+
+
+def _after_header(text: str, header: list[str], limit: int) -> tuple[str, bool]:
+    """The rows of text after the header line, and whether text held the header.
+
+    Blank lines and '#' lines before the header are skipped, as in _read_rows.
+    """
+    pos = 0
+    while pos < len(text):
+        end = text.index("\n", pos)
+        line, pos = text[pos:end], end + 1
+        if len(line) > limit:
+            raise _Reject("line longer than the CSV field limit")
+        if line and not line.startswith("#"):
+            if [c.strip() for c in line.split(",")] != header:
+                raise _Reject("wrong header")
+            return text[pos:], True
+    return "", False
+
+
+def _split_rows(text: str, limit: int) -> tuple[list[str], list[str], list[str]]:
+    """The three columns of plain text rows, each ending in '\\n'.
+
+    Raises _Reject unless every non-blank line has exactly three fields and
+    no line is longer than csv.reader's field limit.
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)  # ',' and '\n' are one byte in UTF-8
+    ends = (raw == ord("\n")).nonzero()[0]
+    if ends[0] == 0 or (ends[1:] - ends[:-1] == 1).any():  # csv.reader skips blank lines
+        text = "".join(line + "\n" for line in text.split("\n") if line)
+        return _split_rows(text, limit) if text else ([], [], [])
+    commas = (raw == ord(",")).nonzero()[0]
+    n = ends.size
+    if (
+        commas.size != 2 * n
+        or (commas[1::2] > ends).any()  # a line with fewer than three fields
+        or (commas[2::2] < ends[:-1]).any()  # a line with more
+        or (raw.size > limit and (np.diff(ends, prepend=-1) > limit + 1).any())
+    ):
+        raise _Reject("not three fields per line")
+    cells = text.replace("\n", ",").split(",")
+    return cells[0 : 3 * n : 3], cells[1::3], cells[2::3]
+
+
+def _csv_blocks(path, header: list[str]):
+    """_plain_blocks for any file, split with csv.reader."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and not row[0].startswith("#"):
+                break
+        else:
+            raise _Reject("missing header row")
+        if [c.strip() for c in row] != header:
+            raise _Reject("wrong header")
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            rows = [row for row in block if row]  # csv.reader gives [] for a blank line
+            if set(map(len, rows)) - {3}:
+                raise _Reject("not three fields per line")
+            if rows:
+                yield tuple(zip(*rows))
+
+
+# YYYY-MM-DDTHH:MM:SSZ as each character's lowest code and its range of codes
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_STAMP_SPAN = np.where(_STAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
+_YEAR_1_EPOCH = -62135596800  # 0001-01-01T00:00:00Z
+
+
+def _epoch_column(stamps: Sequence[str]) -> np.ndarray:
+    """_parse_epoch of each unstripped timestamp cell.
+
+    YYYY-MM-DDTHH:MM:SSZ cells are converted with one datetime64 call;
+    otherwise each distinct cell goes through _parse_epoch once.
+    """
+    epochs = _canonical_epochs(stamps)
+    if epochs is None:
+        table = {cell: _parse_epoch(cell.strip()) for cell in dict.fromkeys(stamps)}
+        epochs = np.fromiter(map(table.__getitem__, stamps), np.int64, len(stamps))
+    return epochs
+
+
+def _canonical_epochs(stamps: Sequence[str]) -> np.ndarray | None:
+    """Epochs of YYYY-MM-DDTHH:MM:SSZ cells, or None unless every cell has that form.
+
+    numpy checks the field ranges as datetime does, but also parses year
+    0000, which parse_timestamp rejects; that year is left to _parse_epoch.
+    """
+    if set(map(len, stamps)) != {_STAMP_LOW.size}:
+        return None
+    try:
+        text = "".join(stamps).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    chars = np.frombuffer(text, dtype=np.uint8).reshape(len(stamps), -1)
+    if (chars - _STAMP_LOW > _STAMP_SPAN).any():
+        return None
+    naive = np.ascontiguousarray(chars[:, :-1]).view(f"S{chars.shape[1] - 1}").ravel()
+    try:
+        epochs = naive.astype("datetime64[s]").astype(np.int64)
+    except ValueError:
+        return None
+    return None if (epochs < _YEAR_1_EPOCH).any() else epochs
+
+
+def _read_timeline(path, kind: str, values: _Values) -> tuple[list[str], datetime, np.ndarray]:
+    """_read_series for rows on one shared, contiguous 15-minute timeline.
+
+    Returns the occupants, the first step and the (n_occupants, n_steps) values.
+    """
+    series = _read_series(path, values, shared_timeline=True)
+    if not series.occupants:
         raise InputError(f"{path}: no {kind} rows")
-    occupants = list(series)
-    timeline = series[occupants[0]][0]
+    timeline = series.rows(0)[0]
     if np.any(np.diff(timeline) != STEP_SECONDS):
         raise InputError(f"{path}: {kind} timestamps must be contiguous 15-minute steps")
-    for occ in occupants:
-        if series[occ][0] != timeline:
+    for i, occ in enumerate(series.occupants):
+        if not np.array_equal(series.rows(i)[0], timeline):
             raise InputError(f"{path}: occupant {occ} does not share the {kind} timeline")
-    start = datetime.fromtimestamp(timeline[0], tz=timezone.utc)
-    return occupants, start, [series[occ][1] for occ in occupants]
+    start = datetime.fromtimestamp(int(timeline[0]), tz=timezone.utc)
+    return series.occupants, start, series.values.reshape(len(series.occupants), -1)
 
 
 def _parse_number(text: str, column: str) -> float:
@@ -339,10 +591,24 @@ def _parse_power(text: str) -> float:
     return p
 
 
-def load_grid(path) -> TimeSeriesGrid:
-    occupants, start, values = _read_timeline(path, "power_w", "grid", _parse_power)
+def _power_column(cells: Sequence[str]) -> np.ndarray:
+    """_parse_power of each cell: numpy converts a str as float() does."""
     try:
-        return TimeSeriesGrid(occupants, start, np.array(values, dtype=np.float64))
+        powers = np.array(cells, dtype=np.float64)
+    except ValueError:
+        raise _Reject("power_w must be a number") from None
+    if not ((powers >= 0.0) & (powers < np.inf)).all():
+        raise _Reject("power must be finite and >= 0")
+    return powers
+
+
+_POWER = _Values("power_w", np.float64, _parse_power, _power_column)
+
+
+def load_grid(path) -> TimeSeriesGrid:
+    occupants, start, values = _read_timeline(path, "grid", _POWER)
+    try:
+        return TimeSeriesGrid(occupants, start, values)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -405,6 +671,17 @@ def _create_csv(path, header: Sequence[str], comments: Sequence[str | None]):
         writer = _csv_writer(fh)
         writer.writerow(header)
         yield fh, writer
+
+
+def _read_json(path):
+    """Parse a JSON file; bytes that are not UTF-8 JSON are an InputError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _write_json(path, doc: dict) -> None:

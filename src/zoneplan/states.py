@@ -19,6 +19,7 @@ from .ingest import (
     InputError,
     TimeSeriesGrid,
     _read_timeline,
+    _Values,
     _write_json,
     _write_series,
 )
@@ -165,27 +166,35 @@ def _degenerate_model(value: float, n: int, priors: VbGmmPriors, k_max: int, see
     )
 
 
-def _kl_dirichlet(alpha: np.ndarray, alpha0: float) -> float:
+def _kl_dirichlet(alpha: np.ndarray, alpha0: float, e_log_weight: np.ndarray) -> float:
+    """KL(q(weights) || prior); e_log_weight = digamma(alpha) - digamma(alpha.sum())."""
     k = alpha.size
     a0 = np.full(k, alpha0)
-    total = alpha.sum()
     return float(
-        gammaln(total)
+        gammaln(alpha.sum())
         - gammaln(k * alpha0)
         + np.sum(gammaln(a0) - gammaln(alpha))
-        + np.sum((alpha - a0) * (digamma(alpha) - digamma(total)))
+        + np.sum((alpha - a0) * e_log_weight)
     )
 
 
 def _kl_normal_gamma(
-    m: np.ndarray, beta: np.ndarray, a: np.ndarray, b: np.ndarray, priors: VbGmmPriors
+    m: np.ndarray,
+    beta: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    priors: VbGmmPriors,
+    digamma_a: np.ndarray,
+    log_b: np.ndarray,
+    e_prec: np.ndarray,
 ) -> float:
+    """KL(q(means, precisions) || prior), given the E-step's digamma(a), log(b) and a / b."""
     m0, beta0, a0, b0 = priors.mean, priors.mean_scale, priors.shape, priors.rate
     kl_mean = 0.5 * (
-        np.log(beta / beta0) - 1.0 + beta0 / beta + beta0 * (a / b) * (m - m0) ** 2
+        np.log(beta / beta0) - 1.0 + beta0 / beta + beta0 * e_prec * (m - m0) ** 2
     )
     kl_gamma = (
-        (a - a0) * digamma(a) - gammaln(a) + gammaln(a0) + a0 * (np.log(b) - np.log(b0)) + a * (b0 - b) / b
+        (a - a0) * digamma_a - gammaln(a) + gammaln(a0) + a0 * (log_b - np.log(b0)) + a * (b0 - b) / b
     )
     return float(np.sum(kl_mean + kl_gamma))
 
@@ -322,7 +331,8 @@ def fit_vbgmm(
     alpha, beta, m, a, b = m_step()
     for _ in range(max_iter):
         e_log_weight = digamma(alpha) - digamma(alpha.sum())
-        e_log_prec = digamma(a) - np.log(b)
+        digamma_a, log_b = digamma(a), np.log(b)
+        e_log_prec = digamma_a - log_b
         e_prec = a / b
         offset = e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI
         np.subtract(x, m[:, None], out=log_rho)
@@ -332,8 +342,10 @@ def fit_vbgmm(
         np.multiply(log_rho, 0.5, out=log_rho)
         np.subtract(offset[:, None], log_rho, out=log_rho)
         normalize()
-        elbo = float(lse.sum()) - _kl_dirichlet(alpha, alpha0) - _kl_normal_gamma(
-            m, beta, a, b, resolved
+        elbo = (
+            float(lse.sum())
+            - _kl_dirichlet(alpha, alpha0, e_log_weight)
+            - _kl_normal_gamma(m, beta, a, b, resolved, digamma_a, log_b, e_prec)
         )
         elbo_trace.append(elbo)
         if len(elbo_trace) >= 2 and elbo - elbo_trace[-2] < tol:
@@ -547,9 +559,18 @@ def _parse_state(text: str) -> int:
     return s
 
 
+def _state_column(cells) -> np.ndarray:
+    """_parse_state of each cell, parsed once per distinct cell ("1", "2", "3")."""
+    table = {cell: _parse_state(cell.strip()) for cell in set(cells)}
+    return np.fromiter(map(table.__getitem__, cells), np.int8, len(cells))
+
+
+_STATE = _Values("state", np.int8, _parse_state, _state_column)
+
+
 def load_states(path) -> StateGrid:
-    occupants, start, states = _read_timeline(path, "state", "state", _parse_state)
-    return StateGrid(occupants, start, np.array(states, dtype=np.int8))
+    occupants, start, states = _read_timeline(path, "state", _STATE)
+    return StateGrid(occupants, start, states)
 
 
 def write_models(fits: list[OccupantFit], config: StateConfig, path, extra: dict | None = None) -> None:

@@ -10,7 +10,6 @@ across the hour's four steps for training and re-summed for reporting.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -21,6 +20,7 @@ from .ingest import (
     InputError,
     LightingTable,
     StepCalendar,
+    _read_json,
     _write_json,
     _write_rows,
     format_timestamp,
@@ -775,15 +775,26 @@ def write_energy_report(report: EnergyReport, path, header_comment: str | None =
     _write_rows(path, ["zone_id", "period_start", "energy_pred_wh"], rows, comments)
 
 
-def save_model(model, path) -> None:
-    _write_json(path, model.to_dict())
+def save_model(model, path, extra: dict | None = None) -> None:
+    """Write model.to_dict() as JSON, plus extra keys (such as provenance)."""
+    _write_json(path, {**model.to_dict(), **(extra or {})})
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    if d.get("kind") == "mlr":
-        return MlrModel.from_dict(d)
-    if d.get("kind") == "rf":
-        return RfModel.from_dict(d)
-    raise InputError(f"{path}: unknown model kind {d.get('kind')!r}")
+    """Read a save_model file; keys its model kind does not use are ignored."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a model file must hold a JSON object")
+    kind = doc.get("kind")
+    if kind == "mlr":
+        from_dict = MlrModel.from_dict
+    elif kind == "rf":
+        from_dict = RfModel.from_dict
+    else:
+        raise InputError(f"{path}: unknown model kind {kind!r}")
+    try:
+        return from_dict(doc)
+    except KeyError as exc:
+        raise InputError(f"{path}: {kind} model lacks key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed {kind} model: {exc}") from None

@@ -6,16 +6,23 @@ treat fixture objects as read-only.
 
 import csv
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zoneplan import ingest, optimize, synth
 from zoneplan.diversity import layout_diversity
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 REPO = Path(__file__).resolve().parents[1]
+
+# HYPOTHESIS_PROFILE=ci runs ten times hypothesis's default number of examples
+# in the tests that do not set their own; tier-1 keeps the default profile
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def load_module(path: Path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import REPO, load_module, write_plug_load
 from zoneplan import ingest
 from zoneplan import states as states_mod
-from zoneplan import synth
+from zoneplan import surrogate, synth
 from zoneplan.cli import DEFAULT_CONFIG, _make_parser, build_config, config_hash, main
 from zoneplan.ingest import (
     STEP_SECONDS,
@@ -502,6 +502,81 @@ def test_synth_demo_traces_monotone(demo_dir):
         ]
         best = [float(line.split(",")[2]) for line in body]
         assert all(a >= b - 1e-9 for a, b in zip(best, best[1:]))
+
+
+@pytest.mark.parametrize("kind", ["mlr", "rf"])
+def test_model_files_record_command_and_config_hash(tmp_path, demo_dir, kind):
+    # like every other output; load_model ignores both keys
+    demo_model = json.loads(read_text(demo_dir / "model.json"))
+    demo_header = read_text(demo_dir / "states.csv").splitlines()[0]
+    assert demo_model["command"] == "synth-demo"
+    assert f"config={demo_model['config_hash']} " in demo_header
+    grid = synth.generate_population((2, 2, 2, 2), 3, seed=4)
+    zones = synth.archetype_pure_layout(grid, 4)
+    states_mod.write_states(grid, tmp_path / "states.csv")
+    write_zone_map(ZoneMap([(o, o, z) for z, occs in zones.items() for o in occs]),
+                   tmp_path / "zone_map.csv")
+    write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
+    out = tmp_path / "out"
+    code = main(
+        [
+            "train-surrogate", "--kind", kind,
+            "--states", str(tmp_path / "states.csv"),
+            "--zone-map", str(tmp_path / "zone_map.csv"),
+            "--lighting", str(tmp_path / "lighting.csv"),
+            "--set", "surrogate.rf.n_trees=3",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    doc = json.loads(read_text(out / "model.json"))
+    metrics = json.loads(read_text(out / "metrics.json"))
+    assert doc["command"] == "train-surrogate"
+    assert doc["config_hash"] == metrics["config_hash"]
+    model = surrogate.load_model(out / "model.json")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("command", "config_hash")}))
+    table = surrogate.build_features(grid, zones, ingest.StepCalendar(grid.start, grid.n_steps))
+    np.testing.assert_array_equal(
+        model.predict_rows(table), surrogate.load_model(bare).predict_rows(table)
+    )
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"kind": "rf", "trees": [', "invalid JSON: Expecting value"),
+     (b'{"kind": "mlr", ', "invalid JSON: Expecting property name"),
+     (b'{"kind": "rf"}', "rf model lacks key 'trees'"),
+     (b'{"kind": "mlr", "intercept": 1.0}', "mlr model lacks key 'coefficients'"),
+     (b'{"kind": "rf", "trees": 5, "config": {}, "seed": 0, "zone_order": [],'
+      b' "importance_raw": []}', "malformed rf model"),
+     (b'{"kind": "svm"}', "unknown model kind 'svm'"),
+     (b"[1, 2]", "a model file must hold a JSON object"),
+     (b'{"kind": "\xff"}', "not UTF-8 text")],
+)
+def test_bad_model_file_exits_one_and_names_it(tmp_path, demo_dir, capsys, content, message):
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    code = main(
+        [
+            "simulate",
+            "--set", f"paths.states={demo_dir / 'states.csv'}",
+            "--set", f"paths.layout={demo_dir / 'cluster_layout.csv'}",
+            "--set", f"paths.model={model}",
+            "--out-dir", str(tmp_path / "sim"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: {model}: {message}" in err
+
+
+def test_bad_config_file_exits_one_and_names_it(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    for content, message in [(b'{"seed": ', "invalid JSON"), (b'{"seed": "\xff"}', "not UTF-8")]:
+        config.write_bytes(content)
+        assert main(["count-layouts", "--config", str(config), "4", "2"]) == 1
+        assert f"error: {config}: {message}" in capsys.readouterr().err
 
 
 def body_lines(text):

@@ -1,6 +1,9 @@
 """Ingest: event parsing, LOCF resampling, grids, zone maps, calendars."""
 
+import csv
+import io
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from zoneplan.ingest import (
     write_zone_map,
 )
 from zoneplan.optimize import load_layout
-from zoneplan.states import load_states
+from zoneplan.states import _STATE, load_states
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -627,3 +630,202 @@ def test_crlf_input_loads_like_lf_input(tmp_path, loader):
     lf.write_bytes("".join(f"{line}\n" for line in lines).encode())
     crlf.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
     assert repr(loader(crlf)) == repr(loader(lf))
+
+
+# ---------------------------------------------------------------- column path vs row path
+
+
+_SERIES_STARTS = [
+    datetime(2018, 1, 1, tzinfo=UTC),
+    datetime(1, 1, 1, tzinfo=UTC),
+    datetime(1969, 12, 31, 23, 30, tzinfo=UTC),
+    datetime(2019, 12, 31, 23, 30, tzinfo=UTC),
+    datetime(2020, 2, 28, 23, 30, tzinfo=UTC),
+    datetime(9999, 12, 31, 23, 0, tzinfo=UTC),
+]
+_STAMP_FORMS = [
+    "Z", "+00:00", "-05:00", "naive", "fraction", "space", "lowercase", "leap second", "year 0",
+    "expanded year",
+]
+_SERIES_IDS = ["O1", "O2", "desk 2, left", "#3", 'say "hi"', "٣", ""]
+_SERIES_CELLS = {
+    "power_w": ["1.5", "0", "22.75", "1_0", "٣", "+2", " 7", "1e400", "nan", "-1", "abc", ""],
+    "state": ["1", "2", "3", "+1", "01", "٢", " 2", "4", "0", "1.0", ""],
+}
+_SERIES_VALUES = {"power_w": ingest._POWER, "state": _STATE}
+
+
+def _stamp(dt: datetime, form: str) -> str:
+    text = f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}"
+    if form == "-05:00":
+        try:
+            dt = dt.astimezone(timezone(timedelta(hours=-5)))
+        except OverflowError:  # before year 1 in that zone
+            return text + "Z"
+        return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}-05:00"
+    return {
+        "Z": text + "Z",
+        "+00:00": text + "+00:00",
+        "naive": text,
+        "fraction": text + ".5Z",
+        "space": text.replace("T", " ") + "Z",
+        "lowercase": text.replace("T", "t") + "z",
+        "leap second": text[:-2] + "60Z",
+        "year 0": "0000" + text[4:] + "Z",
+        "expanded year": "+1" + text + "Z",
+    }[form]
+
+
+@st.composite
+def _series_files(draw, value_name):
+    """A series CSV as bytes: mostly well formed, with the forms a user's file may take."""
+    forms = draw(st.lists(st.sampled_from(_STAMP_FORMS), min_size=1, max_size=3, unique=True))
+    cells = draw(st.lists(st.sampled_from(_SERIES_CELLS[value_name]), min_size=1, max_size=3))
+    start = draw(st.sampled_from(_SERIES_STARTS))
+    per_occupant = [
+        [
+            [occ, _stamp(start + timedelta(minutes=15 * j), draw(st.sampled_from(forms))),
+             draw(st.sampled_from(cells))]
+            for j in range(draw(st.integers(0, 4)))
+        ]
+        for occ in draw(st.lists(st.sampled_from(_SERIES_IDS), min_size=1, max_size=3))
+    ]
+    order = [k for k, rows in enumerate(per_occupant) for _ in rows]
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))  # interleaved occupants
+    rows = [per_occupant[k].pop(0) for k in order]
+    if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
+        # a field moved across a line break: every row still has three
+        # fields in the flat cell sequence, but two lines do not
+        k = draw(st.integers(0, len(rows) - 2))
+        if draw(st.booleans()):
+            rows[k].append(rows[k + 1].pop(0))
+        else:
+            rows[k + 1].insert(0, rows[k].pop())
+    buf = io.StringIO()
+    quoting = csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL
+    writer = csv.writer(buf, quoting=quoting, lineterminator="\n")
+    for row in rows:
+        if draw(st.booleans()):
+            row = [f" {cell} " for cell in row]
+        width = draw(st.integers(0, 9))  # now and then a field short or one too many
+        writer.writerow(row[:2] if width == 0 else row + ["1"] if width == 1 else row)
+        if draw(st.integers(0, 9)) == 0:
+            buf.write("\n")
+    preamble = draw(st.lists(st.sampled_from(["# made by hand", '#a,"b', ""]), max_size=2))
+    text = "".join(f"{line}\n" for line in preamble)
+    text += f"occupant_id,timestamp,{value_name}\n" + buf.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return text.encode("utf-8")
+
+
+def _series_outcome(read, *args):
+    """A series reader's result as plain values, or its InputError message."""
+    try:
+        s = read(*args)
+    except InputError as exc:
+        return str(exc)
+    return s.occupants, s.bounds.tolist(), s.epochs.tolist(), s.values.tolist(), s.values.dtype
+
+
+def _column_outcome(*args):
+    """The column path's result, or None where it leaves the file to the row path."""
+    try:
+        s = ingest._read_series_columns(*args)
+    except (ingest._Reject, InputError, csv.Error, UnicodeDecodeError):
+        return None
+    return _series_outcome(lambda: s)
+
+
+@pytest.mark.parametrize("value_name", list(_SERIES_CELLS))
+def test_column_path_equals_row_path(tmp_path_factory, value_name):
+    # whatever the file, _read_series returns the row path's exact result or
+    # raises its InputError, and the column path alone never accepts a file
+    # the row path rejects; small blocks split rows, headers and ids across reads
+    path = tmp_path_factory.mktemp("series") / "in.csv"
+    values = _SERIES_VALUES[value_name]
+
+    @settings(deadline=None)
+    @given(_series_files(value_name), st.sampled_from([ingest._BLOCK_CHARS, 8, 50]), st.booleans())
+    def check(content, block_chars, shared_timeline):
+        path.write_bytes(content)
+        with mock.patch.multiple(ingest, _BLOCK_CHARS=block_chars, _BLOCK_ROWS=block_chars // 8 + 1):
+            want = _series_outcome(ingest._read_series_rows, path, values)
+            assert _series_outcome(ingest._read_series, path, values, shared_timeline) == want
+            columns = _column_outcome(path, values, shared_timeline)
+        if columns is not None:
+            assert columns == want
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [(["O1,2018-01-01T00:00:00Z,1,O1", "2018-01-01T00:15:00Z,2"], 2),
+     (["O1,2018-01-01T00:00:00Z", "1,O1,2018-01-01T00:15:00Z,2"], 2),
+     (["O1,2018-01-01T00:00:00Z,1,O1", "2018-01-01T00:15:00Z", "2,O1,2018-01-01T00:30:00Z,3"], 2)],
+)
+def test_a_field_moved_across_a_line_break_is_a_bad_row(tmp_path, rows, line):
+    # split into one flat cell list, these read as valid rows; each line must have three fields
+    path = write_csv(tmp_path / "p.csv", rows)
+    with pytest.raises(InputError) as info:
+        load_plug_load(path)
+    assert str(info.value).startswith(f"{path}:{line}: expected 3 fields")
+    assert _column_outcome(path, ingest._POWER) is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("#" + "x" * 200_000 + "\noccupant_id,timestamp,power_w\n",
+      ":1: field larger than field limit"),  # csv.reader splits comment lines too
+     ("", ": missing header row"),
+     ("# only a comment\n\n#\n", ": missing header row")],
+)
+def test_bad_preamble_names_the_file(tmp_path, text, message):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as info:
+        load_plug_load(path)
+    assert str(info.value).startswith(f"{path}{message}")
+    assert _column_outcome(path, ingest._POWER) is None
+
+
+@pytest.mark.parametrize(
+    "variant",
+    ["written", "offsets", "naive", "interleaved", "padded", "blank lines", "crlf", "quoted ids",
+     "small blocks"],
+)
+def test_column_path_takes_common_files(tmp_path, monkeypatch, variant):
+    # the row path is the fallback, not the rule: these all take the column path
+    rng = np.random.default_rng(3)
+    grid = TimeSeriesGrid(["O1", "O2", "O3"], datetime(2019, 12, 31, tzinfo=UTC),
+                          rng.uniform(0, 80, (3, 2 * 96)))
+    path = tmp_path / "g.csv"
+    write_grid(grid, path, header_comment="h")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    head, rows = lines[:2], lines[2:]
+    if variant == "offsets":
+        rows = [r.replace("Z,", "+00:00,") for r in rows]
+    elif variant == "naive":
+        rows = [r.replace("Z,", ",") for r in rows]
+    elif variant == "interleaved":
+        rows = [r for step in zip(rows[:192], rows[192:384], rows[384:]) for r in step]
+    elif variant == "padded":
+        rows = [" " + r.replace(",", " , ") + " " for r in rows]
+    elif variant == "blank lines":
+        rows = [r + "\n" if k % 7 == 0 else r for k, r in enumerate(rows)]
+    elif variant == "quoted ids":
+        rows = ['"' + r.replace(",", '",', 1) for r in rows]
+    elif variant == "small blocks":
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 100)
+    newline = "\r\n" if variant == "crlf" else "\n"
+    path.write_bytes("".join(line + newline for line in head + rows).encode())
+    want = _series_outcome(ingest._read_series_rows, path, ingest._POWER)
+    assert not isinstance(want, str)
+    assert _column_outcome(path, ingest._POWER, True) == want
+    back = load_grid(path)
+    np.testing.assert_array_equal(back.values, grid.values)
+    assert back.occupants == grid.occupants and back.start == grid.start

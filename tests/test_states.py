@@ -1,12 +1,13 @@
 """State inference: variational GMM fitting and two-step labeling."""
 
+import re
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 from zoneplan.ingest import STEP_SECONDS, InputError, TimeSeriesGrid, format_timestamp
 from zoneplan.states import (
@@ -17,8 +18,6 @@ from zoneplan.states import (
     VbGmmPriors,
     _degenerate_model,
     _exp,
-    _kl_dirichlet,
-    _kl_normal_gamma,
     converged,
     effective_components,
     fit_vbgmm,
@@ -117,6 +116,31 @@ def test_model_json_round_trip():
 # ---------------------------------------------------------------- kernel vs reference
 
 
+def reference_kl_dirichlet(alpha: np.ndarray, alpha0: float) -> float:
+    k = alpha.size
+    a0 = np.full(k, alpha0)
+    total = alpha.sum()
+    return float(
+        gammaln(total)
+        - gammaln(k * alpha0)
+        + np.sum(gammaln(a0) - gammaln(alpha))
+        + np.sum((alpha - a0) * (digamma(alpha) - digamma(total)))
+    )
+
+
+def reference_kl_normal_gamma(
+    m: np.ndarray, beta: np.ndarray, a: np.ndarray, b: np.ndarray, priors: VbGmmPriors
+) -> float:
+    m0, beta0, a0, b0 = priors.mean, priors.mean_scale, priors.shape, priors.rate
+    kl_mean = 0.5 * (
+        np.log(beta / beta0) - 1.0 + beta0 / beta + beta0 * (a / b) * (m - m0) ** 2
+    )
+    kl_gamma = (
+        (a - a0) * digamma(a) - gammaln(a) + gammaln(a0) + a0 * (np.log(b) - np.log(b0)) + a * (b0 - b) / b
+    )
+    return float(np.sum(kl_mean + kl_gamma))
+
+
 def reference_fit_vbgmm(
     samples: np.ndarray,
     k_max: int = 10,
@@ -127,7 +151,8 @@ def reference_fit_vbgmm(
 ) -> VbGmmModel:
     """Sample-major (n, k_max) VB-GMM iteration with scipy's logsumexp.
 
-    The reference the component-major fit_vbgmm is checked against.
+    The reference the component-major fit_vbgmm is checked against; its KL
+    terms recompute digamma and log from the parameters on their own.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -186,7 +211,7 @@ def reference_fit_vbgmm(
         )
         lse = logsumexp(log_rho, axis=1)
         resp = np.exp(log_rho - lse[:, None])
-        elbo = float(lse.sum()) - _kl_dirichlet(alpha, alpha0) - _kl_normal_gamma(
+        elbo = float(lse.sum()) - reference_kl_dirichlet(alpha, alpha0) - reference_kl_normal_gamma(
             m, beta, a, b, resolved
         )
         elbo_trace.append(elbo)
@@ -407,6 +432,18 @@ def test_states_csv_round_trips_an_occupant_id_with_a_comma(tmp_path):
     grid = StateGrid(["desk 1, left", "O2"], T0, np.ones((2, 96), dtype=np.int8))
     write_states(grid, tmp_path / "s.csv")
     assert load_states(tmp_path / "s.csv").occupants == grid.occupants
+
+
+@pytest.mark.parametrize("bad_id", [" O1", "O1 ", "O\t1\n", ""])
+def test_write_states_refuses_an_id_that_would_not_read_back(tmp_path, bad_id):
+    # the reader strips every field and rejects empty ids, so ' O1' would
+    # come back as 'O1', or merge with an 'O1' and fail as non-monotone
+    grid = StateGrid(["O1", bad_id], T0, np.ones((2, 96), dtype=np.int8))
+    with pytest.raises(ValueError, match=re.escape(repr(bad_id))):
+        write_states(grid, tmp_path / "s.csv")
+    spaced = StateGrid(["O1", "desk 2, left", "a b"], T0, np.ones((3, 96), dtype=np.int8))
+    write_states(spaced, tmp_path / "s.csv")  # inner spaces read back as written
+    assert load_states(tmp_path / "s.csv").occupants == spaced.occupants
 
 
 def test_states_csv_round_trips_a_hash_leading_occupant_id(tmp_path):

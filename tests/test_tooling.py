@@ -1,5 +1,5 @@
 """The benchmark tracer and the experiment scripts still fit the library, and
-the library writes its files from one module."""
+the library reads and writes its files from one module."""
 
 import ast
 import functools
@@ -50,31 +50,28 @@ def test_script_writes_its_csv(tmp_path, monkeypatch, script):
     assert len(lines) > 1
 
 
-def _writes_a_file(call: ast.Call) -> bool:
-    """Whether a call is open() or Path.open() with a writing mode, or Path.write_*()."""
-    is_builtin = isinstance(call.func, ast.Name) and call.func.id == "open"
-    attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
-    if attr in ("write_text", "write_bytes"):
-        return True
-    is_method = attr == "open"
-    if not (is_builtin or is_method):
-        return False
-    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
-    position = 1 if is_builtin else 0
-    if len(call.args) > position:
-        modes.append(call.args[position])
-    return any(
-        not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
-    )
+# open() and the methods and functions that open a file by its path
+_FILE_CALLS = {
+    "open", "read_text", "read_bytes", "write_text", "write_bytes",
+    "load", "loadtxt", "genfromtxt", "fromfile", "save", "savetxt", "savez", "tofile",
+}
 
 
-def test_only_ingest_opens_files_for_writing():
-    # every output goes through ingest's writers, so the format is decided once
-    writers = []
+def _opens_a_file(call: ast.Call) -> bool:
+    """Whether a call is open(), or a call such as Path.read_text() or json.load()."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id == "open"
+    return isinstance(call.func, ast.Attribute) and call.func.attr in _FILE_CALLS
+
+
+def test_only_ingest_opens_files():
+    # every input is read and every output written through ingest, so each
+    # file format and its error messages are decided in one module
+    openers = []
     for path in sorted((REPO / "src" / "zoneplan").glob("*.py")):
         if path.name == "ingest.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and _writes_a_file(node):
-                writers.append(f"{path.name}:{node.lineno}")
-    assert writers == []
+            if isinstance(node, ast.Call) and _opens_a_file(node):
+                openers.append(f"{path.name}:{node.lineno}")
+    assert openers == []
