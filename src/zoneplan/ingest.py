@@ -9,7 +9,6 @@ from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -320,28 +319,20 @@ class _Reject(Exception):
     """The column path does not take this file; the row path reads it."""
 
 
-class _NotPlain(Exception):
-    """The file holds a '"', CR or NUL, which only csv.reader splits right."""
-
-
 _BLOCK_CHARS = 1 << 15  # column path block, about 2^10 rows
-_BLOCK_ROWS = 1 << 10
 
 
-def _read_series(path, values: _Values, shared_timeline: bool = False) -> _Series:
+def _read_series(path, values: _Values) -> _Series:
     """Read occupant_id,timestamp,<values.name> rows, grouped by occupant.
 
     Each occupant's timestamps must increase strictly.  The column path
     reads the file a block of rows at a time; any file it does not take is
     re-read by the row path, which defines what is accepted and names the
     file and line of the first bad row.  Both give the same result.
-    shared_timeline says that the occupants are expected to repeat the
-    first one's timestamps (grid and state files), which the column path
-    then converts once.
     """
     try:
-        return _read_series_columns(path, values, shared_timeline)
-    except (_Reject, InputError, csv.Error, UnicodeDecodeError):
+        return _read_series_columns(path, values)
+    except (_Reject, InputError, UnicodeDecodeError):
         return _read_series_rows(path, values)
 
 
@@ -373,17 +364,14 @@ def _read_series_rows(path, values: _Values) -> _Series:
     )
 
 
-def _read_series_columns(path, values: _Values, shared_timeline: bool = False) -> _Series:
+def _read_series_columns(path, values: _Values) -> _Series:
     """The column path: ids, timestamps and values converted a column at a time.
 
     Raises _Reject, or an InputError without a line, for a file it does
     not take as it is.
     """
     header = ["occupant_id", "timestamp", values.name]
-    try:
-        return _series_from_blocks(_plain_blocks(path, header), values, shared_timeline)
-    except _NotPlain:
-        return _series_from_blocks(_csv_blocks(path, header), values, shared_timeline)
+    return _series_from_blocks(_plain_blocks(path, header), values)
 
 
 class _OccupantIndex(dict):
@@ -399,21 +387,13 @@ class _OccupantIndex(dict):
         return index
 
 
-def _series_from_blocks(blocks, values: _Values, shared_timeline: bool) -> _Series:
+def _series_from_blocks(blocks, values: _Values) -> _Series:
     """Convert and group (ids, timestamps, values) cell blocks; raises where the row path must decide."""
     index = _OccupantIndex()
-    first_timeline: dict[str, int] = {}  # the first occupant's stamp cells -> epochs
     parts = []
     for ids, stamps, cells in blocks:
         occ_index = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
-        try:
-            epochs = np.fromiter(map(first_timeline.__getitem__, stamps), np.int64, len(stamps))
-        except KeyError:
-            epochs = _epoch_column(stamps)
-            if shared_timeline:
-                rows = np.flatnonzero(occ_index == 0)
-                first_timeline.update(zip(map(stamps.__getitem__, rows), epochs[rows].tolist()))
-        parts.append((occ_index, epochs, values.column(cells)))
+        parts.append((occ_index, _epoch_column(stamps), values.column(cells)))
     if not parts:
         parts.append((np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, values.dtype)))
     occ_index, epochs, column = (np.concatenate(col) for col in zip(*parts))
@@ -431,7 +411,7 @@ def _plain_blocks(path, header: list[str]):
     """Yield (ids, timestamps, values) cell lists of a file, a block of rows at a time.
 
     Rows are split with str.split, which is what csv.reader does to a line
-    without a '"', CR or NUL; a file holding one raises _NotPlain.
+    without a '"', CR or NUL; a file holding one raises _Reject.
     """
     limit = csv.field_size_limit()
     in_body = False
@@ -447,7 +427,7 @@ def _plain_blocks(path, header: list[str]):
             cut = text.rfind("\n") + 1
             text, carry = text[:cut], text[cut:]
             if '"' in text or "\r" in text or "\0" in text:
-                raise _NotPlain
+                raise _Reject("quoted field, CR or NUL")
             if not in_body:
                 text, in_body = _after_header(text, header, limit)
             if text:
@@ -498,25 +478,6 @@ def _split_rows(text: str, limit: int) -> tuple[list[str], list[str], list[str]]
     return cells[0 : 3 * n : 3], cells[1::3], cells[2::3]
 
 
-def _csv_blocks(path, header: list[str]):
-    """_plain_blocks for any file, split with csv.reader."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row and not row[0].startswith("#"):
-                break
-        else:
-            raise _Reject("missing header row")
-        if [c.strip() for c in row] != header:
-            raise _Reject("wrong header")
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            rows = [row for row in block if row]  # csv.reader gives [] for a blank line
-            if set(map(len, rows)) - {3}:
-                raise _Reject("not three fields per line")
-            if rows:
-                yield tuple(zip(*rows))
-
-
 # YYYY-MM-DDTHH:MM:SSZ as each character's lowest code and its range of codes
 _STAMP_LOW = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _STAMP_SPAN = np.where(_STAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
@@ -564,7 +525,7 @@ def _read_timeline(path, kind: str, values: _Values) -> tuple[list[str], datetim
 
     Returns the occupants, the first step and the (n_occupants, n_steps) values.
     """
-    series = _read_series(path, values, shared_timeline=True)
+    series = _read_series(path, values)
     if not series.occupants:
         raise InputError(f"{path}: no {kind} rows")
     timeline = series.rows(0)[0]

@@ -796,5 +796,5 @@ def load_model(path):
         return from_dict(doc)
     except KeyError as exc:
         raise InputError(f"{path}: {kind} model lacks key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed {kind} model: {exc}") from None

@@ -550,6 +550,9 @@ def test_model_files_record_command_and_config_hash(tmp_path, demo_dir, kind):
      (b'{"kind": "mlr", "intercept": 1.0}', "mlr model lacks key 'coefficients'"),
      (b'{"kind": "rf", "trees": 5, "config": {}, "seed": 0, "zone_order": [],'
       b' "importance_raw": []}', "malformed rf model"),
+     (b'{"kind": "rf", "trees": [{"feature": [1099511627776]}]}', "malformed rf model"),
+     pytest.param(b'{"kind": "mlr", "intercept": 1' + b"0" * 400 + b"}", "malformed mlr model",
+                  id="mlr intercept past the float range"),
      (b'{"kind": "svm"}', "unknown model kind 'svm'"),
      (b"[1, 2]", "a model file must hold a JSON object"),
      (b'{"kind": "\xff"}', "not UTF-8 text")],

@@ -735,7 +735,7 @@ def _column_outcome(*args):
     """The column path's result, or None where it leaves the file to the row path."""
     try:
         s = ingest._read_series_columns(*args)
-    except (ingest._Reject, InputError, csv.Error, UnicodeDecodeError):
+    except (ingest._Reject, InputError, UnicodeDecodeError):
         return None
     return _series_outcome(lambda: s)
 
@@ -749,13 +749,13 @@ def test_column_path_equals_row_path(tmp_path_factory, value_name):
     values = _SERIES_VALUES[value_name]
 
     @settings(deadline=None)
-    @given(_series_files(value_name), st.sampled_from([ingest._BLOCK_CHARS, 8, 50]), st.booleans())
-    def check(content, block_chars, shared_timeline):
+    @given(_series_files(value_name), st.sampled_from([ingest._BLOCK_CHARS, 8, 50]))
+    def check(content, block_chars):
         path.write_bytes(content)
-        with mock.patch.multiple(ingest, _BLOCK_CHARS=block_chars, _BLOCK_ROWS=block_chars // 8 + 1):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
             want = _series_outcome(ingest._read_series_rows, path, values)
-            assert _series_outcome(ingest._read_series, path, values, shared_timeline) == want
-            columns = _column_outcome(path, values, shared_timeline)
+            assert _series_outcome(ingest._read_series, path, values) == want
+            columns = _column_outcome(path, values)
         if columns is not None:
             assert columns == want
 
@@ -795,8 +795,7 @@ def test_bad_preamble_names_the_file(tmp_path, text, message):
 
 @pytest.mark.parametrize(
     "variant",
-    ["written", "offsets", "naive", "interleaved", "padded", "blank lines", "crlf", "quoted ids",
-     "small blocks"],
+    ["written", "offsets", "naive", "interleaved", "padded", "blank lines", "small blocks"],
 )
 def test_column_path_takes_common_files(tmp_path, monkeypatch, variant):
     # the row path is the fallback, not the rule: these all take the column path
@@ -817,15 +816,12 @@ def test_column_path_takes_common_files(tmp_path, monkeypatch, variant):
         rows = [" " + r.replace(",", " , ") + " " for r in rows]
     elif variant == "blank lines":
         rows = [r + "\n" if k % 7 == 0 else r for k, r in enumerate(rows)]
-    elif variant == "quoted ids":
-        rows = ['"' + r.replace(",", '",', 1) for r in rows]
     elif variant == "small blocks":
         monkeypatch.setattr(ingest, "_BLOCK_CHARS", 100)
-    newline = "\r\n" if variant == "crlf" else "\n"
-    path.write_bytes("".join(line + newline for line in head + rows).encode())
+    path.write_bytes("".join(line + "\n" for line in head + rows).encode())
     want = _series_outcome(ingest._read_series_rows, path, ingest._POWER)
     assert not isinstance(want, str)
-    assert _column_outcome(path, ingest._POWER, True) == want
+    assert _column_outcome(path, ingest._POWER) == want
     back = load_grid(path)
     np.testing.assert_array_equal(back.values, grid.values)
     assert back.occupants == grid.occupants and back.start == grid.start
