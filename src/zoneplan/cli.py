@@ -65,7 +65,7 @@ DEFAULT_CONFIG: dict = {
         "p_high": 0.8,
         "jitter_minutes": 0.0,
         "start": "2018-01-01T00:00:00Z",
-        "train_layouts": 30,
+        "train_layouts": 24,
         "holdout_layouts": 6,
         "random_baseline": 20,
     },
@@ -540,6 +540,10 @@ def cmd_count_layouts(cfg: dict, occupants: int, zones: int, distinct: bool) -> 
 
 def cmd_synth_demo(cfg: dict) -> int:
     s = cfg["synth"]
+    for key, least in (("train_layouts", 0), ("holdout_layouts", 1), ("random_baseline", 1)):
+        if s[key] < least:
+            raise ingest.InputError(f"synth.{key} must be >= {least}, got {s[key]}")
+    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
     out = _out_dir(cfg)
     header = _header(cfg, "synth-demo")
     seed = int(cfg["seed"])
@@ -582,24 +586,27 @@ def cmd_synth_demo(cfg: dict) -> int:
     def oracle_total(layout: optimize.Layout) -> float:
         return synth.oracle_total(layout.by_zone(), state_grid, oracle_cfg, cal)
 
-    # train the surrogate on oracle data over many random layouts so it
-    # sees varied zone compositions, then hold some layouts out
-    n_train = int(s["train_layouts"])
-    layouts = [
-        optimize.random_layout(pure, np.random.default_rng(seed + 10_000 + j)).by_zone()
-        for j in range(n_train + int(s["holdout_layouts"]))
-    ]
+    def random_layouts(offset: int, n: int) -> list[optimize.Layout]:
+        rngs = (np.random.default_rng(seed + offset + j) for j in range(n))
+        return [optimize.random_layout(pure, rng) for rng in rngs]
+
+    # the surrogate trains on random layouts and swap-search trajectories,
+    # is scored on held-out random layouts, and the GA starts from the pool
+    vectors = state_grid.vectors()
+    train_layouts, pool = synth.protocol_layouts(
+        vectors, pure, s["train_layouts"], ga_config.population, seed
+    )
     train_table, train_y = synth.oracle_training_set(
-        state_grid, layouts[:n_train], oracle_cfg, cal
+        state_grid, [layout.by_zone() for layout in train_layouts], oracle_cfg, cal
     )
     rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
     model = surrogate.fit_random_forest(train_table, train_y, rf_config, seed=seed)
     surrogate.save_model(model, out / "model.json", _provenance(cfg, "synth-demo"))
-    hold_table, hold_y = synth.oracle_training_set(state_grid, layouts[n_train:], oracle_cfg, cal)
+    holdout = [layout.by_zone() for layout in random_layouts(10_000, s["holdout_layouts"])]
+    hold_table, hold_y = synth.oracle_training_set(state_grid, holdout, oracle_cfg, cal)
     hold_pred = model.predict_rows(hold_table)
     metrics = surrogate.evaluate(hold_y, hold_pred, hold_table.hour_epoch, hold_table.day_index)
 
-    vectors = state_grid.vectors()
     cluster_layout, cluster_trace = optimize.swap_optimize(
         vectors, existing, None, seed=seed
     )
@@ -608,17 +615,13 @@ def cmd_synth_demo(cfg: dict) -> int:
 
     scorer = surrogate.LayoutScorer(model, state_grid, cal)
     ga_layout, ga_trace = optimize.ga_optimize(
-        scorer.totals, pure, optimize.GaConfig(**cfg["optimize"]["ga"]), seed=seed
+        scorer.totals, pure, ga_config, seed=seed, seeds_in=pool
     )
     optimize.write_layout(ga_layout, out / "ga_layout.csv", header)
     optimize.write_trace(ga_trace, out / "ga_trace.csv", header)
 
-    n_rand = int(s["random_baseline"])
-    rand_totals = [
-        oracle_total(optimize.random_layout(pure, np.random.default_rng(seed + 20_000 + j)))
-        for j in range(n_rand)
-    ]
-    rand_mean = float(np.mean(rand_totals))
+    baseline = random_layouts(20_000, s["random_baseline"])
+    rand_mean = float(np.mean([oracle_total(layout) for layout in baseline]))
     entries_rows = [
         ("random_mean", rand_mean),
         ("existing", oracle_total(existing)),

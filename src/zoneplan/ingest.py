@@ -253,18 +253,23 @@ def _write_series(
     so only the occupant id is quoted, when it must be.  An id the reader
     would strip or reject raises ValueError.
     """
-    for occ in occupants:
-        if not occ or occ != occ.strip():
-            raise ValueError(
-                f"occupant id {occ!r} would not read back: ids must be non-empty "
-                "and have no surrounding whitespace"
-            )
+    _check_ids("occupant id", occupants)
     stamps = [format_timestamp(t) for t in epochs.tolist()]
     with _create_csv(path, ["occupant_id", "timestamp", value_name], [header_comment]) as (fh, _):
         for occ, row in zip(occupants, values):
             prefix = _csv_field(occ) + ","
             rows = [f"{prefix}{t},{v}\n" for t, v in zip(stamps, row.tolist())]
             fh.write("".join(rows))
+
+
+def _check_ids(column: str, ids) -> None:
+    """Raise ValueError for an id that _read_rows would strip or reject."""
+    for text in ids:
+        if not text or text != text.strip():
+            raise ValueError(
+                f"{column} {text!r} would not read back: ids must be non-empty "
+                "and have no surrounding whitespace"
+            )
 
 
 def _csv_field(text: str) -> str:
@@ -615,6 +620,10 @@ def _read_desk_table(path, header: list[str]) -> ZoneMap:
 
 
 def write_zone_map(zone_map: ZoneMap, path, header_comment: str | None = None) -> None:
+    occupants, desks, zones = zip(*zone_map.entries)
+    _check_ids("occupant id", filter(None, occupants))  # an empty one is a vacant desk
+    _check_ids("desk id", desks)
+    _check_ids("zone id", zones)
     _write_rows(path, ["occupant_id", "desk_id", "zone_id"], zone_map.entries, [header_comment])
 
 
@@ -700,6 +709,7 @@ def load_lighting(path) -> LightingTable:
 
 
 def write_lighting(table: LightingTable, path, header_comment: str | None = None) -> None:
+    _check_ids("zone id", {zone for zone, _ in table.records})
     rows = [
         (zone, format_timestamp(hour), float(table.records[(zone, hour)]))
         for zone, hour in sorted(table.records)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diversity import distance_matrix, layout_diversity, stack_vectors
-from .ingest import ZoneMap, _read_desk_table, _write_rows
+from .ingest import ZoneMap, _check_ids, _read_desk_table, _write_rows
 
 
 @dataclass
@@ -139,6 +139,9 @@ def write_trace(trace: OptTrace, path, header_comment: str | None = None) -> Non
 def write_layout(layout: Layout, path, header_comment: str | None = None) -> None:
     zone_of = layout.zone_of_desk()
     rows = [(d, zone_of[d], layout.assignment.get(d, "")) for d in layout.desk_order()]
+    _check_ids("desk id", zone_of)
+    _check_ids("zone id", layout.zones)
+    _check_ids("occupant id", layout.assignment.values())
     _write_rows(path, ["desk_id", "zone_id", "occupant_id"], rows, [header_comment])
 
 

@@ -121,30 +121,6 @@ class VbGmmModel:
             "degenerate": self.degenerate,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VbGmmModel":
-        def arr(key):
-            return np.array(
-                [np.inf if v is None else v for v in d[key]], dtype=float
-            )
-
-        return cls(
-            k_max=d["k_max"],
-            weights=arr("weights"),
-            means=arr("means"),
-            precisions=arr("precisions"),
-            dirichlet_concentration=arr("dirichlet_concentration"),
-            mean_location=arr("mean_location"),
-            mean_scale=arr("mean_scale"),
-            gamma_shape=arr("gamma_shape"),
-            gamma_rate=arr("gamma_rate"),
-            elbo_trace=list(d["elbo_trace"]),
-            priors=VbGmmPriors(**d["priors"]),
-            seed=d["seed"],
-            n_samples=d["n_samples"],
-            degenerate=d["degenerate"],
-        )
-
 
 def _degenerate_model(value: float, n: int, priors: VbGmmPriors, k_max: int, seed: int) -> VbGmmModel:
     one = np.ones(1)

@@ -6,7 +6,8 @@ randomly state 3 (with probability p_high) or state 2 inside them.  The
 oracle lights a zone while any assigned occupant showed motion (state 3)
 within a trailing hold window, giving closed-loop ground truth that
 flows through the same CSV schemas as measured data; oracle runs over
-a list of layouts also give the surrogate its training data.
+a list of layouts also give the surrogate its training data, and
+protocol_layouts picks those layouts and the GA's seed pool.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .ingest import STEPS_PER_DAY, LightingTable, StepCalendar
+from .optimize import Layout, random_layout, swap_optimize
 from .states import StateGrid
 from .surrogate import FeatureTable, build_features, concat_tables, targets_from_lighting
 
@@ -240,6 +242,39 @@ def oracle_training_set(
         tables.append(table)
         targets.append(targets_from_lighting(table, lighting))
     return concat_tables(tables), np.concatenate(targets)
+
+
+def protocol_layouts(
+    vectors: Mapping[str, np.ndarray],
+    template: Layout,
+    n_random: int,
+    population: int,
+    seed: int = 0,
+) -> tuple[list[Layout], list[Layout]]:
+    """Surrogate training layouts and GA seed pool of the closed-loop protocol.
+
+    Training: n_random random layouts, each stage of six swap-search runs
+    of six 300-iteration stages, and four 2000-iteration swap runs, so
+    near-optimal compositions are in-distribution.  Pool: population // 2
+    converged swap runs from random starts.  Both depend only on seed.
+    """
+
+    def start(tag: int, i: int) -> Layout:
+        rng = np.random.default_rng(np.random.SeedSequence([tag + seed, i]))
+        return random_layout(template, rng)
+
+    def swap(layout: Layout, run: int, iter_limit: int | None = None) -> Layout:
+        return swap_optimize(vectors, layout, iter_limit, seed=seed + run)[0]
+
+    train = [start(2024, j) for j in range(n_random)]
+    for s in range(6):
+        layout = start(7070, s)
+        for stage in range(6):
+            layout = swap(layout, 1000 + 100 * s + stage, 300)
+            train.append(layout)
+    train += [swap(start(8080, s), 2000 + s, 2000) for s in range(4)]
+    pool = [swap(start(3030, i), 3000 + i) for i in range(population // 2)]
+    return train, pool
 
 
 def archetype_pure_layout(states: StateGrid, n_zones: int) -> dict[str, list[str]]:

@@ -58,38 +58,20 @@ def pure60(pop60_masked):
 def ga_protocol(pop36, pop36_pure, pop36_calendar):
     """Trained count-composition fitness plus the clustering seed pool.
 
-    The forest trains on oracle data over random layouts and a swap-search
-    trajectory (partially and fully converged stages), so near-optimal
-    compositions are in-distribution.  Layouts are scored by the library's
-    memoized LayoutScorer, one population per call, so each distinct
-    feature row is predicted once.
+    synth.protocol_layouts gives the forest's training layouts (random
+    layouts and swap-search trajectories, so near-optimal compositions are
+    in-distribution) and 50 clustering layouts that seed every GA run.
+    Layouts are scored by the library's memoized LayoutScorer, one
+    population per call, so each distinct feature row is predicted once.
     """
     t0 = time.time()
-    vecs = pop36.vectors()
-
-    train_layouts = [random_start(pop36_pure, 2024, j) for j in range(24)]
-    for s in range(6):
-        lay = random_start(pop36_pure, 7070, s)
-        for stage in range(6):
-            lay, _ = op.swap_optimize(vecs, lay, iter_limit=300, seed=1000 + 100 * s + stage)
-            train_layouts.append(lay)
-    for s in range(4):
-        lay = random_start(pop36_pure, 8080, s)
-        lay, _ = op.swap_optimize(vecs, lay, iter_limit=2000, seed=2000 + s)
-        train_layouts.append(lay)
-
+    train_layouts, pool = synth.protocol_layouts(
+        pop36.vectors(), pop36_pure, 24, op.GaConfig().population
+    )
     train, y = synth.oracle_training_set(
         pop36, [lay.by_zone() for lay in train_layouts], calendar=pop36_calendar
     )
     rf = su.fit_random_forest(train, y, su.RfConfig(), seed=7)
-
-    # 50 clustering layouts seed every GA run; the GA pads to population
-    # with random layouts, reproducing the seeded-start protocol
-    pool = []
-    for i in range(50):
-        lay, _ = op.swap_optimize(vecs, random_start(pop36_pure, 3030, i), seed=3000 + i)
-        pool.append(lay)
-
     return su.LayoutScorer(rf, pop36, pop36_calendar).totals, pool, time.time() - t0
 
 

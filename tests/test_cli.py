@@ -504,6 +504,31 @@ def test_synth_demo_traces_monotone(demo_dir):
         assert all(a >= b - 1e-9 for a, b in zip(best, best[1:]))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("synth.random_baseline", 0),
+    ("synth.holdout_layouts", 0),
+    ("synth.train_layouts", -1),
+])
+def test_synth_demo_rejects_sizes_it_cannot_use(tmp_path, capsys, key, value):
+    # no random mean to compare with, no holdout to score, no negative count
+    out = tmp_path / "demo"
+    assert main(["synth-demo", "--set", f"{key}={value}", "--out-dir", str(out)]) == 1
+    assert f"error: {key} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_demo_trains_on_trajectories_alone(tmp_path):
+    # with no random training layouts the swap-search trajectories still train the forest
+    out = tmp_path / "demo"
+    argv = ["synth-demo", "--set", "synth.counts=[2,2,2,2]", "--set", "synth.train_layouts=0",
+            "--set", "synth.holdout_layouts=1", "--set", "synth.random_baseline=1",
+            "--set", "optimize.ga.population=4", "--set", "optimize.ga.elites=2",
+            "--set", "optimize.ga.random_survivors=0", "--set", "optimize.ga.generations=2",
+            "--set", "surrogate.rf.n_trees=2", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert "rf_holdout_mae: " in read_text(out / "savings.csv")
+
+
 @pytest.mark.parametrize("kind", ["mlr", "rf"])
 def test_model_files_record_command_and_config_hash(tmp_path, demo_dir, kind):
     # like every other output; load_model ignores both keys

@@ -404,6 +404,32 @@ def test_ids_with_a_carriage_return_round_trip(tmp_path):
     assert load_grid(tmp_path / "g.csv").occupants == grid.occupants
 
 
+@pytest.mark.parametrize("entry, bad", [
+    ((" O1", "D1", "Z1"), "occupant id ' O1'"),
+    (("O1", " D2", "Z1"), "desk id ' D2'"),
+    (("O1", "D1", "Z1 "), "zone id 'Z1 '"),
+    (("O1", "D1", ""), "zone id ''"),
+])
+def test_zone_map_writer_rejects_ids_that_would_not_read_back(tmp_path, entry, bad):
+    # the reader strips each field, so these would load as other ids
+    path = tmp_path / "z.csv"
+    with pytest.raises(ValueError, match=bad):
+        write_zone_map(ZoneMap([entry, ("", "D9", "Z9")]), path)
+    assert not path.exists()
+    vacant = ZoneMap([("", "D1", "Z1"), ("O1", "D2", "Z1")])  # an empty occupant is a vacant desk
+    write_zone_map(vacant, path)
+    assert load_zone_map(path).entries == vacant.entries
+
+
+def test_lighting_writer_rejects_zone_ids_that_would_not_read_back(tmp_path):
+    # ' Z1' and 'Z1' would load as two records for ('Z1', hour)
+    hour = ingest._epoch(T0)
+    path = tmp_path / "l.csv"
+    with pytest.raises(ValueError, match="zone id ' Z1'"):
+        ingest.write_lighting(ingest.LightingTable({(" Z1", hour): 1.0, ("Z1", hour): 2.0}), path)
+    assert not path.exists()
+
+
 def test_zone_map_duplicate_desk_rejected(tmp_path):
     path = tmp_path / "z.csv"
     path.write_text("occupant_id,desk_id,zone_id\nO1,D1,Z1\nO2,D1,Z2\n")

@@ -105,6 +105,20 @@ def test_layout_csv_round_trip(tmp_path, paired_adversarial):
     assert back.assignment == paired_adversarial.assignment
 
 
+@pytest.mark.parametrize("zones, assignment, bad", [
+    ({"Z1": [" D1"]}, {" D1": "O1"}, "desk id ' D1'"),
+    ({"Z1 ": ["D1"]}, {"D1": "O1"}, "zone id 'Z1 '"),
+    ({"Z1": ["D1", "D2"]}, {"D1": "O1 "}, "occupant id 'O1 '"),
+    ({"Z1": ["D1", "D2"]}, {"D1": ""}, "occupant id ''"),
+])
+def test_layout_writer_rejects_ids_that_would_not_read_back(tmp_path, zones, assignment, bad):
+    # the reader strips each field, and an empty occupant reads as a vacant desk
+    path = tmp_path / "l.csv"
+    with pytest.raises(ValueError, match=bad):
+        write_layout(Layout(zones, assignment), path)
+    assert not path.exists()
+
+
 def test_layout_csv_keeps_vacancies(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("desk_id,zone_id,occupant_id\nD1,Z1,O1\nD2,Z1,\nD3,Z2,O2\nD4,Z2,O3\n")

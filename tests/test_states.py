@@ -104,15 +104,6 @@ def test_determinism_same_seed_same_model():
     assert a.elbo_trace == b.elbo_trace
 
 
-def test_model_json_round_trip():
-    rng = np.random.default_rng(8)
-    model = fit_vbgmm(rng.uniform(0, 30, 300), seed=1)
-    back = VbGmmModel.from_dict(model.to_dict())
-    np.testing.assert_array_equal(back.means, model.means)
-    np.testing.assert_array_equal(back.weights, model.weights)
-    assert back.degenerate == model.degenerate
-
-
 # ---------------------------------------------------------------- kernel vs reference
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoneplan.ingest import StepCalendar
+from zoneplan.optimize import layout_objective
 from zoneplan.states import StateGrid
 from zoneplan.synth import (
     DEFAULT_ARCHETYPES,
@@ -19,6 +20,7 @@ from zoneplan.synth import (
     generate_schedule,
     oracle_lighting,
     oracle_lighting_table,
+    protocol_layouts,
 )
 
 UTC = timezone.utc
@@ -141,6 +143,24 @@ def test_archetype_pure_layout_groups_by_prefix(pop36):
 
 def one_occupant_states(row: np.ndarray):
     return StateGrid(["O1"], DEFAULT_START, row[None, :].astype(np.int64))
+
+
+def test_protocol_layouts(pop36, pop36_pure):
+    # 2 random layouts, 6 trajectories of 6 stages, 4 long swap runs; a pool
+    # of half the GA population; every layout a function of the seed
+    vectors = pop36.vectors()
+    train, pool = protocol_layouts(vectors, pop36_pure, 2, 7, seed=5)
+    assert len(train) == 2 + 6 * 6 + 4
+    assert len(pool) == 7 // 2
+    assert all(pop36_pure.same_structure(layout) for layout in train + pool)
+    again = protocol_layouts(vectors, pop36_pure, 2, 7, seed=5)
+    assert [lay.assignment for lay in train + pool] == [lay.assignment for lay in again[0] + again[1]]
+    other, _ = protocol_layouts(vectors, pop36_pure, 2, 0, seed=6)
+    assert [lay.assignment for lay in other] != [lay.assignment for lay in train]
+    for s in range(6):
+        stages = train[2 + 6 * s : 2 + 6 * (s + 1)]
+        objectives = [layout_objective(layout, vectors) for layout in stages]
+        assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
 
 def test_no_motion_all_standby():

@@ -2,13 +2,11 @@
 the library reads and writes its files from one module."""
 
 import ast
-import functools
 import importlib
 
 import pytest
 
 from conftest import REPO, load_module
-from zoneplan import surrogate
 
 
 def test_every_traced_name_resolves():
@@ -30,17 +28,12 @@ SCRIPT_RUNS = {
                           "seed,final_objective,gap,iterations_to_best,recovered"),
     "run_dimension_sweep": (["--seeds", "2", "--days", "2", "--dims", "1", "3"],
                             "d,seed,oracle_energy_wh"),
-    "run_layout_benchmark": (["--random-baseline", "2", "--train-layouts", "2",
-                              "--cluster-seeds", "2", "--generations", "2"],
-                             "label,oracle_energy_wh,pct_vs_random_mean"),
 }
 
 
 @pytest.mark.parametrize("script", list(SCRIPT_RUNS))
 def test_script_writes_its_csv(tmp_path, monkeypatch, script):
     options, header = SCRIPT_RUNS[script]
-    # a 4-tree forest keeps the layout benchmark quick; its plumbing is what is checked
-    monkeypatch.setattr(surrogate, "RfConfig", functools.partial(surrogate.RfConfig, n_trees=4))
     out = tmp_path / "result.csv"
     argv = [script, "--counts", "2", "2", "2", "2", *options, "--out", str(out)]
     monkeypatch.setattr("sys.argv", argv)
