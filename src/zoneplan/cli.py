@@ -544,6 +544,7 @@ def cmd_synth_demo(cfg: dict) -> int:
         if s[key] < least:
             raise ingest.InputError(f"synth.{key} must be >= {least}, got {s[key]}")
     ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
+    ga_config.validate()  # before any output is written
     out = _out_dir(cfg)
     header = _header(cfg, "synth-demo")
     seed = int(cfg["seed"])

@@ -709,7 +709,7 @@ def load_lighting(path) -> LightingTable:
 
 
 def write_lighting(table: LightingTable, path, header_comment: str | None = None) -> None:
-    _check_ids("zone id", {zone for zone, _ in table.records})
+    _check_ids("zone id", (zone for zone, _ in table.records))
     rows = [
         (zone, format_timestamp(hour), float(table.records[(zone, hour)]))
         for zone, hour in sorted(table.records)

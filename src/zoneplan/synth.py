@@ -256,7 +256,8 @@ def protocol_layouts(
     Training: n_random random layouts, each stage of six swap-search runs
     of six 300-iteration stages, and four 2000-iteration swap runs, so
     near-optimal compositions are in-distribution.  Pool: population // 2
-    converged swap runs from random starts.  Both depend only on seed.
+    converged swap runs from random starts.  Every random start and swap
+    run draws from a stream fixed by seed.
     """
 
     def start(tag: int, i: int) -> Layout:
