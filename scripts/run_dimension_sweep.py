@@ -28,6 +28,8 @@ def main() -> int:
     ap.add_argument("--jitter-minutes", type=float, default=45.0)
     ap.add_argument("--out", type=Path, default=Path("results/dimension_sweep.csv"))
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be >= 1")
 
     pop = synth.generate_population(
         tuple(args.counts), args.days, seed=args.pop_seed,
@@ -50,12 +52,13 @@ def main() -> int:
                 continue
             t0 = time.time()
             vectors = rd.project(m, factors, d, occupants).vectors()
+            seeds = list(range(args.seeds))
+            starts = [
+                op.random_layout(pure, np.random.default_rng(np.random.SeedSequence([44, s])))
+                for s in seeds
+            ]
             energies = []
-            for s in range(args.seeds):
-                start = op.random_layout(
-                    pure, np.random.default_rng(np.random.SeedSequence([44, s]))
-                )
-                layout, _ = op.swap_optimize(vectors, start, seed=s)
+            for s, (layout, _) in enumerate(op.swap_search(vectors, starts, None, seeds)):
                 e = synth.oracle_total(layout.by_zone(), pop, cfg, cal)
                 energies.append(e)
                 fh.write(f"{d},{s},{e!r}\n")

@@ -26,6 +26,8 @@ def main() -> int:
     ap.add_argument("--pop-seed", type=int, default=11, help="population seed")
     ap.add_argument("--out", type=Path, default=Path("results/known_optimum.csv"))
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be >= 1")
 
     pop = synth.generate_population(tuple(args.counts), args.days, seed=args.pop_seed)
     pure = op.Layout.from_groups(synth.archetype_pure_layout(pop, len(args.counts)))
@@ -37,13 +39,13 @@ def main() -> int:
     t0 = time.time()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("seed,final_objective,gap,iterations_to_best,recovered\n")
-        for s in range(args.seeds):
-            start = op.random_layout(
-                pure, np.random.default_rng(np.random.SeedSequence([101, s]))
-            )
-            layout, trace = op.swap_optimize(
-                vectors, start, iter_limit=args.iter_limit, seed=s
-            )
+        seeds = list(range(args.seeds))
+        starts = [
+            op.random_layout(pure, np.random.default_rng(np.random.SeedSequence([101, s])))
+            for s in seeds
+        ]
+        results = op.swap_search(vectors, starts, args.iter_limit, seeds)  # run together
+        for s, (layout, trace) in enumerate(results):
             final = op.layout_objective(layout, vectors)
             gap = final - target
             recovered = abs(gap) <= 1e-9

@@ -156,6 +156,8 @@ def build_config(args: argparse.Namespace) -> dict:
         _apply_set(cfg, assignment)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
+    if cfg["seed"] < 0:  # numpy's generators take no negative seed
+        raise ingest.InputError(f"seed must be >= 0, got {cfg['seed']}")
     if getattr(args, "out_dir", None):
         cfg["out_dir"] = args.out_dir
     for flag, key in (
@@ -424,10 +426,18 @@ def _load_seed_layouts(path_value) -> list[optimize.Layout]:
     return [optimize.load_layout(path)]
 
 
+def _ga_config(cfg: dict) -> optimize.GaConfig:
+    """The GA settings, checked before any input is read or output written."""
+    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
+    ga_config.validate(prefix="optimize.ga.")
+    return ga_config
+
+
 def cmd_optimize(cfg: dict) -> int:
+    method = cfg["optimize"]["method"]
+    ga_config = _ga_config(cfg) if method == "ga" else None
     state_grid = _load_states(cfg)
     template = _load_layout_from_zone_map(cfg)
-    method = cfg["optimize"]["method"]
     batch = int(cfg["optimize"]["batch"])
     if batch < 1:
         raise ingest.InputError("optimize.batch must be >= 1")
@@ -435,7 +445,6 @@ def cmd_optimize(cfg: dict) -> int:
     header = _header(cfg, "optimize")
     cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
     master = int(cfg["seed"])
-    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
 
     model = None
     if cfg["paths"].get("model"):
@@ -463,26 +472,23 @@ def cmd_optimize(cfg: dict) -> int:
     scorer = None
     if model is not None:
         scorer = surrogate.LayoutScorer(model, state_grid, cal)
+    seeds = [master + k for k in range(batch)]
+    if method == "cluster":
+        # the batch's runs are searched together, each as it would run alone
+        starts = [optimize.random_layout(template, np.random.default_rng(s)) for s in seeds]
+        results = optimize.swap_search(vectors, starts, cfg["optimize"]["iter_limit"], seeds)
+    elif method == "ga":
+        results = [
+            optimize.ga_optimize(scorer.totals, template, ga_config, seed=s, seeds_in=seeds_in)
+            for s in seeds
+        ]
+    else:
+        raise ingest.InputError(f"optimize.method must be cluster or ga, got {method!r}")
     runs = []
-    for k in range(batch):
-        run_seed = master + k
-        if method == "cluster":
-            rng = np.random.default_rng(run_seed)
-            initial = optimize.random_layout(template, rng)
-            layout, trace = optimize.swap_optimize(
-                vectors, initial, cfg["optimize"]["iter_limit"], seed=run_seed
-            )
-            objective = trace.best_so_far[-1]
-        elif method == "ga":
-            layout, trace = optimize.ga_optimize(
-                scorer.totals, template, ga_config, seed=run_seed, seeds_in=seeds_in
-            )
-            objective = trace.best_so_far[-1]
-        else:
-            raise ingest.InputError(f"optimize.method must be cluster or ga, got {method!r}")
+    for k, (layout, trace) in enumerate(results):
         optimize.write_layout(layout, out / f"layout_{k:03d}.csv", header)
         optimize.write_trace(trace, out / f"trace_{k:03d}.csv", header)
-        runs.append((k, layout, objective))
+        runs.append((k, layout, trace.best_so_far[-1]))
 
     comments = [header, f"method: {method} representation: {representation}"]
     if model is None:
@@ -543,8 +549,7 @@ def cmd_synth_demo(cfg: dict) -> int:
     for key, least in (("train_layouts", 0), ("holdout_layouts", 1), ("random_baseline", 1)):
         if s[key] < least:
             raise ingest.InputError(f"synth.{key} must be >= {least}, got {s[key]}")
-    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
-    ga_config.validate()  # before any output is written
+    ga_config = _ga_config(cfg)
     out = _out_dir(cfg)
     header = _header(cfg, "synth-demo")
     seed = int(cfg["seed"])

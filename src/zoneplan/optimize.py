@@ -1,10 +1,11 @@
 """Layout optimizers: greedy swap clustering and a genetic algorithm.
 
 A layout assigns occupants to desks grouped into fixed-size zones.  The
-swap optimizer minimizes total zone diversity with incremental deltas;
-the GA breeds a population held as one desk-slot array and minimizes any
-caller-supplied population fitness (typically surrogate energy).  Both
-are fully seeded and deterministic.
+swap optimizer minimizes total zone diversity with incremental deltas,
+advancing any number of independent runs in lockstep; the GA breeds a
+population held as one desk-slot array and minimizes any caller-supplied
+population fitness (typically surrogate energy).  Both are fully seeded
+and deterministic.
 """
 
 from __future__ import annotations
@@ -166,93 +167,195 @@ def swap_optimize(
     the lowest-delta swap of its occupant against every occupant in
     every other zone, the null swap included (ties break to the lowest
     occupant index, the null swap counting as its own occupant's index).
+    The search is swap_search with one run.
     """
-    if not initial.assignment:
+    return swap_search(vectors, [initial], iter_limit, [seed])[0]
+
+
+def swap_search(
+    vectors: Mapping[str, np.ndarray],
+    initials: Sequence[Layout],
+    iter_limit: int | None,
+    seeds: Sequence[int],
+) -> list[tuple[Layout, OptTrace]]:
+    """Independent swap searches (see swap_optimize), one per start and seed,
+    advanced in lockstep.
+
+    Each run's result is the one it gives alone.  Runs share only the
+    distance matrix; each keeps its own zone counts (vacant desks may leave
+    runs with different counts), its desk stream (drawn up front from its
+    seed), its incrementally updated objective and its exact recompute
+    every 1024 iterations.  State is held as (R, n) occupant arrays and an
+    (R, n_zones, n) array m, m[r, z, i] being the total distance from
+    occupant i to zone z in run r.  A run moves in only a small share of
+    its iterations, so the terms that depend on its zones alone are cached
+    and refreshed when it moves.
+    """
+    if not initials:
+        raise ValueError("no starting layouts")
+    if len(seeds) != len(initials):
+        raise ValueError(f"{len(seeds)} seeds for {len(initials)} starting layouts")
+    first = initials[0]
+    if not first.assignment:
         raise ValueError("empty layout")
-    occs = initial.occupants()
+    if not all(first.same_structure(layout) for layout in initials[1:]):
+        raise ValueError("starting layouts differ in zones or occupants")
+    occs = first.occupants()
     occ_idx = {o: i for i, o in enumerate(occs)}
-    n = len(occs)
+    n_runs, n = len(initials), len(occs)
     limit = 50 * n if iter_limit is None else iter_limit
     if limit < 1:
         raise ValueError("iter_limit must be >= 1")
 
     d = distance_matrix(stack_vectors(vectors, occs))
-    zone_ids = sorted(initial.zones)
-    zid_idx = {z: j for j, z in enumerate(zone_ids)}
+    zone_ids = sorted(first.zones)
     nz = len(zone_ids)
-    zone_of_desk = initial.zone_of_desk()
+    zone_of_desk = first.zone_of_desk()
+    zid_idx = {z: j for j, z in enumerate(zone_ids)}
+    idx_all = np.arange(n)
 
-    desk_of_occ: dict[int, str] = {}
-    occ_zone = np.zeros(n, dtype=np.intp)
-    for desk, occ in initial.assignment.items():
-        i = occ_idx[occ]
-        desk_of_occ[i] = desk
-        occ_zone[i] = zid_idx[zone_of_desk[desk]]
+    # slot j of run r is its j-th occupied desk in sorted order; swaps
+    # never change which desks are occupied
+    occupied = [sorted(layout.assignment) for layout in initials]
+    seat = np.array(
+        [[occ_idx[lay.assignment[desk]] for desk in desks] for lay, desks in zip(initials, occupied)]
+    )  # slot -> occupant
+    slot = np.argsort(seat, axis=1)  # occupant -> slot
+    slot_zone = np.array([[zid_idx[zone_of_desk[desk]] for desk in desks] for desks in occupied])
+    zone = np.take_along_axis(slot_zone, slot, axis=1)  # occupant -> zone index
 
-    counts = np.bincount(occ_zone, minlength=nz)
+    counts = np.stack([np.bincount(row, minlength=nz) for row in zone])
     denom = np.where(counts > 1, counts * (counts - 1), 1).astype(float)
     live = counts > 1  # single-occupant zones contribute 0 regardless
+    weight = np.where(live, 1.0 / denom, 0.0)
 
-    def indicator() -> np.ndarray:
-        ind = np.zeros((n, nz))
-        ind[np.arange(n), occ_zone] = 1.0
-        return ind
-
-    m = d @ indicator()  # m[i, z] = total distance from occupant i to zone z
-
-    def total() -> float:
+    def total(r: int) -> float:
         zone_sum = np.array(
-            [d[np.ix_(occ_zone == z, occ_zone == z)].sum() for z in range(nz)]
+            [d[np.ix_(zone[r] == z, zone[r] == z)].sum() for z in range(nz)]
         )
-        return float(np.sum(np.where(live, zone_sum / denom, 0.0)))
+        return float(np.sum(np.where(live[r], zone_sum / denom[r], 0.0)))
 
-    rng = np.random.default_rng(seed)
-    occupied = sorted(initial.assignment)  # fixed: swaps never change occupancy
-    occ_at = dict(initial.assignment)
-    idx_all = np.arange(n)
-    objectives: list[float] = []
-    best: list[float] = []
-    accepted: list[tuple[int, str, str]] = []
-    current = total()
+    m = np.empty((n_runs, nz, n))
+    m_rows, m_flat = m.reshape(n_runs * nz, n), m.reshape(-1)  # views of m
+    cur = np.empty(n_runs)  # each run's incrementally updated objective
+
+    def resync(r: int) -> None:
+        ind = np.zeros((n, nz))
+        ind[idx_all, zone[r]] = 1.0
+        m[r] = (d @ ind).T
+        cur[r] = total(r)
+
+    own = np.empty((n_runs, n))  # weight of each occupant's own zone
+    m_own = np.empty((n_runs, n))  # distance from each occupant to its own zone
+    own_offset = np.empty((n_runs, n), dtype=np.intp)  # m_flat offset of m[r, zone(i), 0]
+    same = np.empty((n_runs, nz, n), dtype=bool)  # occupant i seated in zone z
+    same_rows = same.reshape(n_runs * nz, n)
+
+    def refresh(r: int) -> None:
+        own[r] = weight[r, zone[r]]
+        m_own[r] = m[r, zone[r], idx_all]
+        own_offset[r] = (r * nz + zone[r]) * n
+        same[r] = zone[r] == np.arange(nz)[:, None]
+
+    # per run and iteration: the drawn occupant a, the m_rows row of its
+    # zone, the m_flat index of m[r, zone(a), a], its zone's weight and the
+    # delta_flat index of the null swap; a run that moves is replanned from
+    # its next iteration on; one integers(n, size=limit) call draws what
+    # limit scalar integers(n) calls would
+    draws = np.array([np.random.default_rng(s).integers(n, size=limit) for s in seeds])
+    at_a = np.empty((n_runs, limit), dtype=np.intp)
+    at_row = np.empty((n_runs, limit), dtype=np.intp)
+    at_base = np.empty((n_runs, limit, 1), dtype=np.intp)
+    at_wa = np.empty((n_runs, limit, 1))
+    at_null = np.empty((n_runs, limit), dtype=np.intp)
+
+    def plan(r: int, start: int) -> None:
+        a = seat[r].take(draws[r, start:])
+        row = zone[r].take(a) + r * nz
+        at_a[r, start:] = a
+        at_row[r, start:] = row
+        at_base[r, start:, 0] = row * n + a
+        at_wa[r, start:, 0] = weight.reshape(-1).take(row)
+        at_null[r, start:] = a + r * n
+
+    for r in range(n_runs):
+        resync(r)
+        refresh(r)
+        plan(r, 0)
+
+    # each run's objective from iteration it on, at every it where it changed
+    changes = [[(0, float(value))] for value in cur]
+
+    def record(r: int, it: int) -> None:
+        if changes[r][-1][0] == it:
+            changes[r].pop()
+        changes[r].append((it, float(cur[r])))
+
+    accepted: list[list[tuple[int, str, str]]] = [[] for _ in range(n_runs)]
+    d_a = np.empty((n_runs, n))
+    delta = np.empty((n_runs, n))
+    delta_flat = delta.reshape(-1)
+    other = np.empty((n_runs, n))
+    gather = np.empty((n_runs, n), dtype=np.intp)
+    blocked = np.empty((n_runs, n), dtype=bool)
 
     for it in range(limit):
-        desk = occupied[int(rng.integers(len(occupied)))]
-        a = occ_idx[occ_at[desk]]
-        za = occ_zone[a]
-        own = np.where(live[occ_zone], 1.0 / denom[occ_zone], 0.0)
-        wa = (1.0 / denom[za]) if live[za] else 0.0
+        a = at_a[:, it]
+        np.take(d, a, axis=0, out=d_a)
         # a zone's distance sum counts each pair twice, so a swap changes it
-        # by twice the bracketed sums
-        delta = 2.0 * (
-            (m[:, za] - m[a, za] - d[a]) * wa
-            + (m[a, occ_zone] - m[idx_all, occ_zone] - d[a]) * own
-        )
-        delta = np.where(occ_zone == za, np.inf, delta)
-        delta[a] = 0.0  # the null swap
-        b = int(np.flatnonzero(delta == delta.min())[0])
-        if b != a:
-            zb = occ_zone[b]
-            current += float(delta[b])
-            m[:, za] += d[:, b] - d[:, a]
-            m[:, zb] += d[:, a] - d[:, b]
-            occ_zone[a], occ_zone[b] = zb, za
-            desk_a, desk_b = desk_of_occ[a], desk_of_occ[b]
-            desk_of_occ[a], desk_of_occ[b] = desk_b, desk_a
-            occ_at[desk_a], occ_at[desk_b] = occs[b], occs[a]
-            accepted.append((it, occs[a], occs[b]))
+        # by twice the bracketed sums:
+        # (m[za, :] - m[za, a] - d[a]) * wa + (m[zone(i), a] - m[zone(i), i] - d[a]) * own
+        np.take(m_rows, at_row[:, it], axis=0, out=delta)
+        delta -= m_flat.take(at_base[:, it])
+        delta -= d_a
+        delta *= at_wa[:, it]
+        np.add(own_offset, a[:, None], out=gather)
+        m_flat.take(gather, out=other)
+        other -= m_own
+        other -= d_a
+        other *= own
+        delta += other
+        delta *= 2.0
+        np.take(same_rows, at_row[:, it], axis=0, out=blocked)
+        np.copyto(delta, np.inf, where=blocked)  # same-zone swaps are not moves
+        delta_flat[at_null[:, it]] = 0.0  # the null swap
+        b = delta.argmin(axis=1)  # ties go to the lowest occupant index
+        for r in np.flatnonzero(b != a).tolist():
+            ar, br = int(a[r]), int(b[r])
+            za, zb = zone[r, ar], zone[r, br]
+            cur[r] += delta[r, br]
+            m[r, za] += d[:, br] - d[:, ar]
+            m[r, zb] += d[:, ar] - d[:, br]
+            zone[r, ar], zone[r, br] = zb, za
+            sa, sb = slot[r, ar], slot[r, br]
+            seat[r, sa], seat[r, sb] = br, ar
+            slot[r, ar], slot[r, br] = sb, sa
+            accepted[r].append((it, occs[ar], occs[br]))
+            record(r, it)
+            refresh(r)
+            plan(r, it + 1)
         if (it + 1) % 1024 == 0:
-            m = d @ indicator()
-            current = total()
-        objectives.append(current)
-        best.append(current if not best else min(best[-1], current))
+            for r in range(n_runs):
+                resync(r)
+                record(r, it)
+                refresh(r)
 
-    final = Layout({z: list(dk) for z, dk in initial.zones.items()}, dict(occ_at))
-    exact = layout_objective(final, vectors)
-    if objectives:
+    results = []
+    for r, initial in enumerate(initials):
+        desk_at = {desk: j for j, desk in enumerate(occupied[r])}
+        assignment = {desk: occs[seat[r, desk_at[desk]]] for desk in initial.assignment}
+        final = Layout({z: list(dk) for z, dk in initial.zones.items()}, assignment)
+        trace = OptTrace([], [], accepted[r])
+        low = math.inf
+        for (start, value), (stop, _) in zip(changes[r], changes[r][1:] + [(limit, 0.0)]):
+            low = min(low, value)
+            trace.objectives += [value] * (stop - start)
+            trace.best_so_far += [low] * (stop - start)
         # no move raises the objective, so the final layout is the best one;
         # its exact objective replaces the incrementally updated value
-        objectives[-1] = best[-1] = exact
-    return final, OptTrace(objectives, best, accepted)
+        trace.objectives[-1] = trace.best_so_far[-1] = layout_objective(final, vectors)
+        results.append((final, trace))
+    return results
 
 
 def crossover(
@@ -332,19 +435,32 @@ class GaConfig:
     mutation_prob: float = 0.2
     generations: int = 200
 
-    def validate(self) -> None:
+    def validate(self, prefix: str = "") -> None:
+        """Reject settings the GA cannot run; messages name each field as
+        prefix + field (a caller's config path, say)."""
+        p = prefix
         if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.elites < 1 or self.random_survivors < 0:
-            raise ValueError("need at least one elite and non-negative randoms")
-        if self.elites + self.random_survivors < 2:
-            raise ValueError("need at least two survivors to pair")
-        if self.elites + self.random_survivors > self.population:
-            raise ValueError("survivors exceed the population")
+            raise ValueError(f"{p}population must be >= 2, got {self.population}")
+        if self.elites < 1:
+            raise ValueError(f"{p}elites must be >= 1, got {self.elites}")
+        if self.random_survivors < 0:
+            raise ValueError(f"{p}random_survivors must be >= 0, got {self.random_survivors}")
+        survivors = self.elites + self.random_survivors
+        if survivors < 2:
+            raise ValueError(
+                f"{p}elites + {p}random_survivors must be >= 2 to pair, got {survivors}"
+            )
+        if survivors > self.population:
+            raise ValueError(
+                f"{p}elites + {p}random_survivors ({survivors}) exceed "
+                f"{p}population ({self.population})"
+            )
         if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must be in [0, 1]")
-        if self.children_per_pair < 1 or self.generations < 1:
-            raise ValueError("children_per_pair and generations must be >= 1")
+            raise ValueError(f"{p}mutation_prob must be in [0, 1], got {self.mutation_prob}")
+        if self.children_per_pair < 1:
+            raise ValueError(f"{p}children_per_pair must be >= 1, got {self.children_per_pair}")
+        if self.generations < 1:
+            raise ValueError(f"{p}generations must be >= 1, got {self.generations}")
 
 
 def ga_optimize(

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .ingest import STEPS_PER_DAY, LightingTable, StepCalendar
-from .optimize import Layout, random_layout, swap_optimize
+from .optimize import Layout, random_layout, swap_search
 from .states import StateGrid
 from .surrogate import FeatureTable, build_features, concat_tables, targets_from_lighting
 
@@ -257,24 +257,29 @@ def protocol_layouts(
     of six 300-iteration stages, and four 2000-iteration swap runs, so
     near-optimal compositions are in-distribution.  Pool: population // 2
     converged swap runs from random starts.  Every random start and swap
-    run draws from a stream fixed by seed.
+    run draws from a stream fixed by seed; runs of one kind are searched
+    together (swap_search), each with the result it gives alone.
     """
 
     def start(tag: int, i: int) -> Layout:
         rng = np.random.default_rng(np.random.SeedSequence([tag + seed, i]))
         return random_layout(template, rng)
 
-    def swap(layout: Layout, run: int, iter_limit: int | None = None) -> Layout:
-        return swap_optimize(vectors, layout, iter_limit, seed=seed + run)[0]
+    def swap(layouts: list[Layout], runs: list[int], iter_limit: int | None = None) -> list[Layout]:
+        results = swap_search(vectors, layouts, iter_limit, [seed + run for run in runs])
+        return [layout for layout, _ in results]
 
     train = [start(2024, j) for j in range(n_random)]
-    for s in range(6):
-        layout = start(7070, s)
-        for stage in range(6):
-            layout = swap(layout, 1000 + 100 * s + stage, 300)
-            train.append(layout)
-    train += [swap(start(8080, s), 2000 + s, 2000) for s in range(4)]
-    pool = [swap(start(3030, i), 3000 + i) for i in range(population // 2)]
+    layouts, stages = [start(7070, s) for s in range(6)], []
+    for stage in range(6):  # the six trajectories advance one stage at a time
+        layouts = swap(layouts, [1000 + 100 * s + stage for s in range(6)], 300)
+        stages.append(layouts)
+    train += [stages[stage][s] for s in range(6) for stage in range(6)]
+    train += swap([start(8080, s) for s in range(4)], [2000 + s for s in range(4)], 2000)
+    n_pool = population // 2
+    pool = []
+    if n_pool:
+        pool = swap([start(3030, i) for i in range(n_pool)], [3000 + i for i in range(n_pool)])
     return train, pool
 
 

@@ -84,10 +84,11 @@ def test_c1_swap_recovers_known_optimum(pop36, pop36_pure, record):
     t0 = time.time()
     vecs = pop36.vectors()
     target = op.layout_objective(pop36_pure, vecs)
-    hits = 0
-    for s in range(100):
-        lay, _ = op.swap_optimize(vecs, random_start(pop36_pure, 101, s), iter_limit=2000, seed=s)
-        hits += abs(op.layout_objective(lay, vecs) - target) <= 1e-9
+    starts = [random_start(pop36_pure, 101, s) for s in range(100)]
+    hits = sum(
+        abs(op.layout_objective(lay, vecs) - target) <= 1e-9
+        for lay, _ in op.swap_search(vecs, starts, 2000, list(range(100)))
+    )
     elapsed = time.time() - t0
     ok = hits >= 95 and elapsed < 60.0
     record(1, "swap search recovers the known optimum", ok,
@@ -359,10 +360,11 @@ def test_c10_more_dimensions_never_hurt(pop60_masked, pure60, record):
     means = {}
     for d in (1, 3, 30):
         vectors = rd.project(m, factors, d, occupants).vectors()
-        energies = []
-        for s in range(20):
-            lay, _ = op.swap_optimize(vectors, random_start(pure60, 44, s), seed=s)
-            energies.append(synth.oracle_total(lay.by_zone(), pop60_masked))
+        starts = [random_start(pure60, 44, s) for s in range(20)]
+        energies = [
+            synth.oracle_total(lay.by_zone(), pop60_masked)
+            for lay, _ in op.swap_search(vectors, starts, None, list(range(20)))
+        ]
         means[d] = float(np.mean(energies))
     ok = means[30] <= means[3] and means[30] <= means[1] and means[1] != means[30]
     record(10, "higher projection dimension never hurts", ok,

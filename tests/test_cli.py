@@ -517,6 +517,70 @@ def test_synth_demo_rejects_sizes_it_cannot_use(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def office_inputs(tmp_path_factory):
+    """States and a zone map of 12 occupants on 14 desks (two vacant)."""
+    base = tmp_path_factory.mktemp("office")
+    grid = synth.generate_population((3, 3, 3, 3), 1, seed=4)
+    states_mod.write_states(grid, base / "states.csv")
+    zones = synth.archetype_pure_layout(grid, 2)
+    entries = [(o, f"D{o}", z) for z, occs in zones.items() for o in occs]
+    entries += [("", "Z1-spare", "Z1"), ("", "Z2-spare", "Z2")]
+    write_zone_map(ZoneMap(entries), base / "zone_map.csv")
+    return ["--states", str(base / "states.csv"), "--zone-map", str(base / "zone_map.csv")]
+
+
+GA_CONFIG_ERRORS = [
+    (["population=1"], "optimize.ga.population must be >= 2, got 1"),
+    (["elites=0"], "optimize.ga.elites must be >= 1, got 0"),
+    (["random_survivors=-1"], "optimize.ga.random_survivors must be >= 0, got -1"),
+    (["elites=1", "random_survivors=0"],
+     "optimize.ga.elites + optimize.ga.random_survivors must be >= 2 to pair, got 1"),
+    (["elites=100"], "optimize.ga.elites + optimize.ga.random_survivors (105) exceed "
+                     "optimize.ga.population (100)"),
+    (["mutation_prob=1.5"], "optimize.ga.mutation_prob must be in [0, 1], got 1.5"),
+    (["children_per_pair=0"], "optimize.ga.children_per_pair must be >= 1, got 0"),
+    (["generations=0"], "optimize.ga.generations must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command", [["synth-demo"], ["optimize", "--method", "ga"]])
+@pytest.mark.parametrize("settings, message", GA_CONFIG_ERRORS)
+def test_ga_config_errors_name_their_key(tmp_path, capsys, office_inputs, command, settings,
+                                         message):
+    out = tmp_path / "out"
+    sets = [arg for kv in settings for arg in ("--set", f"optimize.ga.{kv}")]
+    inputs = office_inputs if command[0] == "optimize" else []
+    assert main([*command, *inputs, *sets, "--out-dir", str(out)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth-demo", "optimize"])
+def test_negative_seed_exits_one_and_names_it(tmp_path, capsys, office_inputs, command):
+    out = tmp_path / "out"
+    inputs = [*office_inputs, "--dims", "3"] if command == "optimize" else []
+    assert main([command, *inputs, "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert "error: seed must be >= 0, got -1\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_batch_runs_as_each_seed_alone(tmp_path, office_inputs):
+    # a batch is searched together; each run's files hold the rows its seed
+    # gives alone (only the header comment, which records the seed, differs)
+    argv = ["optimize", "--method", "cluster", "--dims", "3", *office_inputs]
+    assert main([*argv, "--batch", "3", "--out-dir", str(tmp_path / "batch")]) == 0
+    for k in range(3):
+        alone = tmp_path / f"seed{k}"
+        assert main([*argv, "--seed", str(k), "--out-dir", str(alone)]) == 0
+        for name in ("layout", "trace"):
+            together = csv_rows(tmp_path / "batch" / f"{name}_{k:03d}.csv")
+            assert together == csv_rows(alone / f"{name}_000.csv")
+            assert len(together) > 1
+    summary = csv_rows(tmp_path / "batch" / "optimize_summary.csv")
+    assert [row[0] for row in summary] == ["0", "1", "2"]
+
+
 def test_synth_demo_trains_on_trajectories_alone(tmp_path):
     # with no random training layouts the swap-search trajectories still train the forest
     out = tmp_path / "demo"

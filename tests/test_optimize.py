@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diversity_fitness
-from zoneplan.diversity import layout_diversity
+from zoneplan.diversity import distance_matrix, layout_diversity, stack_vectors
 from zoneplan.optimize import (
     GaConfig,
     Layout,
@@ -21,6 +21,7 @@ from zoneplan.optimize import (
     mutate,
     random_layout,
     swap_optimize,
+    swap_search,
     write_layout,
     write_trace,
 )
@@ -173,6 +174,133 @@ def test_swap_deterministic(paired_vectors, paired_adversarial):
     b = swap_optimize(paired_vectors, paired_adversarial, iter_limit=40, seed=7)
     assert a[0].assignment == b[0].assignment
     assert a[1].objectives == b[1].objectives
+
+
+def test_swap_pinned_instance_past_the_resync():
+    # pinned values: a change to the search shows here even while batched and
+    # single runs still agree with each other; iteration 1023 is the first
+    # exact recompute, which moves the incremental objective by one ulp
+    vectors, template = random_instance(21, n_zones=4, per_zone=5)
+    lay = random_layout(template, np.random.default_rng(21))
+    final, trace = swap_optimize(vectors, lay, iter_limit=1100, seed=21)
+    assert trace.accepted == [
+        (0, "o6", "o15"), (1, "o7", "o2"), (2, "o17", "o8"), (3, "o16", "o11"),
+        (4, "o7", "o13"), (5, "o4", "o14"), (6, "o15", "o2"), (7, "o19", "o7"),
+        (8, "o0", "o4"), (9, "o11", "o6"), (11, "o17", "o5"), (13, "o17", "o0"),
+        (15, "o17", "o2"), (21, "o11", "o1"), (34, "o4", "o7"),
+    ]
+    assert trace.objectives[0] == 10.514880819913822
+    assert trace.objectives[1022] == 8.359837429796455
+    assert trace.objectives[1023] == 8.359837429796457
+    assert trace.objectives[-1] == trace.best_so_far[-1] == 8.359837429796457
+    assert groups_of(final) == {
+        "Z1": {"o12", "o4", "o2", "o1", "o18"}, "Z2": {"o7", "o17", "o8", "o0", "o13"},
+        "Z3": {"o19", "o11", "o6", "o9", "o14"}, "Z4": {"o15", "o3", "o16", "o10", "o5"},
+    }
+
+
+def reference_swap_optimize(vectors, initial, iter_limit, seed):
+    """The per-run loop swap_search replaced: one scalar desk draw and one
+    full delta vector per iteration."""
+    occs = initial.occupants()
+    occ_idx = {o: i for i, o in enumerate(occs)}
+    n = len(occs)
+    d = distance_matrix(stack_vectors(vectors, occs))
+    zone_ids = sorted(initial.zones)
+    nz = len(zone_ids)
+    zone_of_desk = initial.zone_of_desk()
+    desk_of_occ = {}
+    occ_zone = np.zeros(n, dtype=np.intp)
+    for desk, occ in initial.assignment.items():
+        desk_of_occ[occ_idx[occ]] = desk
+        occ_zone[occ_idx[occ]] = zone_ids.index(zone_of_desk[desk])
+    counts = np.bincount(occ_zone, minlength=nz)
+    denom = np.where(counts > 1, counts * (counts - 1), 1).astype(float)
+    live = counts > 1
+
+    def indicator():
+        ind = np.zeros((n, nz))
+        ind[np.arange(n), occ_zone] = 1.0
+        return ind
+
+    def total():
+        zone_sum = np.array([d[np.ix_(occ_zone == z, occ_zone == z)].sum() for z in range(nz)])
+        return float(np.sum(np.where(live, zone_sum / denom, 0.0)))
+
+    m = d @ indicator()
+    rng = np.random.default_rng(seed)
+    occupied = sorted(initial.assignment)
+    occ_at = dict(initial.assignment)
+    objectives, best, accepted = [], [], []
+    current = total()
+    for it in range(iter_limit):
+        a = occ_idx[occ_at[occupied[int(rng.integers(len(occupied)))]]]
+        za = occ_zone[a]
+        own = np.where(live[occ_zone], 1.0 / denom[occ_zone], 0.0)
+        wa = (1.0 / denom[za]) if live[za] else 0.0
+        delta = 2.0 * (
+            (m[:, za] - m[a, za] - d[a]) * wa
+            + (m[a, occ_zone] - m[np.arange(n), occ_zone] - d[a]) * own
+        )
+        delta = np.where(occ_zone == za, np.inf, delta)
+        delta[a] = 0.0
+        b = int(np.flatnonzero(delta == delta.min())[0])
+        if b != a:
+            zb = occ_zone[b]
+            current += float(delta[b])
+            m[:, za] += d[:, b] - d[:, a]
+            m[:, zb] += d[:, a] - d[:, b]
+            occ_zone[a], occ_zone[b] = zb, za
+            desk_a, desk_b = desk_of_occ[a], desk_of_occ[b]
+            desk_of_occ[a], desk_of_occ[b] = desk_b, desk_a
+            occ_at[desk_a], occ_at[desk_b] = occs[b], occs[a]
+            accepted.append((it, occs[a], occs[b]))
+        if (it + 1) % 1024 == 0:
+            m = d @ indicator()
+            current = total()
+        objectives.append(current)
+        best.append(current if not best else min(best[-1], current))
+    final = Layout({z: list(dk) for z, dk in initial.zones.items()}, dict(occ_at))
+    objectives[-1] = best[-1] = layout_objective(final, vectors)
+    return final, objectives, best, accepted
+
+
+def test_swap_search_runs_as_each_run_alone():
+    # vacant desks give the runs different zone counts; 1100 iterations pass
+    # the exact recompute at 1024; each run equals that run alone and the
+    # per-run loop the kernel replaced
+    rng = np.random.default_rng(8)
+    names = [f"o{i}" for i in range(13)]
+    vectors = {o: rng.normal(size=4) for o in names}
+    zones = {f"Z{z}": [f"Z{z}-d{k}" for k in range(6)] for z in range(3)}
+    template = Layout(zones, dict(zip([d for z in sorted(zones) for d in zones[z]], names)))
+    starts = [random_layout(template, np.random.default_rng(40 + r)) for r in range(7)]
+    counts = {tuple(len(v) for v in lay.by_zone().values()) for lay in starts}
+    assert len(counts) > 1
+    seeds = [3, 1, 4, 1, 5, 9, 2]
+    together = swap_search(vectors, starts, 1100, seeds)
+    for start, seed, (layout, trace) in zip(starts, seeds, together):
+        alone_layout, alone = swap_optimize(vectors, start, 1100, seed=seed)
+        reference = reference_swap_optimize(vectors, start, 1100, seed)
+        for other in ((alone_layout, alone.objectives, alone.best_so_far, alone.accepted),
+                      reference):
+            assert layout.zones == other[0].zones
+            assert layout.assignment == other[0].assignment
+            assert (trace.objectives, trace.best_so_far, trace.accepted) == other[1:]
+    assert any(trace.accepted for _, trace in together)
+
+
+def test_swap_search_rejects_starts_it_cannot_batch(paired_vectors, paired_adversarial):
+    other_zones = Layout({"Z1": ["D1", "D2"], "Z2": ["D3", "D4"]},
+                         {"D1": "a1", "D2": "b1", "D3": "a2", "D4": "b2"})
+    other_occupants = Layout.from_groups({"Z1": ["a1", "b1"], "Z2": ["a2", "c2"]})
+    for bad in (other_zones, other_occupants):
+        with pytest.raises(ValueError, match="differ in zones or occupants"):
+            swap_search(paired_vectors, [paired_adversarial, bad], 10, [0, 1])
+    with pytest.raises(ValueError, match="no starting layouts"):
+        swap_search(paired_vectors, [], 10, [])
+    with pytest.raises(ValueError, match="2 seeds for 1 starting layouts"):
+        swap_search(paired_vectors, [paired_adversarial], 10, [0, 1])
 
 
 # ---------------------------------------------------------------- population arrays
