@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from zoneplan import ingest
 from zoneplan import optimize as op
 from zoneplan import reduce as rd
 from zoneplan import synth
@@ -35,7 +34,6 @@ def main() -> int:
         tuple(args.counts), args.days, seed=args.pop_seed,
         jitter_minutes=args.jitter_minutes,
     )
-    cal = ingest.StepCalendar(pop.start, pop.n_steps)
     cfg = synth.LightingOracleConfig()
     pure = op.Layout.from_groups(synth.archetype_pure_layout(pop, len(args.counts)))
     m, occupants = rd.state_matrix(pop)
@@ -43,7 +41,7 @@ def main() -> int:
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     print(f"numerical rank {factors.rank}, pure-layout oracle "
-          f"{synth.oracle_total(pure.by_zone(), pop, cfg, cal):.0f} wh")
+          f"{synth.oracle_total(pure.by_zone(), pop, cfg):.0f} wh")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("d,seed,oracle_energy_wh\n")
         for d in args.dims:
@@ -59,7 +57,7 @@ def main() -> int:
             ]
             energies = []
             for s, (layout, _) in enumerate(op.swap_search(vectors, starts, None, seeds)):
-                e = synth.oracle_total(layout.by_zone(), pop, cfg, cal)
+                e = synth.oracle_total(layout.by_zone(), pop, cfg)
                 energies.append(e)
                 fh.write(f"{d},{s},{e!r}\n")
             print(f"d={d:3d}  mean {np.mean(energies):.0f} wh  "

@@ -327,8 +327,7 @@ def cmd_diversity_report(cfg: dict) -> int:
         raise ingest.InputError(f"{states_path}: {exc}") from None
     div.write_diversity_csv(report, out / "diversity.csv", header)
 
-    cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
-    hour_starts, hour_column = cal.hour_columns()
+    hour_starts, hour_column = state_grid.calendar.hour_columns()
     energy = lighting.hourly(zone_order, hour_starts)
     # each day's mean over the hours its steps touch
     days = hour_column.reshape(-1, ingest.STEPS_PER_DAY)
@@ -368,8 +367,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
     state_grid = _load_states(cfg)
     layout = _load_layout_from_zone_map(cfg)
     lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
-    cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
-    table = surrogate.build_features(state_grid, layout.by_zone(), cal)
+    table = surrogate.build_features(state_grid, layout.by_zone())
     y = surrogate.targets_from_lighting(table, lighting)
     train_idx, test_idx = surrogate.time_split(table, y, cfg["surrogate"]["split_fraction"])
     kind = cfg["surrogate"]["kind"]
@@ -443,7 +441,6 @@ def cmd_optimize(cfg: dict) -> int:
         raise ingest.InputError("optimize.batch must be >= 1")
     out = _out_dir(cfg)
     header = _header(cfg, "optimize")
-    cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
     master = int(cfg["seed"])
 
     model = None
@@ -471,7 +468,7 @@ def cmd_optimize(cfg: dict) -> int:
 
     scorer = None
     if model is not None:
-        scorer = surrogate.LayoutScorer(model, state_grid, cal)
+        scorer = surrogate.LayoutScorer(model, state_grid)
     seeds = [master + k for k in range(batch)]
     if method == "cluster":
         # the batch's runs are searched together, each as it would run alone
@@ -520,13 +517,10 @@ def cmd_simulate(cfg: dict) -> int:
     state_grid = _load_states(cfg)
     model = surrogate.load_model(_require_path(cfg, "model"))
     layout = optimize.load_layout(_require_path(cfg, "layout"))
-    cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
     baseline = None
     if cfg["paths"].get("zone_map"):
         baseline = _load_layout_from_zone_map(cfg).by_zone()
-    report = surrogate.predict_energy(
-        model, layout.by_zone(), state_grid, cal, baseline_zones=baseline
-    )
+    report = surrogate.predict_energy(model, layout.by_zone(), state_grid, baseline_zones=baseline)
     out = _out_dir(cfg)
     surrogate.write_energy_report(report, out / "energy.csv", _header(cfg, "simulate"))
     print(f"wrote {out / 'energy.csv'} (total {report.grand_total:.1f} wh)")
@@ -574,7 +568,6 @@ def cmd_synth_demo(cfg: dict) -> int:
     columns = ["occupant_id", "step_index", "state"]
     ingest._write_rows(out / "heatmap.csv", columns, heatmap, [header])
 
-    cal = ingest.StepCalendar(state_grid.start, state_grid.n_steps)
     pure_zones = synth.archetype_pure_layout(state_grid, n_zones)
     pure = optimize.Layout.from_groups(pure_zones)
     rng = np.random.default_rng(seed)
@@ -586,11 +579,11 @@ def cmd_synth_demo(cfg: dict) -> int:
     ]
     ingest.write_zone_map(ingest.ZoneMap(entries), out / "zone_map.csv", header)
 
-    lighting = synth.oracle_lighting_table(existing.by_zone(), state_grid, oracle_cfg, cal)
+    lighting = synth.oracle_lighting_table(existing.by_zone(), state_grid, oracle_cfg)
     ingest.write_lighting(lighting, out / "lighting.csv", header)
 
     def oracle_total(layout: optimize.Layout) -> float:
-        return synth.oracle_total(layout.by_zone(), state_grid, oracle_cfg, cal)
+        return synth.oracle_total(layout.by_zone(), state_grid, oracle_cfg)
 
     def random_layouts(offset: int, n: int) -> list[optimize.Layout]:
         rngs = (np.random.default_rng(seed + offset + j) for j in range(n))
@@ -603,13 +596,13 @@ def cmd_synth_demo(cfg: dict) -> int:
         vectors, pure, s["train_layouts"], ga_config.population, seed
     )
     train_table, train_y = synth.oracle_training_set(
-        state_grid, [layout.by_zone() for layout in train_layouts], oracle_cfg, cal
+        state_grid, [layout.by_zone() for layout in train_layouts], oracle_cfg
     )
     rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
     model = surrogate.fit_random_forest(train_table, train_y, rf_config, seed=seed)
     surrogate.save_model(model, out / "model.json", _provenance(cfg, "synth-demo"))
     holdout = [layout.by_zone() for layout in random_layouts(10_000, s["holdout_layouts"])]
-    hold_table, hold_y = synth.oracle_training_set(state_grid, holdout, oracle_cfg, cal)
+    hold_table, hold_y = synth.oracle_training_set(state_grid, holdout, oracle_cfg)
     hold_pred = model.predict_rows(hold_table)
     metrics = surrogate.evaluate(hold_y, hold_pred, hold_table.hour_epoch, hold_table.day_index)
 
@@ -619,7 +612,7 @@ def cmd_synth_demo(cfg: dict) -> int:
     optimize.write_layout(cluster_layout, out / "cluster_layout.csv", header)
     optimize.write_trace(cluster_trace, out / "cluster_trace.csv", header)
 
-    scorer = surrogate.LayoutScorer(model, state_grid, cal)
+    scorer = surrogate.LayoutScorer(model, state_grid)
     ga_layout, ga_trace = optimize.ga_optimize(
         scorer.totals, pure, ga_config, seed=seed, seeds_in=pool
     )

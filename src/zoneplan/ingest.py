@@ -721,7 +721,9 @@ def write_lighting(table: LightingTable, path, header_comment: str | None = None
 class StepCalendar:
     """UTC calendar features (hour, weekday, weekend) for each 15-minute step.
 
-    Weekday convention: Monday = 0; weekend = Saturday or Sunday.
+    Weekday convention: Monday = 0; weekend = Saturday or Sunday.  The
+    program builds one only as StateGrid.calendar, from the grid's start
+    and length.
     """
 
     start: datetime

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -17,6 +18,7 @@ from scipy.special import digamma, gammaln
 from .ingest import (
     STEP_SECONDS,
     InputError,
+    StepCalendar,
     TimeSeriesGrid,
     _read_timeline,
     _Values,
@@ -385,22 +387,30 @@ class OccupantFit:
     rule: str  # which labeling path applied
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateGrid:
-    """Per-occupant, per-step activity states in {1, 2, 3}."""
+    """Per-occupant, per-step activity states in {1, 2, 3}.
+
+    Frozen, so the cached calendar always matches the start and the length.
+    """
 
     occupants: list[str]
     start: datetime
     states: np.ndarray  # (n_occupants, n_steps) int8
 
     def __post_init__(self):
-        self.start = self.start.astimezone(timezone.utc)
+        object.__setattr__(self, "start", self.start.astimezone(timezone.utc))
         if self.states.ndim != 2 or self.states.shape[0] != len(self.occupants):
             raise InputError("state matrix shape does not match occupant list")
 
     @property
     def n_steps(self) -> int:
         return self.states.shape[1]
+
+    @cached_property
+    def calendar(self) -> StepCalendar:
+        """Hour, weekday and weekend of each step, from the grid's start and length."""
+        return StepCalendar(self.start, self.n_steps)
 
     def step_epochs(self) -> np.ndarray:
         start_s = int(self.start.timestamp())
@@ -413,23 +423,16 @@ class StateGrid:
         }
 
 
-def _split_by_largest_gap(order: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split component indices (sorted by mean) at the largest mean gap."""
-    sorted_means = means[order]
-    gaps = np.diff(sorted_means)
-    cut = int(np.argmax(gaps)) + 1
-    return order[:cut], order[cut:]
-
-
 def _split_low_group(
     order: np.ndarray, means: np.ndarray, idle_threshold_w: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First-pass merge of ≥ 3 components into a low and a high group.
+    """Merge ≥ 2 components, sorted by mean, into a low and a high group.
 
     Cut at the largest gap among cuts whose low side stays under the idle
     threshold, so a mid-power level can never be absorbed into the absence
     group merely because the upper gap is wider; when every component sits
-    above the threshold, fall back to the unconstrained largest gap.
+    above the threshold, fall back to the unconstrained largest gap.  With
+    an infinite threshold (the second pass) every cut is allowed.
     """
     sorted_means = means[order]
     gaps = np.diff(sorted_means)
@@ -510,8 +513,8 @@ def infer_states_detailed(
                 keep2 = np.flatnonzero(second.weights >= cfg.weight_floor)
                 comp2 = second.assign(high_x, cfg.weight_floor)
                 order2 = keep2[np.argsort(second.means[keep2], kind="stable")]
-                med_comps, high2_comps = _split_by_largest_gap(
-                    np.arange(order2.size), second.means[order2]
+                med_comps, _ = _split_low_group(
+                    np.arange(order2.size), second.means[order2], np.inf
                 )
                 labels[is_high] = np.where(np.isin(comp2, order2[med_comps]), 2, 3)
         states[i] = labels

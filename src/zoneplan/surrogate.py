@@ -19,7 +19,6 @@ from .ingest import (
     STEPS_PER_DAY,
     InputError,
     LightingTable,
-    StepCalendar,
     _read_json,
     _write_json,
     _write_rows,
@@ -30,6 +29,8 @@ from .states import StateGrid
 FEATURE_NAMES = ("s1", "s2", "s3", "hour", "day_of_week", "is_weekend", "zone")
 # row keys a population is scored in at once; bounds the scoring's memory
 SCORE_KEYS = 2**14
+# rows one forest descent takes at once; bounds its (n_trees, rows) arrays
+PREDICT_BATCH = 8192
 
 
 @dataclass
@@ -58,11 +59,7 @@ class FeatureTable:
         )
 
 
-def build_features(
-    states: StateGrid,
-    zones: Mapping[str, Sequence[str]],
-    calendar: StepCalendar | None = None,
-) -> FeatureTable:
+def build_features(states: StateGrid, zones: Mapping[str, Sequence[str]]) -> FeatureTable:
     """One FeatureRow per zone per step, zones in sorted-id order.
 
     zones maps zone_id to occupant ids (vacant desks excluded).  Every
@@ -72,10 +69,10 @@ def build_features(
     (n_occupants + 1)**3 must stay below 2**63.
     """
     zone_order = sorted(zones)
-    encoder = _RowEncoder(states, calendar, {z: j for j, z in enumerate(zone_order)})
+    encoder = _RowEncoder(states, {z: j for j, z in enumerate(zone_order)})
     features = encoder.decode(encoder.keys(encoder.rows(zones))[0].T.ravel())
     n_zones = len(zone_order)
-    hour_epoch = np.repeat(encoder.calendar.hour_epochs(), n_zones)
+    hour_epoch = np.repeat(states.calendar.hour_epochs(), n_zones)
     day_index = np.repeat(np.arange(states.n_steps) // STEPS_PER_DAY, n_zones)
     return FeatureTable(zone_order, features, hour_epoch, day_index)
 
@@ -282,11 +279,11 @@ def _fit_tree(
         ty = y[rows]
         value[node] = float(ty.mean())
         n = rows.size
-        if n < cfg.min_split or depth >= cfg.max_depth:
+        # all-equal targets are a leaf even when their rounded mean leaves
+        # sse_parent a little above 0 and the split sums show noise
+        if n < cfg.min_split or depth >= cfg.max_depth or np.all(ty == ty[0]):
             continue
         sse_parent = float(np.sum((ty - ty.mean()) ** 2))
-        if sse_parent <= 0.0:
-            continue
         best = (0.0, -1, 0.0)  # (reduction, feature, threshold)
         for f in range(x.shape[1]):
             vals = x[rows, f]
@@ -369,15 +366,15 @@ class RfModel:
             self._stack = (feat, thr, left, right, val)
         return self._stack
 
-    def predict_raw(self, x: np.ndarray, batch: int = 8192) -> np.ndarray:
+    def predict_raw(self, x: np.ndarray) -> np.ndarray:
         """Mean over trees; descent is vectorized across trees and rows."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         feat, thr, left, right, val = self._stacked()
         nt = feat.shape[0]
         rows_idx = np.arange(nt)[:, None]
         out = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], batch):
-            xb = x[lo : lo + batch]
+        for lo in range(0, x.shape[0], PREDICT_BATCH):
+            xb = x[lo : lo + PREDICT_BATCH]
             nb = xb.shape[0]
             cols_idx = np.arange(nb)[None, :]
             cur = np.zeros((nt, nb), dtype=np.int32)
@@ -608,11 +605,8 @@ class _RowEncoder:
 
     _CALENDAR_KEYS = 24 * 7 * 2
 
-    def __init__(self, states: StateGrid, calendar: StepCalendar | None, zone_index: dict):
-        cal = calendar or StepCalendar(states.start, states.n_steps)
-        if cal.n_steps != states.n_steps:
-            raise ValueError("calendar length does not match the state grid")
-        self.calendar = cal
+    def __init__(self, states: StateGrid, zone_index: dict):
+        cal = states.calendar
         self.zone_index = zone_index
         # a zero row after the occupants' rows: row -1 (a vacant desk) adds nothing
         self._states = np.vstack([states.states, np.zeros((1, cal.n_steps), states.states.dtype)])
@@ -678,10 +672,10 @@ class LayoutScorer:
     whole feature table at once.
     """
 
-    def __init__(self, model, states: StateGrid, calendar: StepCalendar | None = None):
+    def __init__(self, model, states: StateGrid):
         self.model = model
-        self._encoder = _RowEncoder(states, calendar, {z: j for j, z in enumerate(model.zone_order)})
-        self.calendar = self._encoder.calendar
+        self._encoder = _RowEncoder(states, {z: j for j, z in enumerate(model.zone_order)})
+        self.calendar = states.calendar
         # sorted memo; the sentinel above every real key keeps lookups in range
         self._keys = np.array([np.iinfo(np.int64).max])
         self._values = np.array([np.nan])
@@ -755,11 +749,10 @@ def predict_energy(
     model,
     zones: Mapping[str, Sequence[str]],
     states: StateGrid,
-    calendar: StepCalendar | None = None,
     baseline_zones: Mapping[str, Sequence[str]] | None = None,
 ) -> EnergyReport:
     """Score a layout with a trained surrogate; optional baseline comparison."""
-    return LayoutScorer(model, states, calendar).report(zones, baseline_zones)
+    return LayoutScorer(model, states).report(zones, baseline_zones)
 
 
 def write_energy_report(report: EnergyReport, path, header_comment: str | None = None) -> None:

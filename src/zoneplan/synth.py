@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .ingest import STEPS_PER_DAY, LightingTable, StepCalendar
+from .ingest import STEPS_PER_DAY, LightingTable
 from .optimize import Layout, random_layout, swap_search
 from .states import StateGrid
 from .surrogate import FeatureTable, build_features, concat_tables, targets_from_lighting
@@ -105,19 +105,18 @@ def generate_population(
     n_days: int,
     seed: int = 0,
     p_high: float = 0.8,
-    archetypes: tuple[Archetype, ...] = DEFAULT_ARCHETYPES,
     start: datetime = DEFAULT_START,
     jitter_minutes: float = 0.0,
 ) -> StateGrid:
     """Population of seeded schedules; occupant ids carry the archetype name."""
-    if len(counts) != len(archetypes):
+    if len(counts) != len(DEFAULT_ARCHETYPES):
         raise ValueError("one count per archetype is required")
     if any(c < 0 for c in counts):
         raise ValueError("counts must be non-negative")
     occupants: list[str] = []
     rows: list[np.ndarray] = []
     index = 0
-    for archetype, count in zip(archetypes, counts):
+    for archetype, count in zip(DEFAULT_ARCHETYPES, counts):
         for j in range(count):
             child_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
             occupants.append(f"{archetype.name}-{j:02d}")
@@ -156,18 +155,16 @@ def oracle_lighting(
     zones: dict[str, list[str]],
     states: StateGrid,
     config: LightingOracleConfig | None = None,
-    calendar: StepCalendar | None = None,
 ) -> tuple[list[str], np.ndarray]:
     """Per-zone per-step oracle energy (wh).
 
     A zone is lit at step t when any assigned occupant reached
     motion_state at any step in [t - h, t], h being the hold window in
-    steps for t's day type.  Returns (zone_order, energy matrix).
+    steps for t's day type (from the state grid's calendar).  Returns
+    (zone_order, energy matrix).
     """
     cfg = config or LightingOracleConfig()
-    cal = calendar or StepCalendar(states.start, states.n_steps)
-    if cal.n_steps != states.n_steps:
-        raise ValueError("calendar length does not match the state grid")
+    cal = states.calendar
     occ_index = {occ: i for i, occ in enumerate(states.occupants)}
     zone_order = sorted(zones)
     n_steps = states.n_steps
@@ -197,10 +194,9 @@ def oracle_total(
     zones: dict[str, list[str]],
     states: StateGrid,
     config: LightingOracleConfig | None = None,
-    calendar: StepCalendar | None = None,
 ) -> float:
     """Oracle energy (wh) of a layout over the whole horizon."""
-    _, energy = oracle_lighting(zones, states, config, calendar)
+    _, energy = oracle_lighting(zones, states, config)
     return float(energy.sum())
 
 
@@ -208,12 +204,10 @@ def oracle_lighting_table(
     zones: dict[str, list[str]],
     states: StateGrid,
     config: LightingOracleConfig | None = None,
-    calendar: StepCalendar | None = None,
 ) -> LightingTable:
     """Oracle output folded to the hourly lighting CSV schema."""
-    cal = calendar or StepCalendar(states.start, states.n_steps)
-    zone_order, energy = oracle_lighting(zones, states, config, cal)
-    hour_starts, hour_column = cal.hour_columns()
+    zone_order, energy = oracle_lighting(zones, states, config)
+    hour_starts, hour_column = states.calendar.hour_columns()
     records: dict[tuple[str, int], float] = {}
     for j, zone_id in enumerate(zone_order):
         sums = np.bincount(hour_column, weights=energy[j], minlength=hour_starts.size)
@@ -226,7 +220,6 @@ def oracle_training_set(
     states: StateGrid,
     layouts: Sequence[Mapping[str, Sequence[str]]],
     config: LightingOracleConfig | None = None,
-    calendar: StepCalendar | None = None,
 ) -> tuple[FeatureTable, np.ndarray]:
     """Surrogate training data: feature rows and oracle targets of layouts.
 
@@ -234,11 +227,10 @@ def oracle_training_set(
     the layouts' tables are stacked in the given order, each with
     n_steps * n_zones rows.
     """
-    cal = calendar or StepCalendar(states.start, states.n_steps)
     tables, targets = [], []
     for zones in layouts:
-        table = build_features(states, zones, cal)
-        lighting = oracle_lighting_table(zones, states, config, cal)
+        table = build_features(states, zones)
+        lighting = oracle_lighting_table(zones, states, config)
         tables.append(table)
         targets.append(targets_from_lighting(table, lighting))
     return concat_tables(tables), np.concatenate(targets)

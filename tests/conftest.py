@@ -64,11 +64,6 @@ def pop36_pure(pop36):
 
 
 @pytest.fixture(scope="session")
-def pop36_calendar(pop36):
-    return ingest.StepCalendar(pop36.start, pop36.n_steps)
-
-
-@pytest.fixture(scope="session")
 def pop8():
     # Two occupants per archetype, two days: the smallest non-trivial case.
     return synth.generate_population((2, 2, 2, 2), 2, seed=5)

@@ -25,11 +25,11 @@ from zoneplan.states import StateGrid
 # ---------------------------------------------------------------- helpers
 
 
-def weekend_absent(grid: StateGrid, cal: ingest.StepCalendar) -> StateGrid:
+def weekend_absent(grid: StateGrid) -> StateGrid:
     # weekend steps forced to state 1: weekday/weekend contrast gives the
     # day-to-day swing a 7-day-alike template population otherwise lacks
     states = grid.states.copy()
-    states[:, cal.weekend] = 1
+    states[:, grid.calendar.weekend] = 1
     return StateGrid(grid.occupants, grid.start, states)
 
 
@@ -45,8 +45,7 @@ def random_start(template: op.Layout, tag: int, i: int) -> op.Layout:
 @pytest.fixture(scope="module")
 def pop60_masked():
     raw = synth.generate_population((11, 11, 11, 11), 60, seed=17, jitter_minutes=45)
-    cal = ingest.StepCalendar(raw.start, raw.n_steps)
-    return weekend_absent(raw, cal)
+    return weekend_absent(raw)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def pure60(pop60_masked):
 
 
 @pytest.fixture(scope="module")
-def ga_protocol(pop36, pop36_pure, pop36_calendar):
+def ga_protocol(pop36, pop36_pure):
     """Trained count-composition fitness plus the clustering seed pool.
 
     synth.protocol_layouts gives the forest's training layouts (random
@@ -68,11 +67,9 @@ def ga_protocol(pop36, pop36_pure, pop36_calendar):
     train_layouts, pool = synth.protocol_layouts(
         pop36.vectors(), pop36_pure, 24, op.GaConfig().population
     )
-    train, y = synth.oracle_training_set(
-        pop36, [lay.by_zone() for lay in train_layouts], calendar=pop36_calendar
-    )
+    train, y = synth.oracle_training_set(pop36, [lay.by_zone() for lay in train_layouts])
     rf = su.fit_random_forest(train, y, su.RfConfig(), seed=7)
-    return su.LayoutScorer(rf, pop36, pop36_calendar).totals, pool, time.time() - t0
+    return su.LayoutScorer(rf, pop36).totals, pool, time.time() - t0
 
 
 # ---------------------------------------------------------------- criteria
@@ -155,12 +152,11 @@ def test_c5_forest_beats_linear_and_daily_beats_hourly(record):
     pop = synth.generate_population(
         (11, 11, 11, 11), 20, seed=17, p_high=0.7, jitter_minutes=45
     )
-    cal = ingest.StepCalendar(pop.start, pop.n_steps)
-    pop = weekend_absent(pop, cal)
+    pop = weekend_absent(pop)
     pure = op.Layout.from_groups(synth.archetype_pure_layout(pop, 4))
     layouts = [pure, random_start(pure, 21, 0), random_start(pure, 21, 1)]
 
-    table, y = synth.oracle_training_set(pop, [lay.by_zone() for lay in layouts], calendar=cal)
+    table, y = synth.oracle_training_set(pop, [lay.by_zone() for lay in layouts])
     # every layout contributes the same number of rows, stacked in order
     layout_id = np.repeat(np.arange(len(layouts)), table.n_rows // len(layouts))
 

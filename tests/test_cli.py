@@ -625,7 +625,7 @@ def test_model_files_record_command_and_config_hash(tmp_path, demo_dir, kind):
     model = surrogate.load_model(out / "model.json")
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("command", "config_hash")}))
-    table = surrogate.build_features(grid, zones, ingest.StepCalendar(grid.start, grid.n_steps))
+    table = surrogate.build_features(grid, zones)
     np.testing.assert_array_equal(
         model.predict_rows(table), surrogate.load_model(bare).predict_rows(table)
     )

@@ -17,6 +17,7 @@ from zoneplan.diversity import (
     write_regression_csv,
     zone_diversity,
 )
+from zoneplan.states import StateGrid
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, width=64)
 
@@ -222,8 +223,8 @@ def test_daily_zone_diversity_is_zone_diversity_of_each_day():
 
 
 def test_daily_zone_diversity_rejects_a_partial_day():
-    pop = synth.generate_population((1, 1, 1, 1), 2, seed=0)
-    pop.states = pop.states[:, :100]
+    full = synth.generate_population((1, 1, 1, 1), 2, seed=0)
+    pop = StateGrid(full.occupants, full.start, full.states[:, :100])
     with pytest.raises(ValueError, match="100 steps do not cover whole days"):
         daily_zone_diversity(pop, {"Z1": pop.occupants})
 

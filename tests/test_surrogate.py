@@ -64,10 +64,10 @@ def random_table(n_days=10, seed=0, n_zones=3):
 # ---------------------------------------------------------------- features
 
 
-def test_build_features_counts_states(pop8, cal8=None):
-    cal = StepCalendar(pop8.start, pop8.n_steps)
+def test_build_features_counts_states(pop8):
+    cal = pop8.calendar
     zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    table = build_features(pop8, zones, cal)
+    table = build_features(pop8, zones)
     assert table.zone_order == ["Z1", "Z2"]
     assert table.n_rows == pop8.n_steps * 2
     # row for (step t, zone j) sits at t * n_zones + j
@@ -90,8 +90,7 @@ def test_build_features_counts_states(pop8, cal8=None):
 
 
 def test_build_features_empty_zone_all_zero_counts(pop8):
-    cal = StepCalendar(pop8.start, pop8.n_steps)
-    table = build_features(pop8, {"Z1": pop8.occupants, "Z2": []}, cal)
+    table = build_features(pop8, {"Z1": pop8.occupants, "Z2": []})
     empty_rows = table.features[table.features[:, 6] == 1]
     assert np.all(empty_rows[:, :3] == 0)
 
@@ -99,9 +98,8 @@ def test_build_features_empty_zone_all_zero_counts(pop8):
 def test_saturday_row_flags_weekend():
     # 2018-01-06 is a Saturday
     saturday = datetime(2018, 1, 6, tzinfo=UTC)
-    cal = StepCalendar(saturday, 96)
     grid = synth.generate_population((1, 1, 1, 1), 1, seed=0, start=saturday)
-    table = build_features(grid, {"Z1": grid.occupants}, cal)
+    table = build_features(grid, {"Z1": grid.occupants})
     assert np.all(table.features[:, 4] == 5)
     assert np.all(table.features[:, 5] == 1)
 
@@ -238,6 +236,32 @@ def test_forest_is_mean_of_trees():
                 node = tree.left[node] if goes_left else tree.right[node]
             single[i] += tree.value[node]
     np.testing.assert_allclose(stacked, single / len(model.trees), atol=1e-9)
+
+
+def test_node_of_equal_targets_is_a_leaf(pop8):
+    # daylight dimming makes the oracle's targets non-integer; the rounded
+    # mean of a node's equal targets leaves sse_parent a little above 0, and
+    # such a node must not split on the rounding noise of the split sums
+    template = Layout.from_groups({"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]})
+    layouts = [template.by_zone()]
+    layouts += [random_layout(template, np.random.default_rng(j)).by_zone() for j in range(3)]
+    daylight = synth.LightingOracleConfig(daylight_factor=True)
+    table, y = synth.oracle_training_set(pop8, layouts * 3, daylight)  # every row thrice
+    assert np.any(y != np.round(y))
+    tree = fit_random_forest(table, y, RfConfig(n_trees=1, bootstrap=False), seed=0).trees[0]
+    split_equal = []
+    stack = [(0, np.arange(y.size))]
+    while stack:
+        node, rows = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            continue
+        if np.all(y[rows] == y[rows[0]]):
+            split_equal.append(node)
+        go_left = table.features[rows, f] < tree.threshold[node]
+        stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+    assert tree.feature.max() >= 0  # the tree splits
+    assert split_equal == []
 
 
 def test_rf_invariant_to_monotone_feature_rescaling():
@@ -377,12 +401,11 @@ def test_hourly_aggregation_cancels_within_hour_errors():
 
 
 def test_predict_energy_constant_model(pop8):
-    cal = StepCalendar(pop8.start, pop8.n_steps)
     zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    table = build_features(pop8, zones, cal)
+    table = build_features(pop8, zones)
     y = np.full(table.n_rows, 30.0)
     model = fit_mlr(table, y)
-    report = predict_energy(model, zones, pop8, cal, baseline_zones=zones)
+    report = predict_energy(model, zones, pop8, baseline_zones=zones)
     # constant 30 Wh per zone-step, 2 zones, clamped at zero unnecessary
     expected = 30.0 * table.n_rows
     assert report.grand_total == pytest.approx(expected, rel=1e-9)
@@ -390,12 +413,11 @@ def test_predict_energy_constant_model(pop8):
 
 
 def test_predict_energy_unknown_zone_rejected(pop8):
-    cal = StepCalendar(pop8.start, pop8.n_steps)
     zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    table = build_features(pop8, zones, cal)
+    table = build_features(pop8, zones)
     model = fit_mlr(table, np.zeros(table.n_rows))
     with pytest.raises(ValueError):
-        predict_energy(model, {"Z9": pop8.occupants}, pop8, cal, baseline_zones=zones)
+        predict_energy(model, {"Z9": pop8.occupants}, pop8, baseline_zones=zones)
 
 
 # ---------------------------------------------------------------- layout scorer
@@ -404,13 +426,12 @@ def test_predict_energy_unknown_zone_rejected(pop8):
 @pytest.fixture(scope="module", params=["rf", "mlr"])
 def scorer_case(request, pop8):
     # a model trained on oracle targets over two random 4+4 layouts
-    cal = StepCalendar(pop8.start, pop8.n_steps)
     template = Layout.from_groups({"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]})
     tables, targets = [], []
     for j in range(2):
         zones = random_layout(template, np.random.default_rng(j)).by_zone()
-        table = build_features(pop8, zones, cal)
-        lighting = synth.oracle_lighting_table(zones, pop8, synth.LightingOracleConfig(), cal)
+        table = build_features(pop8, zones)
+        lighting = synth.oracle_lighting_table(zones, pop8, synth.LightingOracleConfig())
         tables.append(table)
         targets.append(targets_from_lighting(table, lighting))
     table, y = concat_tables(tables), np.concatenate(targets)
@@ -418,17 +439,17 @@ def scorer_case(request, pop8):
         model = fit_random_forest(table, y, RfConfig(n_trees=12, min_split=10), seed=3)
     else:
         model = fit_mlr(table, y)
-    return model, template, cal
+    return model, template
 
 
-def whole_table_total(model, zones, states, cal):
+def whole_table_total(model, zones, states):
     # reference: predict every row of the layout's feature table at once
-    table = build_features(states, zones, cal)
+    table = build_features(states, zones)
     return float(np.maximum(model.predict_rows(table), 0.0).sum())
 
 
 def test_row_prediction_independent_of_batch(scorer_case):
-    model, _, _ = scorer_case
+    model, _ = scorer_case
     x = random_table(n_days=2, seed=40, n_zones=2).features
     full = model.predict_raw(x)
     alone = np.array([model.predict_raw(x[i : i + 1])[0] for i in range(0, len(x), 7)])
@@ -440,32 +461,32 @@ def test_row_prediction_independent_of_batch(scorer_case):
 
 
 def test_scorer_total_equals_whole_table_prediction(scorer_case, pop8):
-    model, template, cal = scorer_case
-    scorer = LayoutScorer(model, pop8, cal)
+    model, template = scorer_case
+    scorer = LayoutScorer(model, pop8)
     layouts = [random_layout(template, np.random.default_rng(100 + k)).by_zone() for k in range(20)]
     # vacant desks: one zone short of occupants, and an empty zone
     layouts.append({"Z1": pop8.occupants[:3], "Z2": pop8.occupants[4:]})
     layouts.append({"Z1": pop8.occupants, "Z2": []})
     for zones in layouts:
-        expected = whole_table_total(model, zones, pop8, cal)
+        expected = whole_table_total(model, zones, pop8)
         assert scorer.total(zones) == expected
-        assert predict_energy(model, zones, pop8, cal).grand_total == expected
+        assert predict_energy(model, zones, pop8).grand_total == expected
 
 
 def test_scorer_handles_zone_order_unlike_the_model(scorer_case, pop8):
-    model, template, cal = scorer_case
+    model, template = scorer_case
     model = copy.copy(model)
     model.zone_order = ["Z2", "Z1"]  # model index 0 is the table's second zone
-    scorer = LayoutScorer(model, pop8, cal)
+    scorer = LayoutScorer(model, pop8)
     for k in range(5):
         zones = random_layout(template, np.random.default_rng(200 + k)).by_zone()
-        assert scorer.total(zones) == whole_table_total(model, zones, pop8, cal)
+        assert scorer.total(zones) == whole_table_total(model, zones, pop8)
     only_z2 = {"Z2": pop8.occupants[:4]}
-    assert scorer.total(only_z2) == whole_table_total(model, only_z2, pop8, cal)
+    assert scorer.total(only_z2) == whole_table_total(model, only_z2, pop8)
 
 
 def test_scorer_predicts_each_distinct_row_once(scorer_case, pop8):
-    model, template, cal = scorer_case
+    model, template = scorer_case
     model = copy.copy(model)
     seen = []
     predict_raw = model.predict_raw
@@ -475,7 +496,7 @@ def test_scorer_predicts_each_distinct_row_once(scorer_case, pop8):
         return predict_raw(x)
 
     model.predict_raw = counting
-    scorer = LayoutScorer(model, pop8, cal)
+    scorer = LayoutScorer(model, pop8)
     layouts = [random_layout(template, np.random.default_rng(300 + k)).by_zone() for k in range(15)]
     totals = [scorer.total(zones) for zones in layouts]
     assert seen and len(seen) == len(set(seen))
@@ -485,8 +506,8 @@ def test_scorer_predicts_each_distinct_row_once(scorer_case, pop8):
 
 
 def test_scorer_rejects_unknown_zone_and_stateless_occupant(scorer_case, pop8):
-    model, _, cal = scorer_case
-    scorer = LayoutScorer(model, pop8, cal)
+    model, _ = scorer_case
+    scorer = LayoutScorer(model, pop8)
     with pytest.raises(ValueError, match="unknown zone"):
         scorer.total({"Z9": pop8.occupants})
     with pytest.raises(ValueError, match="without states"):
@@ -513,7 +534,7 @@ def layout_of(row, template: Layout) -> dict:
 
 
 def test_batched_totals_equal_total_bit_for_bit(scorer_case, pop8):
-    model, _, cal = scorer_case
+    model, _ = scorer_case
     template = vacant_template(pop8)
     rng = np.random.default_rng(500)
     tokens = np.r_[np.arange(8), -1, -1]
@@ -523,9 +544,9 @@ def test_batched_totals_equal_total_bit_for_bit(scorer_case, pop8):
                       [0, 1, 2, 3, -1, 4, 5, 6, 7, -1]]
     # 2 zones x 192 steps per layout: the population spans three chunks
     assert 100 * 2 * pop8.n_steps > 2 * SCORE_KEYS
-    scorer = LayoutScorer(model, pop8, cal)
+    scorer = LayoutScorer(model, pop8)
     batched = scorer.totals(population_zones(population), template.occupants())
-    one_at_a_time = LayoutScorer(model, pop8, cal)
+    one_at_a_time = LayoutScorer(model, pop8)
     for row, got in zip(population, batched):
         assert got == one_at_a_time.total(layout_of(row, template))
 
@@ -533,23 +554,23 @@ def test_batched_totals_equal_total_bit_for_bit(scorer_case, pop8):
 def test_ga_generation_zero_scores_as_layouts_do(scorer_case, pop8):
     # the trace's first row is the best total() of the seeds and the
     # random_layout padding drawn from the run's generator
-    model, _, cal = scorer_case
+    model, _ = scorer_case
     template = vacant_template(pop8)
     seeds = [random_layout(template, np.random.default_rng(600))]
     cfg = GaConfig(population=12, elites=3, random_survivors=2, generations=2)
-    fitness = LayoutScorer(model, pop8, cal).totals
+    fitness = LayoutScorer(model, pop8).totals
     _, trace = ga_optimize(fitness, template, cfg, seed=8, seeds_in=seeds)
     rng = np.random.default_rng(8)
     first = seeds + [random_layout(template, rng) for _ in range(11)]
-    scorer = LayoutScorer(model, pop8, cal)
+    scorer = LayoutScorer(model, pop8)
     assert trace.objectives[0] == min(scorer.total(lay.by_zone()) for lay in first)
 
 
 def test_batched_totals_reject_a_stateless_occupant(scorer_case, pop8):
-    model, _, cal = scorer_case
+    model, _ = scorer_case
     population = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
     with pytest.raises(ValueError, match="without states"):
-        LayoutScorer(model, pop8, cal).totals(
+        LayoutScorer(model, pop8).totals(
             {"Z1": population[:, :4], "Z2": population[:, 4:]}, pop8.occupants[:7] + ["nobody"]
         )
 
@@ -580,10 +601,9 @@ def test_rf_json_round_trip(tmp_path):
 
 
 def test_targets_align_with_lighting_table(pop8):
-    cal = StepCalendar(pop8.start, pop8.n_steps)
     zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    table = build_features(pop8, zones, cal)
-    lt = synth.oracle_lighting_table(zones, pop8, synth.LightingOracleConfig(), cal)
+    table = build_features(pop8, zones)
+    lt = synth.oracle_lighting_table(zones, pop8, synth.LightingOracleConfig())
     y = targets_from_lighting(table, lt)
     # four quarter-hour rows share each hourly value equally
     first_hour_rows = y[table.hour_epoch == table.hour_epoch[0]]

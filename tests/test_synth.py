@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoneplan.ingest import StepCalendar
 from zoneplan.optimize import layout_objective
 from zoneplan.states import StateGrid
 from zoneplan.synth import (
@@ -165,9 +164,8 @@ def test_protocol_layouts(pop36, pop36_pure):
 
 def test_no_motion_all_standby():
     sg = one_occupant_states(np.full(96, 1))
-    cal = StepCalendar(sg.start, 96)
     cfg = LightingOracleConfig()
-    zone_order, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg, cal)
+    zone_order, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg)
     assert zone_order == ["Z1"]
     np.testing.assert_allclose(energy, cfg.standby_power_w * 0.25)
 
@@ -176,9 +174,8 @@ def test_single_weekday_motion_holds_two_steps():
     row = np.full(96, 1)
     row[40] = 3
     sg = one_occupant_states(row)
-    cal = StepCalendar(sg.start, 96)  # Monday
     cfg = LightingOracleConfig()
-    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg, cal)
+    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg)
     lit = energy[0] == cfg.lit_power_w * 0.25
     # 20-minute weekday hold covers the motion step and the two after it
     assert list(np.flatnonzero(lit)) == [40, 41, 42]
@@ -190,9 +187,8 @@ def test_single_weekend_motion_holds_one_step():
     sg = one_occupant_states(row)
     saturday = datetime(2018, 1, 6, tzinfo=UTC)
     sg = StateGrid(["O1"], saturday, row[None, :].astype(np.int64))
-    cal = StepCalendar(saturday, 96)
     cfg = LightingOracleConfig()
-    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg, cal)
+    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg)
     lit = energy[0] == cfg.lit_power_w * 0.25
     assert list(np.flatnonzero(lit)) == [40, 41]
 
@@ -200,30 +196,29 @@ def test_single_weekend_motion_holds_one_step():
 def test_state_two_does_not_trip_motion():
     row = np.full(96, 2)
     sg = one_occupant_states(row)
-    cal = StepCalendar(sg.start, 96)
     cfg = LightingOracleConfig()
-    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg, cal)
+    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg)
     np.testing.assert_allclose(energy, cfg.standby_power_w * 0.25)
 
 
-def test_zone_energy_depends_only_on_member_multiset(pop36, pop36_calendar):
+def test_zone_energy_depends_only_on_member_multiset(pop36):
     cfg = LightingOracleConfig()
     members = pop36.occupants[:6]
-    _, e1 = oracle_lighting({"Z1": list(members)}, pop36, cfg, pop36_calendar)
-    _, e2 = oracle_lighting({"Z1": list(reversed(members))}, pop36, cfg, pop36_calendar)
+    _, e1 = oracle_lighting({"Z1": list(members)}, pop36, cfg)
+    _, e2 = oracle_lighting({"Z1": list(reversed(members))}, pop36, cfg)
     np.testing.assert_array_equal(e1, e2)
 
 
-def test_upgrading_a_step_never_decreases_energy(pop36, pop36_calendar):
+def test_upgrading_a_step_never_decreases_energy(pop36):
     cfg = LightingOracleConfig()
     zones = {"Z1": pop36.occupants[:9]}
-    _, before = oracle_lighting(zones, pop36, cfg, pop36_calendar)
+    _, before = oracle_lighting(zones, pop36, cfg)
     bumped = pop36.states.copy()
     idle = np.argwhere(bumped[:9] != 3)
     i, t = idle[len(idle) // 2]
     bumped[i, t] = 3
     sg = StateGrid(list(pop36.occupants), pop36.start, bumped)
-    _, after = oracle_lighting(zones, sg, cfg, pop36_calendar)
+    _, after = oracle_lighting(zones, sg, cfg)
     assert after.sum() >= before.sum() - 1e-9
 
 
@@ -231,20 +226,18 @@ def test_hold_carries_across_day_boundary():
     row = np.full(192, 1)
     row[95] = 3  # last step of day one
     sg = StateGrid(["O1"], DEFAULT_START, row[None, :].astype(np.int64))
-    cal = StepCalendar(sg.start, 192)
     cfg = LightingOracleConfig()
-    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg, cal)
+    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg)
     lit = np.flatnonzero(energy[0] == cfg.lit_power_w * 0.25)
     assert list(lit) == [95, 96, 97]
 
 
 def test_oracle_table_matches_stepwise_sums(pop8):
-    cal = StepCalendar(pop8.start, pop8.n_steps)
     cfg = LightingOracleConfig()
     zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    zone_order, energy = oracle_lighting(zones, pop8, cfg, cal)
-    table = oracle_lighting_table(zones, pop8, cfg, cal)
-    hours = cal.hour_epochs()
+    zone_order, energy = oracle_lighting(zones, pop8, cfg)
+    table = oracle_lighting_table(zones, pop8, cfg)
+    hours = pop8.calendar.hour_epochs()
     for j, z in enumerate(zone_order):
         for h in np.unique(hours):
             expected = energy[j, hours == h].sum()
@@ -278,9 +271,8 @@ def test_oracle_energy_bounded(seed):
     rng = np.random.default_rng(seed)
     row = rng.choice([1, 2, 3], size=96)
     sg = StateGrid(["O1"], DEFAULT_START, row[None, :].astype(np.int64))
-    cal = StepCalendar(sg.start, 96)
     cfg = LightingOracleConfig()
-    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg, cal)
+    _, energy = oracle_lighting({"Z1": ["O1"]}, sg, cfg)
     lo = cfg.standby_power_w * 0.25 * 96
     hi = cfg.lit_power_w * 0.25 * 96
     assert lo - 1e-9 <= energy.sum() <= hi + 1e-9

@@ -68,3 +68,26 @@ def test_only_ingest_opens_files():
             if isinstance(node, ast.Call) and _opens_a_file(node):
                 openers.append(f"{path.name}:{node.lineno}")
     assert openers == []
+
+
+def test_only_the_state_grid_builds_a_calendar():
+    # hour, weekday and weekend follow from a state grid's start and length,
+    # so StateGrid.calendar is the one place that builds them and no
+    # function takes a calendar that could disagree with its grid
+    params, builders = [], []
+    paths = sorted((REPO / "src" / "zoneplan").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                if "calendar" in names:
+                    params.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and path.name != "states.py":
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "StepCalendar":
+                    builders.append(f"{path.name}:{node.lineno}")
+    assert params == []
+    assert builders == []
