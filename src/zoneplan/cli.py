@@ -301,20 +301,26 @@ def cmd_infer_states(cfg: dict) -> int:
     return 0
 
 
-def _load_states(cfg: dict) -> states_mod.StateGrid:
+def _load_states(cfg: dict) -> tuple[Path, states_mod.StateGrid]:
     path = _require_path(cfg, "states", fallback=_out_dir(cfg) / "states.csv")
-    return states_mod.load_states(path)
+    return path, states_mod.load_states(path)
 
 
-def _load_layout_from_zone_map(cfg: dict) -> optimize.Layout:
-    zone_map = ingest.load_zone_map(_require_path(cfg, "zone_map"))
-    return optimize.Layout.from_zone_map(zone_map)
+def _load_desk_table(
+    cfg: dict, key: str, states_path: Path, state_grid: states_mod.StateGrid
+) -> ingest.Layout:
+    """The zone map or layout file at paths.<key>; each seated occupant needs states."""
+    path = _require_path(cfg, key)
+    layout = optimize.load_layout(path) if key == "layout" else ingest.load_zone_map(path)
+    missing = sorted(set(layout.assignment.values()).difference(state_grid.occupants))
+    if missing:
+        raise ingest.InputError(f"{path}: occupants without states in {states_path}: {missing}")
+    return layout
 
 
 def cmd_diversity_report(cfg: dict) -> int:
-    states_path = _require_path(cfg, "states", fallback=_out_dir(cfg) / "states.csv")
-    state_grid = states_mod.load_states(states_path)
-    layout = _load_layout_from_zone_map(cfg)
+    states_path, state_grid = _load_states(cfg)
+    layout = _load_desk_table(cfg, "zone_map", states_path, state_grid)
     lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
     header = _header(cfg, "diversity-report")
     out = _out_dir(cfg)
@@ -364,15 +370,23 @@ def _metrics_doc(metrics: surrogate.Metrics) -> dict:
 
 
 def cmd_train_surrogate(cfg: dict) -> int:
-    state_grid = _load_states(cfg)
-    layout = _load_layout_from_zone_map(cfg)
-    lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
-    table = surrogate.build_features(state_grid, layout.by_zone())
-    y = surrogate.targets_from_lighting(table, lighting)
-    train_idx, test_idx = surrogate.time_split(table, y, cfg["surrogate"]["split_fraction"])
     kind = cfg["surrogate"]["kind"]
     if kind not in ("mlr", "rf"):
         raise ingest.InputError(f"surrogate.kind must be mlr or rf, got {kind!r}")
+    fraction = cfg["surrogate"]["split_fraction"]
+    if not 0.0 < fraction < 1.0:
+        raise ingest.InputError(f"surrogate.split_fraction must be in (0, 1), got {fraction}")
+    states_path, state_grid = _load_states(cfg)
+    layout = _load_desk_table(cfg, "zone_map", states_path, state_grid)
+    lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
+    table = surrogate.build_features(state_grid, layout.by_zone())
+    y = surrogate.targets_from_lighting(table, lighting)
+    try:
+        train_idx, test_idx = surrogate.time_split(table, y, fraction)
+    except ValueError:  # the fraction is in range, so one side is empty
+        days = int(table.day_index.max()) + 1
+        message = f"leaves a side empty: {states_path} has {days} day(s) of states"
+        raise ingest.InputError(f"surrogate.split_fraction={fraction} {message}") from None
 
     rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
 
@@ -412,7 +426,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
     return 0
 
 
-def _load_seed_layouts(path_value) -> list[optimize.Layout]:
+def _load_seed_layouts(path_value) -> list[ingest.Layout]:
     path = Path(path_value)
     if path.is_dir():
         files = sorted(path.glob("layout_*.csv")) or sorted(path.glob("*.csv"))
@@ -434,8 +448,8 @@ def _ga_config(cfg: dict) -> optimize.GaConfig:
 def cmd_optimize(cfg: dict) -> int:
     method = cfg["optimize"]["method"]
     ga_config = _ga_config(cfg) if method == "ga" else None
-    state_grid = _load_states(cfg)
-    template = _load_layout_from_zone_map(cfg)
+    states_path, state_grid = _load_states(cfg)
+    template = _load_desk_table(cfg, "zone_map", states_path, state_grid)
     batch = int(cfg["optimize"]["batch"])
     if batch < 1:
         raise ingest.InputError("optimize.batch must be >= 1")
@@ -514,12 +528,12 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    state_grid = _load_states(cfg)
+    states_path, state_grid = _load_states(cfg)
     model = surrogate.load_model(_require_path(cfg, "model"))
-    layout = optimize.load_layout(_require_path(cfg, "layout"))
+    layout = _load_desk_table(cfg, "layout", states_path, state_grid)
     baseline = None
     if cfg["paths"].get("zone_map"):
-        baseline = _load_layout_from_zone_map(cfg).by_zone()
+        baseline = _load_desk_table(cfg, "zone_map", states_path, state_grid).by_zone()
     report = surrogate.predict_energy(model, layout.by_zone(), state_grid, baseline_zones=baseline)
     out = _out_dir(cfg)
     surrogate.write_energy_report(report, out / "energy.csv", _header(cfg, "simulate"))
@@ -569,23 +583,18 @@ def cmd_synth_demo(cfg: dict) -> int:
     ingest._write_rows(out / "heatmap.csv", columns, heatmap, [header])
 
     pure_zones = synth.archetype_pure_layout(state_grid, n_zones)
-    pure = optimize.Layout.from_groups(pure_zones)
+    pure = ingest.Layout.from_groups(pure_zones)
     rng = np.random.default_rng(seed)
     existing = optimize.random_layout(pure, rng)
-    entries = [
-        (existing.assignment.get(desk, ""), desk, zone)
-        for zone in sorted(existing.zones)
-        for desk in existing.zones[zone]
-    ]
-    ingest.write_zone_map(ingest.ZoneMap(entries), out / "zone_map.csv", header)
+    ingest.write_zone_map(existing, out / "zone_map.csv", header)
 
     lighting = synth.oracle_lighting_table(existing.by_zone(), state_grid, oracle_cfg)
     ingest.write_lighting(lighting, out / "lighting.csv", header)
 
-    def oracle_total(layout: optimize.Layout) -> float:
+    def oracle_total(layout: ingest.Layout) -> float:
         return synth.oracle_total(layout.by_zone(), state_grid, oracle_cfg)
 
-    def random_layouts(offset: int, n: int) -> list[optimize.Layout]:
+    def random_layouts(offset: int, n: int) -> list[ingest.Layout]:
         rngs = (np.random.default_rng(seed + offset + j) for j in range(n))
         return [optimize.random_layout(pure, rng) for rng in rngs]
 

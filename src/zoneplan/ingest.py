@@ -1,11 +1,11 @@
-"""Raw data loading, 15-minute resampling, and the writer of every output file."""
+"""Raw data loading, 15-minute resampling, desk tables, and the writer of every output file."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -580,51 +580,112 @@ def load_grid(path) -> TimeSeriesGrid:
 
 
 @dataclass
-class ZoneMap:
-    """Desk inventory: rows of (occupant_id, desk_id, zone_id).
+class Layout:
+    """A desk table: occupants assigned to desks grouped into lighting zones.
 
-    An empty occupant_id marks a vacant desk.
+    zones maps zone_id to its ordered desk list; assignment maps desk to
+    occupant for occupied desks only (missing desk = vacant).  A zone map
+    and a layout file hold the same table and load to this type.
     """
 
-    entries: list[tuple[str, str, str]]
+    zones: dict[str, list[str]]
+    assignment: dict[str, str]
 
     def __post_init__(self):
-        desks = [d for _, d, _ in self.entries]
-        if len(set(desks)) != len(desks):
+        all_desks: list[str] = [d for desks in self.zones.values() for d in desks]
+        if len(set(all_desks)) != len(all_desks):
             raise InputError("desk_ids must be unique")
-        occs = [o for o, _, _ in self.entries if o]
+        desk_set = set(all_desks)
+        unknown = [d for d in self.assignment if d not in desk_set]
+        if unknown:
+            raise InputError(f"assignment references unknown desks: {unknown}")
+        occs = list(self.assignment.values())
         if len(set(occs)) != len(occs):
             raise InputError("an occupant may hold at most one desk")
-        if not self.entries:
+        if not all_desks:
             raise InputError("no desk rows")
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str, str]]) -> "Layout":
+        """Build a layout from (occupant, desk, zone) rows; an empty occupant
+        marks a vacant desk.  Zones keep the order of their first rows."""
+        zones: dict[str, list[str]] = {}
+        assignment: dict[str, str] = {}
+        for occ, desk, zone in rows:
+            zones.setdefault(zone, []).append(desk)
+            if occ:
+                assignment[desk] = occ
+        return cls(zones, assignment)
 
-def load_zone_map(path) -> ZoneMap:
-    return _read_desk_table(path, ["occupant_id", "desk_id", "zone_id"])
+    @classmethod
+    def from_groups(cls, groups: Mapping[str, Sequence[str]]) -> "Layout":
+        """Build a fully occupied layout from zone -> occupant lists."""
+        return cls.from_rows(
+            (occ, f"{z}-d{k}", z) for z, occs in groups.items() for k, occ in enumerate(occs)
+        )
+
+    def with_assignment(self, assignment: dict[str, str]) -> "Layout":
+        """A layout of the same zones and desks, seated by assignment."""
+        return Layout({z: list(desks) for z, desks in self.zones.items()}, assignment)
+
+    def occupants(self) -> list[str]:
+        return sorted(self.assignment.values())
+
+    def desk_order(self) -> list[str]:
+        """Canonical desk traversal: zones sorted by id, desks in zone order."""
+        return [d for z in sorted(self.zones) for d in self.zones[z]]
+
+    def zone_of_desk(self) -> dict[str, str]:
+        return {d: z for z, desks in self.zones.items() for d in desks}
+
+    def by_zone(self) -> dict[str, list[str]]:
+        """zone_id -> occupants seated there, in desk order."""
+        return {
+            z: [self.assignment[d] for d in desks if d in self.assignment]
+            for z, desks in self.zones.items()
+        }
+
+    def same_structure(self, other: "Layout") -> bool:
+        return self.zones == other.zones and self.occupants() == other.occupants()
 
 
-def _read_desk_table(path, header: list[str]) -> ZoneMap:
+_ZONE_MAP_HEADER = ["occupant_id", "desk_id", "zone_id"]
+_LAYOUT_HEADER = ["desk_id", "zone_id", "occupant_id"]
+
+
+def load_zone_map(path) -> Layout:
+    return _read_desk_table(path, _ZONE_MAP_HEADER)
+
+
+def _read_desk_table(path, header: list[str]) -> Layout:
     """Read a zone map or layout CSV, whose three columns may come in any order."""
-    entries = []
+    rows = []
 
     def parse_row(*fields):
         row = dict(zip(header, fields))
         desk, zone = _key(row["desk_id"], "desk_id"), _key(row["zone_id"], "zone_id")
-        entries.append((row["occupant_id"], desk, zone))
+        rows.append((row["occupant_id"], desk, zone))
 
     _read_rows(path, header, parse_row)
     try:
-        return ZoneMap(entries)
+        return Layout.from_rows(rows)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def write_zone_map(zone_map: ZoneMap, path, header_comment: str | None = None) -> None:
-    occupants, desks, zones = zip(*zone_map.entries)
-    _check_ids("occupant id", filter(None, occupants))  # an empty one is a vacant desk
-    _check_ids("desk id", desks)
-    _check_ids("zone id", zones)
-    _write_rows(path, ["occupant_id", "desk_id", "zone_id"], zone_map.entries, [header_comment])
+def write_zone_map(layout: Layout, path, header_comment: str | None = None) -> None:
+    _write_desk_table(layout, path, _ZONE_MAP_HEADER, header_comment)
+
+
+def _write_desk_table(layout: Layout, path, header: list[str], comment: str | None) -> None:
+    """Write a zone map or layout CSV: one row per desk, in desk_order()."""
+    zone_of = layout.zone_of_desk()
+    _check_ids("desk id", zone_of)
+    _check_ids("zone id", layout.zones)
+    _check_ids("occupant id", layout.assignment.values())  # an empty one would read as vacant
+    rows = ((layout.assignment.get(d, ""), d, zone_of[d]) for d in layout.desk_order())
+    at = [_ZONE_MAP_HEADER.index(column) for column in header]  # header's order of a row
+    _write_rows(path, header, ([row[i] for i in at] for row in rows), [comment])
 
 
 def _write_rows(path, header: Sequence[str], rows, comments: Sequence[str | None] = ()) -> None:

@@ -1,11 +1,11 @@
 """Layout optimizers: greedy swap clustering and a genetic algorithm.
 
-A layout assigns occupants to desks grouped into fixed-size zones.  The
-swap optimizer minimizes total zone diversity with incremental deltas,
-advancing any number of independent runs in lockstep; the GA breeds a
-population held as one desk-slot array and minimizes any caller-supplied
-population fitness (typically surrogate energy).  Both are fully seeded
-and deterministic.
+A layout (ingest.Layout) assigns occupants to desks grouped into fixed-size
+zones.  The swap optimizer minimizes total zone diversity with incremental
+deltas, advancing any number of independent runs in lockstep; the GA breeds
+a population held as one desk-slot array and minimizes any caller-supplied
+population fitness (typically surrogate energy).  Both are fully seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,76 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diversity import distance_matrix, layout_diversity, stack_vectors
-from .ingest import ZoneMap, _check_ids, _read_desk_table, _write_rows
-
-
-@dataclass
-class Layout:
-    """Occupant-to-desk assignment over a fixed zone/desk structure.
-
-    zones maps zone_id to its ordered desk list; assignment maps desk to
-    occupant for occupied desks only (missing desk = vacant).
-    """
-
-    zones: dict[str, list[str]]
-    assignment: dict[str, str]
-
-    def __post_init__(self):
-        all_desks: list[str] = [d for desks in self.zones.values() for d in desks]
-        if len(set(all_desks)) != len(all_desks):
-            raise ValueError("desk ids must be unique across zones")
-        desk_set = set(all_desks)
-        unknown = [d for d in self.assignment if d not in desk_set]
-        if unknown:
-            raise ValueError(f"assignment references unknown desks: {unknown}")
-        occs = list(self.assignment.values())
-        if len(set(occs)) != len(occs):
-            raise ValueError("an occupant is assigned to more than one desk")
-
-    @classmethod
-    def from_zone_map(cls, zone_map: ZoneMap) -> "Layout":
-        zones: dict[str, list[str]] = {}
-        assignment: dict[str, str] = {}
-        for occ, desk, zone in zone_map.entries:
-            zones.setdefault(zone, []).append(desk)
-            if occ:
-                assignment[desk] = occ
-        return cls(zones, assignment)
-
-    @classmethod
-    def from_groups(cls, groups: Mapping[str, Sequence[str]]) -> "Layout":
-        """Build a fully occupied layout from zone -> occupant lists."""
-        zones = {
-            z: [f"{z}-d{k}" for k in range(len(occs))] for z, occs in groups.items()
-        }
-        assignment = {
-            f"{z}-d{k}": occ
-            for z, occs in groups.items()
-            for k, occ in enumerate(occs)
-        }
-        return cls(zones, assignment)
-
-    def occupants(self) -> list[str]:
-        return sorted(self.assignment.values())
-
-    def desk_order(self) -> list[str]:
-        """Canonical desk traversal: zones sorted by id, desks in zone order."""
-        return [d for z in sorted(self.zones) for d in self.zones[z]]
-
-    def zone_of_desk(self) -> dict[str, str]:
-        return {d: z for z, desks in self.zones.items() for d in desks}
-
-    def by_zone(self) -> dict[str, list[str]]:
-        """zone_id -> occupants seated there, in desk order."""
-        return {
-            z: [self.assignment[d] for d in desks if d in self.assignment]
-            for z, desks in self.zones.items()
-        }
-
-    def same_structure(self, other: "Layout") -> bool:
-        return self.zones == other.zones and set(self.assignment.values()) == set(
-            other.assignment.values()
-        )
+from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_rows
 
 
 def random_layout(template: Layout, rng: np.random.Generator) -> Layout:
@@ -98,7 +29,7 @@ def random_layout(template: Layout, rng: np.random.Generator) -> Layout:
     assignment = {
         desk: tokens[perm[i]] for i, desk in enumerate(desks) if tokens[perm[i]] is not None
     }
-    return Layout({z: list(d) for z, d in template.zones.items()}, assignment)
+    return template.with_assignment(assignment)
 
 
 def count_layouts(n_occupants: int, n_zones: int) -> int:
@@ -138,16 +69,11 @@ def write_trace(trace: OptTrace, path, header_comment: str | None = None) -> Non
 
 
 def write_layout(layout: Layout, path, header_comment: str | None = None) -> None:
-    zone_of = layout.zone_of_desk()
-    rows = [(d, zone_of[d], layout.assignment.get(d, "")) for d in layout.desk_order()]
-    _check_ids("desk id", zone_of)
-    _check_ids("zone id", layout.zones)
-    _check_ids("occupant id", layout.assignment.values())
-    _write_rows(path, ["desk_id", "zone_id", "occupant_id"], rows, [header_comment])
+    _write_desk_table(layout, path, _LAYOUT_HEADER, header_comment)
 
 
 def load_layout(path) -> Layout:
-    return Layout.from_zone_map(_read_desk_table(path, ["desk_id", "zone_id", "occupant_id"]))
+    return _read_desk_table(path, _LAYOUT_HEADER)
 
 
 def layout_objective(layout: Layout, vectors: Mapping[str, np.ndarray]) -> float:
@@ -344,7 +270,7 @@ def swap_search(
     for r, initial in enumerate(initials):
         desk_at = {desk: j for j, desk in enumerate(occupied[r])}
         assignment = {desk: occs[seat[r, desk_at[desk]]] for desk in initial.assignment}
-        final = Layout({z: list(dk) for z, dk in initial.zones.items()}, assignment)
+        final = initial.with_assignment(assignment)
         trace = OptTrace([], [], accepted[r])
         low = math.inf
         for (start, value), (stop, _) in zip(changes[r], changes[r][1:] + [(limit, 0.0)]):
@@ -538,5 +464,4 @@ def ga_optimize(
 
     assert best_row is not None
     best = {desk: occupants[i] for desk, i in zip(desks, best_row) if i >= 0}
-    layout = Layout({z: list(d) for z, d in template.zones.items()}, best)
-    return layout, OptTrace(objectives, best_series)
+    return template.with_assignment(best), OptTrace(objectives, best_series)

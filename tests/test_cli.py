@@ -18,13 +18,14 @@ from zoneplan.cli import DEFAULT_CONFIG, _make_parser, build_config, config_hash
 from zoneplan.ingest import (
     STEP_SECONDS,
     InputError,
+    Layout,
     PlugLoadEvents,
-    ZoneMap,
     load_grid,
+    load_zone_map,
     write_lighting,
     write_zone_map,
 )
-from zoneplan.optimize import load_layout
+from zoneplan.optimize import load_layout, write_layout
 
 UTC = timezone.utc
 
@@ -267,7 +268,7 @@ def test_diversity_report_rejects_a_partial_trailing_day(tmp_path, capsys):
     states_mod.write_states(grid, tmp_path / "states.csv")
     zones = {"Z1": grid.occupants[:2], "Z2": grid.occupants[2:]}
     write_zone_map(
-        ZoneMap([(o, f"D{o}", z) for z, occs in zones.items() for o in occs]),
+        Layout.from_rows([(o, f"D{o}", z) for z, occs in zones.items() for o in occs]),
         tmp_path / "zone_map.csv",
     )
     write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
@@ -526,7 +527,7 @@ def office_inputs(tmp_path_factory):
     zones = synth.archetype_pure_layout(grid, 2)
     entries = [(o, f"D{o}", z) for z, occs in zones.items() for o in occs]
     entries += [("", "Z1-spare", "Z1"), ("", "Z2-spare", "Z2")]
-    write_zone_map(ZoneMap(entries), base / "zone_map.csv")
+    write_zone_map(Layout.from_rows(entries), base / "zone_map.csv")
     return ["--states", str(base / "states.csv"), "--zone-map", str(base / "zone_map.csv")]
 
 
@@ -603,7 +604,7 @@ def test_model_files_record_command_and_config_hash(tmp_path, demo_dir, kind):
     grid = synth.generate_population((2, 2, 2, 2), 3, seed=4)
     zones = synth.archetype_pure_layout(grid, 4)
     states_mod.write_states(grid, tmp_path / "states.csv")
-    write_zone_map(ZoneMap([(o, o, z) for z, occs in zones.items() for o in occs]),
+    write_zone_map(Layout.from_rows([(o, o, z) for z, occs in zones.items() for o in occs]),
                    tmp_path / "zone_map.csv")
     write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
     out = tmp_path / "out"
@@ -681,7 +682,7 @@ def test_train_surrogate_cv_folds_writes_cv_metrics(tmp_path, kind):
     grid = synth.generate_population((2, 2, 2, 2), 3, seed=4)
     zones = synth.archetype_pure_layout(grid, 4)
     states_mod.write_states(grid, tmp_path / "states.csv")
-    write_zone_map(ZoneMap([(o, o, z) for z, occs in zones.items() for o in occs]),
+    write_zone_map(Layout.from_rows([(o, o, z) for z, occs in zones.items() for o in occs]),
                    tmp_path / "zone_map.csv")
     write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
     out = tmp_path / "out"
@@ -708,7 +709,7 @@ def test_ids_with_a_comma_and_a_quote_survive_optimize_then_simulate(tmp_path):
     zones = {f"{z}, east": occs for z, occs in synth.archetype_pure_layout(grid, 4).items()}
     entries = [(o, f'desk "{o}"', z) for z, occs in zones.items() for o in occs]
     states_mod.write_states(grid, tmp_path / "states.csv")
-    write_zone_map(ZoneMap(entries), tmp_path / "zone_map.csv")
+    write_zone_map(Layout.from_rows(entries), tmp_path / "zone_map.csv")
     write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
     inputs = ["--states", str(tmp_path / "states.csv"),
               "--zone-map", str(tmp_path / "zone_map.csv")]
@@ -770,3 +771,63 @@ def test_diversity_report_regression_schema(tmp_path, demo_dir):
     div = body_lines(read_text(out / "diversity.csv"))
     assert div[0] == "zone_id,diversity"
     assert div[-1].startswith("total,")
+
+
+def _with_ghost(layout):
+    """layout with its first occupant renamed to one the states lack."""
+    first = layout.occupants()[0]
+    return layout.with_assignment(
+        {d: "GHOST" if o == first else o for d, o in layout.assignment.items()}
+    )
+
+
+@pytest.mark.parametrize("command", ["diversity-report", "train-surrogate", "optimize",
+                                     "simulate --layout", "simulate --zone-map"])
+def test_a_seated_occupant_without_states_names_both_files(tmp_path, demo_dir, capsys, command):
+    states = demo_dir / "states.csv"
+    ghost_map, ghost_layout = tmp_path / "zone_map.csv", tmp_path / "layout.csv"
+    write_zone_map(_with_ghost(load_zone_map(demo_dir / "zone_map.csv")), ghost_map)
+    write_layout(_with_ghost(load_layout(demo_dir / "cluster_layout.csv")), ghost_layout)
+    lighting = ["--lighting", str(demo_dir / "lighting.csv")]
+    model = ["--model", str(demo_dir / "model.json")]
+    argv, desk_table = {
+        "diversity-report": (["diversity-report", "--zone-map", str(ghost_map), *lighting],
+                             ghost_map),
+        "train-surrogate": (["train-surrogate", "--zone-map", str(ghost_map), *lighting],
+                            ghost_map),
+        "optimize": (["optimize", "--method", "cluster", "--zone-map", str(ghost_map)],
+                     ghost_map),
+        "simulate --layout": (["simulate", *model, "--layout", str(ghost_layout)], ghost_layout),
+        "simulate --zone-map": (["simulate", *model,
+                                 "--layout", str(demo_dir / "cluster_layout.csv"),
+                                 "--zone-map", str(ghost_map)], ghost_map),
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--states", str(states), "--out-dir", str(out)]) == 1
+    message = f"error: {desk_table}: occupants without states in {states}: ['GHOST']\n"
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("surrogate.kind=svm", "surrogate.kind must be mlr or rf, got 'svm'"),
+    ("surrogate.split_fraction=1", "surrogate.split_fraction must be in (0, 1), got 1"),
+])
+def test_train_surrogate_checks_its_config_before_reading_input(tmp_path, capsys, setting,
+                                                                message):
+    missing = str(tmp_path / "missing.csv")
+    argv = ["train-surrogate", "--states", missing, "--zone-map", missing, "--lighting", missing,
+            "--set", setting, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_train_surrogate_split_of_one_day_names_the_fraction_and_the_days(tmp_path, demo_dir,
+                                                                          capsys):
+    states = demo_dir / "states.csv"
+    argv = ["train-surrogate", "--states", str(states),
+            "--zone-map", str(demo_dir / "zone_map.csv"),
+            "--lighting", str(demo_dir / "lighting.csv"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    message = f"leaves a side empty: {states} has 1 day(s) of states"
+    assert capsys.readouterr().err == f"error: surrogate.split_fraction=0.8 {message}\n"

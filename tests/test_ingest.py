@@ -14,10 +14,10 @@ from conftest import write_plug_load
 from zoneplan import ingest
 from zoneplan.ingest import (
     InputError,
+    Layout,
     PlugLoadEvents,
     StepCalendar,
     TimeSeriesGrid,
-    ZoneMap,
     exclude_days,
     load_grid,
     load_plug_load,
@@ -27,7 +27,7 @@ from zoneplan.ingest import (
     write_grid,
     write_zone_map,
 )
-from zoneplan.optimize import load_layout
+from zoneplan.optimize import load_layout, write_layout
 from zoneplan.states import _STATE, load_states
 
 UTC = timezone.utc
@@ -373,7 +373,12 @@ def test_out_of_window_exclusion_rejected():
         exclude_days(three_day_grid(), [(day(3), day(4))])
 
 
-# ---------------------------------------------------------------- zone maps
+# ---------------------------------------------------------------- desk tables
+
+
+def same_table(a: Layout, b: Layout) -> bool:
+    """Equal layouts with their zones in the same order."""
+    return a == b and list(a.zones.items()) == list(b.zones.items())
 
 
 def test_zone_map_loads_sizes_and_vacancies(tmp_path):
@@ -382,23 +387,22 @@ def test_zone_map_loads_sizes_and_vacancies(tmp_path):
         "occupant_id,desk_id,zone_id\nO1,D1,Z1\n,D2,Z1\nO2,D3,Z2\nO3,D4,Z2\n"
     )
     zm = load_zone_map(path)
-    assert zm.entries == [
-        ("O1", "D1", "Z1"), ("", "D2", "Z1"), ("O2", "D3", "Z2"), ("O3", "D4", "Z2")
-    ]
+    assert list(zm.zones.items()) == [("Z1", ["D1", "D2"]), ("Z2", ["D3", "D4"])]
+    assert zm.assignment == {"D1": "O1", "D3": "O2", "D4": "O3"}
 
 
 def test_zone_map_round_trips_a_hash_leading_occupant_id(tmp_path):
     # comments come only before the header, so a '#' id after it is data
-    zone_map = ZoneMap([("#1", "D1", "Z1"), ("O2", "D2", "Z1")])
+    zone_map = Layout.from_rows([("#1", "D1", "Z1"), ("O2", "D2", "Z1")])
     write_zone_map(zone_map, tmp_path / "z.csv", header_comment="h")
-    assert load_zone_map(tmp_path / "z.csv").entries == zone_map.entries
+    assert same_table(load_zone_map(tmp_path / "z.csv"), zone_map)
 
 
 def test_ids_with_a_carriage_return_round_trip(tmp_path):
     # a bare '\r' reads as a line end unless the writers quote it
-    entries = [("a\rb", "D1", "Z\r1"), ("O2", "D2", "Z\r1")]
-    write_zone_map(ZoneMap(entries), tmp_path / "z.csv")
-    assert load_zone_map(tmp_path / "z.csv").entries == entries
+    zone_map = Layout.from_rows([("a\rb", "D1", "Z\r1"), ("O2", "D2", "Z\r1")])
+    write_zone_map(zone_map, tmp_path / "z.csv")
+    assert same_table(load_zone_map(tmp_path / "z.csv"), zone_map)
     grid = TimeSeriesGrid(["a\rb", "O2"], T0, np.ones((2, 96)))
     write_grid(grid, tmp_path / "g.csv")
     assert load_grid(tmp_path / "g.csv").occupants == grid.occupants
@@ -414,11 +418,55 @@ def test_zone_map_writer_rejects_ids_that_would_not_read_back(tmp_path, entry, b
     # the reader strips each field, so these would load as other ids
     path = tmp_path / "z.csv"
     with pytest.raises(ValueError, match=bad):
-        write_zone_map(ZoneMap([entry, ("", "D9", "Z9")]), path)
+        write_zone_map(Layout.from_rows([entry, ("", "D9", "Z9")]), path)
     assert not path.exists()
-    vacant = ZoneMap([("", "D1", "Z1"), ("O1", "D2", "Z1")])  # an empty occupant is a vacant desk
+    # an empty occupant is a vacant desk
+    vacant = Layout.from_rows([("", "D1", "Z1"), ("O1", "D2", "Z1")])
     write_zone_map(vacant, path)
-    assert load_zone_map(path).entries == vacant.entries
+    assert same_table(load_zone_map(path), vacant)
+
+
+# zones whose rows interleave, and a vacant desk
+_INTERLEAVED = [("O1", "D1", "Z2"), ("", "D2", "Z1"), ("O2", "D3", "Z2"), ("O3", "D4", "Z1")]
+
+
+def test_zone_map_and_layout_file_of_the_same_desks_load_equal(tmp_path):
+    zone_map = write_csv(tmp_path / "z.csv", [",".join(r) for r in _INTERLEAVED],
+                         "occupant_id,desk_id,zone_id")
+    layout = write_csv(tmp_path / "l.csv", [f"{d},{z},{o}" for o, d, z in _INTERLEAVED],
+                       "desk_id,zone_id,occupant_id")
+    expected = Layout({"Z2": ["D1", "D3"], "Z1": ["D2", "D4"]},
+                      {"D1": "O1", "D3": "O2", "D4": "O3"})
+    assert same_table(load_zone_map(zone_map), expected)
+    assert same_table(load_layout(layout), expected)
+
+
+@pytest.mark.parametrize("write, load", [(write_zone_map, load_zone_map),
+                                         (write_layout, load_layout)],
+                         ids=["zone_map", "layout"])
+def test_desk_table_write_then_load_gives_an_equal_layout(tmp_path, write, load):
+    layout = Layout.from_rows(_INTERLEAVED)
+    write(layout, tmp_path / "desks.csv", "h")
+    back = load(tmp_path / "desks.csv")
+    assert back == layout
+    assert list(back.zones) == sorted(layout.zones)  # rows are written in desk_order()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("O1", "D1", "Z1"), ("O2", "D1", "Z2")], "desk_ids must be unique"),
+    ([("O1", "D1", "Z1"), ("O1", "D2", "Z2")], "an occupant may hold at most one desk"),
+])
+def test_layout_built_in_code_raises_the_loaders_message(rows, message):
+    # one validator: the loaders prefix this message with the file
+    # (test_desk_table_structure_errors_name_the_file)
+    zones, assignment = {}, {}
+    for occ, desk, zone in rows:
+        zones.setdefault(zone, []).append(desk)
+        assignment.setdefault(desk, occ)
+    for build in (lambda: Layout.from_rows(rows), lambda: Layout(zones, assignment)):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_lighting_writer_rejects_zone_ids_that_would_not_read_back(tmp_path):
