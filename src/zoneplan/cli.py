@@ -89,8 +89,8 @@ def _deep_update(base: dict, override: dict) -> dict:
 
 
 # the value types a leaf accepts, by the type of its default; a bool is
-# never taken for a number, and null or list defaults are not checked
-_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+# never taken for a number, and null defaults are not checked
+_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
 def _leaf_type_ok(value, default) -> bool:
@@ -118,16 +118,9 @@ def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
             )
 
 
-def _apply_set(cfg: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ingest.InputError(f"--set expects key=value, got {assignment!r}")
-    key, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    except RecursionError:
-        raise ingest.InputError(f"--set {key}: value nested too deeply") from None
+def _set_leaf(cfg: dict, key: str, value) -> None:
+    """Set the config leaf at a dotted key; an unknown key or a value of the
+    wrong type is an input error naming the key."""
     *groups, leaf = key.split(".")
     node, default = cfg, DEFAULT_CONFIG
     for part in groups:
@@ -138,7 +131,41 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     node[leaf] = value
 
 
+def _apply_set(cfg: dict, assignment: str) -> None:
+    if "=" not in assignment:
+        raise ingest.InputError(f"--set expects key=value, got {assignment!r}")
+    key, raw = assignment.split("=", 1)
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    except RecursionError:
+        raise ingest.InputError(f"--set {key}: value nested too deeply") from None
+    _set_leaf(cfg, key, value)
+
+
+# each flag is shorthand for the config key named by its dest
+_FLAGS = {
+    "--seed": dict(dest="seed", type=int, help="master seed"),
+    "--out-dir": dict(dest="out_dir", help="output directory"),
+    "--plug-load": dict(dest="paths.plug_load", help="plug-load events CSV"),
+    "--grid": dict(dest="paths.grid", help="resampled grid CSV"),
+    "--states": dict(dest="paths.states", help="states CSV"),
+    "--zone-map": dict(dest="paths.zone_map", help="zone map CSV"),
+    "--lighting": dict(dest="paths.lighting", help="hourly lighting CSV"),
+    "--model": dict(dest="paths.model", help="trained surrogate JSON (required for optimize's ga)"),
+    "--layout": dict(dest="paths.layout", help="layout CSV to score"),
+    "--kind": dict(dest="surrogate.kind", choices=["mlr", "rf"], help="surrogate model type"),
+    "--method": dict(dest="optimize.method", choices=["cluster", "ga"]),
+    "--dims": dict(dest="optimize.dims", type=int, help="SVD dimensions for the cluster method"),
+    "--seed-layouts": dict(dest="optimize.seed_layouts",
+                           help="layout CSV or directory used to seed the GA population"),
+    "--batch": dict(dest="optimize.batch", type=int, help="number of seeded runs"),
+}
+
+
 def build_config(args: argparse.Namespace) -> dict:
+    """Defaults, then each --config file, then each --set, then the flags."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for value in getattr(args, "config", None) or []:
         path = Path(value)
@@ -154,34 +181,12 @@ def build_config(args: argparse.Namespace) -> dict:
         _deep_update(cfg, user)
     for assignment in getattr(args, "set", None) or []:
         _apply_set(cfg, assignment)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+    for flag in _FLAGS.values():
+        value = getattr(args, flag["dest"], None)
+        if value is not None and value != "":  # an empty string leaves the key alone
+            _set_leaf(cfg, flag["dest"], value)
     if cfg["seed"] < 0:  # numpy's generators take no negative seed
         raise ingest.InputError(f"seed must be >= 0, got {cfg['seed']}")
-    if getattr(args, "out_dir", None):
-        cfg["out_dir"] = args.out_dir
-    for flag, key in (
-        ("plug_load", "plug_load"),
-        ("grid", "grid"),
-        ("zone_map", "zone_map"),
-        ("lighting", "lighting"),
-        ("states_file", "states"),
-        ("model", "model"),
-        ("layout", "layout"),
-    ):
-        value = getattr(args, flag, None)
-        if value:
-            cfg["paths"][key] = value
-    if getattr(args, "method", None):
-        cfg["optimize"]["method"] = args.method
-    if getattr(args, "dims", None) is not None:
-        cfg["optimize"]["dims"] = args.dims
-    if getattr(args, "seed_layouts", None):
-        cfg["optimize"]["seed_layouts"] = args.seed_layouts
-    if getattr(args, "batch", None) is not None:
-        cfg["optimize"]["batch"] = args.batch
-    if getattr(args, "surrogate_kind", None):
-        cfg["surrogate"]["kind"] = args.surrogate_kind
     return cfg
 
 
@@ -198,12 +203,6 @@ def _header(cfg: dict, command: str) -> str:
 def _provenance(cfg: dict, command: str) -> dict:
     """The command and config hash that every JSON output records."""
     return {"command": command, "config_hash": config_hash(cfg)}
-
-
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _require_path(cfg: dict, key: str, fallback: Path | None = None) -> Path:
@@ -228,11 +227,37 @@ def _state_config(cfg: dict) -> states_mod.StateConfig:
 MAX_INFERRED_DAYS = 3660
 
 
-def _parse_window(cfg: dict, events, path: Path) -> tuple[datetime, datetime]:
-    """The configured window, or the whole days spanned by the events in path."""
+def _timestamp(value, key: str) -> datetime:
+    """The timestamp a config value holds; a bad one is an input error naming key."""
+    if not isinstance(value, str):
+        raise ingest.InputError(f"{key} must be a timestamp string, got {value!r}")
+    try:
+        return ingest.parse_timestamp(value)
+    except ingest.InputError as exc:
+        raise ingest.InputError(f"{key}: {exc}") from None
+
+
+def _window_config(cfg: dict):
+    """The window.* settings, checked before any input is read: the configured
+    (start, end) or None, and the excluded day ranges."""
     w = cfg["window"]
-    if w["start"] and w["end"]:
-        return ingest.parse_timestamp(w["start"]), ingest.parse_timestamp(w["end"])
+    if bool(w["start"]) != bool(w["end"]):
+        given, missing = ("start", "end") if w["start"] else ("end", "start")
+        raise ingest.InputError(f"window.{given} is set, so window.{missing} is required")
+    window = None
+    if w["start"]:
+        window = (_timestamp(w["start"], "window.start"), _timestamp(w["end"], "window.end"))
+    ranges = []
+    for i, pair in enumerate(w["exclude_days"]):
+        key = f"window.exclude_days[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ingest.InputError(f"{key} must be [start, end], got {pair!r}")
+        ranges.append((_timestamp(pair[0], key), _timestamp(pair[1], key)))
+    return window, ranges
+
+
+def _inferred_window(events, path: Path) -> tuple[datetime, datetime]:
+    """The whole days spanned by the events in path."""
     lo = min(int(ev.times[0]) for ev in events.values())
     hi = max(int(ev.times[-1]) for ev in events.values())
     day = ingest.DAY_SECONDS
@@ -259,25 +284,20 @@ def _parse_window(cfg: dict, events, path: Path) -> tuple[datetime, datetime]:
 
 
 def cmd_ingest(cfg: dict) -> int:
+    window, ranges = _window_config(cfg)
     plug_load = _require_path(cfg, "plug_load")
     events = ingest.load_plug_load(plug_load)
-    window = _parse_window(cfg, events, plug_load)
-    grid = ingest.resample_15min(events, window)
-    ranges = []
-    for pair in cfg["window"]["exclude_days"]:
-        if len(pair) != 2:
-            raise ingest.InputError("window.exclude_days entries must be [start, end]")
-        ranges.append((ingest.parse_timestamp(pair[0]), ingest.parse_timestamp(pair[1])))
+    grid = ingest.resample_15min(events, window or _inferred_window(events, plug_load))
     if ranges:
         grid = ingest.exclude_days(grid, ranges)
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     ingest.write_grid(grid, out / "grid.csv", _header(cfg, "ingest"))
     print(f"wrote {out / 'grid.csv'} ({len(grid.occupants)} occupants, {grid.n_days} days)")
     return 0
 
 
 def cmd_infer_states(cfg: dict) -> int:
-    grid_path = _require_path(cfg, "grid", fallback=_out_dir(cfg) / "grid.csv")
+    grid_path = _require_path(cfg, "grid", fallback=Path(cfg["out_dir"]) / "grid.csv")
     grid = ingest.load_grid(grid_path)
     state_cfg = _state_config(cfg)
     state_grid, fits = states_mod.infer_states_detailed(grid, state_cfg)
@@ -289,7 +309,7 @@ def cmd_infer_states(cfg: dict) -> int:
                     f"max_iter after {len(model.elbo_trace)} iterations without converging",
                     file=sys.stderr,
                 )
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     states_mod.write_states(state_grid, out / "states.csv", _header(cfg, "infer-states"))
     states_mod.write_models(
         fits,
@@ -302,7 +322,7 @@ def cmd_infer_states(cfg: dict) -> int:
 
 
 def _load_states(cfg: dict) -> tuple[Path, states_mod.StateGrid]:
-    path = _require_path(cfg, "states", fallback=_out_dir(cfg) / "states.csv")
+    path = _require_path(cfg, "states", fallback=Path(cfg["out_dir"]) / "states.csv")
     return path, states_mod.load_states(path)
 
 
@@ -323,7 +343,7 @@ def cmd_diversity_report(cfg: dict) -> int:
     layout = _load_desk_table(cfg, "zone_map", states_path, state_grid)
     lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
     header = _header(cfg, "diversity-report")
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     zones = layout.by_zone()
 
     report = div.layout_diversity(zones, state_grid.vectors())
@@ -369,6 +389,14 @@ def _metrics_doc(metrics: surrogate.Metrics) -> dict:
     }
 
 
+def _rf_config(cfg: dict) -> surrogate.RfConfig:
+    """The forest settings, checked before any input is read or output written."""
+    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
+    if rf_config.n_trees < 1:
+        raise ingest.InputError(f"surrogate.rf.n_trees must be >= 1, got {rf_config.n_trees}")
+    return rf_config
+
+
 def cmd_train_surrogate(cfg: dict) -> int:
     kind = cfg["surrogate"]["kind"]
     if kind not in ("mlr", "rf"):
@@ -376,6 +404,10 @@ def cmd_train_surrogate(cfg: dict) -> int:
     fraction = cfg["surrogate"]["split_fraction"]
     if not 0.0 < fraction < 1.0:
         raise ingest.InputError(f"surrogate.split_fraction must be in (0, 1), got {fraction}")
+    folds = cfg["surrogate"]["cv_folds"]
+    if folds < 0 or folds == 1:
+        raise ingest.InputError(f"surrogate.cv_folds must be 0 (off) or >= 2, got {folds}")
+    rf_config = _rf_config(cfg) if kind == "rf" else None
     states_path, state_grid = _load_states(cfg)
     layout = _load_desk_table(cfg, "zone_map", states_path, state_grid)
     lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
@@ -388,8 +420,6 @@ def cmd_train_surrogate(cfg: dict) -> int:
         message = f"leaves a side empty: {states_path} has {days} day(s) of states"
         raise ingest.InputError(f"surrogate.split_fraction={fraction} {message}") from None
 
-    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
-
     def fit(tbl: surrogate.FeatureTable, ty: np.ndarray):
         if kind == "mlr":
             return surrogate.fit_mlr(tbl, ty, cfg["surrogate"]["ridge"])
@@ -401,7 +431,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
     metrics = surrogate.evaluate(
         y[test_idx], pred, test_table.hour_epoch, test_table.day_index
     )
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     surrogate.save_model(model, out / "model.json", _provenance(cfg, "train-surrogate"))
     doc = {
         **_provenance(cfg, "train-surrogate"),
@@ -411,8 +441,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
         "n_test_rows": int(test_idx.size),
         "test_metrics": _metrics_doc(metrics),
     }
-    folds = cfg["surrogate"]["cv_folds"]
-    if folds and folds >= 2:
+    if folds:
         cv = surrogate.cross_validate(
             table.take(train_idx), y[train_idx], folds, lambda tbl, ty: fit(tbl, ty).predict_rows
         )
@@ -447,21 +476,23 @@ def _ga_config(cfg: dict) -> optimize.GaConfig:
 
 def cmd_optimize(cfg: dict) -> int:
     method = cfg["optimize"]["method"]
+    if method not in ("cluster", "ga"):
+        raise ingest.InputError(f"optimize.method must be cluster or ga, got {method!r}")
+    batch = cfg["optimize"]["batch"]
+    if batch < 1:
+        raise ingest.InputError(f"optimize.batch must be >= 1, got {batch}")
     ga_config = _ga_config(cfg) if method == "ga" else None
+    if method == "ga" and not cfg["paths"]["model"]:
+        raise ingest.InputError("the ga method needs paths.model (a trained surrogate)")
     states_path, state_grid = _load_states(cfg)
     template = _load_desk_table(cfg, "zone_map", states_path, state_grid)
-    batch = int(cfg["optimize"]["batch"])
-    if batch < 1:
-        raise ingest.InputError("optimize.batch must be >= 1")
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     header = _header(cfg, "optimize")
     master = int(cfg["seed"])
 
     model = None
-    if cfg["paths"].get("model"):
+    if cfg["paths"]["model"]:
         model = surrogate.load_model(_require_path(cfg, "model"))
-    if method == "ga" and model is None:
-        raise ingest.InputError("the ga method needs paths.model (a trained surrogate)")
 
     vectors = state_grid.vectors()
     dims = cfg["optimize"]["dims"]
@@ -488,13 +519,11 @@ def cmd_optimize(cfg: dict) -> int:
         # the batch's runs are searched together, each as it would run alone
         starts = [optimize.random_layout(template, np.random.default_rng(s)) for s in seeds]
         results = optimize.swap_search(vectors, starts, cfg["optimize"]["iter_limit"], seeds)
-    elif method == "ga":
+    else:
         results = [
             optimize.ga_optimize(scorer.totals, template, ga_config, seed=s, seeds_in=seeds_in)
             for s in seeds
         ]
-    else:
-        raise ingest.InputError(f"optimize.method must be cluster or ga, got {method!r}")
     runs = []
     for k, (layout, trace) in enumerate(results):
         optimize.write_layout(layout, out / f"layout_{k:03d}.csv", header)
@@ -535,7 +564,7 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["paths"].get("zone_map"):
         baseline = _load_desk_table(cfg, "zone_map", states_path, state_grid).by_zone()
     report = surrogate.predict_energy(model, layout.by_zone(), state_grid, baseline_zones=baseline)
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     surrogate.write_energy_report(report, out / "energy.csv", _header(cfg, "simulate"))
     print(f"wrote {out / 'energy.csv'} (total {report.grand_total:.1f} wh)")
     return 0
@@ -558,7 +587,9 @@ def cmd_synth_demo(cfg: dict) -> int:
         if s[key] < least:
             raise ingest.InputError(f"synth.{key} must be >= {least}, got {s[key]}")
     ga_config = _ga_config(cfg)
-    out = _out_dir(cfg)
+    rf_config = _rf_config(cfg)
+    start = _timestamp(s["start"], "synth.start")
+    out = Path(cfg["out_dir"])
     header = _header(cfg, "synth-demo")
     seed = int(cfg["seed"])
     oracle_cfg = synth.LightingOracleConfig(**cfg["oracle"])
@@ -570,7 +601,7 @@ def cmd_synth_demo(cfg: dict) -> int:
         int(s["n_days"]),
         seed=seed,
         p_high=float(s["p_high"]),
-        start=ingest.parse_timestamp(s["start"]),
+        start=start,
         jitter_minutes=float(s["jitter_minutes"]),
     )
     states_mod.write_states(state_grid, out / "states.csv", header)
@@ -607,7 +638,6 @@ def cmd_synth_demo(cfg: dict) -> int:
     train_table, train_y = synth.oracle_training_set(
         state_grid, [layout.by_zone() for layout in train_layouts], oracle_cfg
     )
-    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
     model = surrogate.fit_random_forest(train_table, train_y, rf_config, seed=seed)
     surrogate.save_model(model, out / "model.json", _provenance(cfg, "synth-demo"))
     holdout = [layout.by_zone() for layout in random_layouts(10_000, s["holdout_layouts"])]
@@ -648,89 +678,46 @@ def cmd_synth_demo(cfg: dict) -> int:
 def _make_parser() -> _Parser:
     parser = _Parser(prog="zoneplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # name -> (function, help, flags besides --seed and --out-dir); the table is
+    # built per parser, so a cmd_* function replaced at run time is the one called
+    commands = {
+        "ingest": (cmd_ingest, "resample plug-load events to a 15-minute grid",
+                   ["--plug-load"]),
+        "infer-states": (cmd_infer_states, "cluster power values into states 1-3", ["--grid"]),
+        "diversity-report": (cmd_diversity_report, "daily zone diversity and OLS vs energy",
+                             ["--states", "--zone-map", "--lighting"]),
+        "train-surrogate": (cmd_train_surrogate, "fit the lighting-energy model",
+                            ["--states", "--zone-map", "--lighting", "--kind"]),
+        "optimize": (cmd_optimize, "optimize the occupant layout",
+                     ["--method", "--dims", "--seed-layouts", "--batch", "--states",
+                      "--zone-map", "--model"]),
+        "simulate": (cmd_simulate, "score a layout with a trained surrogate",
+                     ["--states", "--model", "--layout", "--zone-map"]),
+        "count-layouts": (cmd_count_layouts, "count feasible assignments", []),
+        "synth-demo": (cmd_synth_demo, "closed-loop synthetic pipeline demo", []),
+    }
+    for name, (function, help_text, flags) in commands.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", action="append",
                        help="JSON config file (repeatable, merged in order)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (dotted path, JSON value)")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-
-    p = sub.add_parser("ingest", help="resample plug-load events to a 15-minute grid")
-    common(p)
-    p.add_argument("--plug-load", dest="plug_load", help="plug-load events CSV")
-
-    p = sub.add_parser("infer-states", help="cluster power values into states 1-3")
-    common(p)
-    p.add_argument("--grid", help="resampled grid CSV")
-
-    p = sub.add_parser("diversity-report", help="daily zone diversity and OLS vs energy")
-    common(p)
-    p.add_argument("--states", dest="states_file", help="states CSV")
-    p.add_argument("--zone-map", dest="zone_map", help="zone map CSV")
-    p.add_argument("--lighting", help="hourly lighting CSV")
-
-    p = sub.add_parser("train-surrogate", help="fit the lighting-energy model")
-    common(p)
-    p.add_argument("--states", dest="states_file", help="states CSV")
-    p.add_argument("--zone-map", dest="zone_map", help="zone map CSV")
-    p.add_argument("--lighting", help="hourly lighting CSV")
-    p.add_argument("--kind", dest="surrogate_kind", choices=["mlr", "rf"],
-                   help="surrogate model type")
-
-    p = sub.add_parser("optimize", help="optimize the occupant layout")
-    common(p)
-    p.add_argument("--method", choices=["cluster", "ga"])
-    p.add_argument("--dims", type=int, help="SVD dimensions for the cluster method")
-    p.add_argument("--seed-layouts", dest="seed_layouts",
-                   help="layout CSV or directory used to seed the GA population")
-    p.add_argument("--batch", type=int, help="number of seeded runs")
-    p.add_argument("--states", dest="states_file", help="states CSV")
-    p.add_argument("--zone-map", dest="zone_map", help="zone map CSV")
-    p.add_argument("--model", help="trained surrogate JSON (required for ga)")
-
-    p = sub.add_parser("simulate", help="score a layout with a trained surrogate")
-    common(p)
-    p.add_argument("--states", dest="states_file", help="states CSV")
-    p.add_argument("--model", help="trained surrogate JSON")
-    p.add_argument("--layout", help="layout CSV to score")
-    p.add_argument("--zone-map", dest="zone_map", help="baseline zone map CSV")
-
-    p = sub.add_parser("count-layouts", help="count feasible assignments")
-    common(p)
-    p.add_argument("occupants", type=int)
-    p.add_argument("zones", type=int)
-    p.add_argument("--distinct-zones", action="store_true",
-                   help="treat zones as distinguishable (drop the n! factor)")
-
-    p = sub.add_parser("synth-demo", help="closed-loop synthetic pipeline demo")
-    common(p)
+        for flag in ["--seed", "--out-dir", *flags]:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=function, operands=[])
+    count = sub.choices["count-layouts"]
+    count.add_argument("occupants", type=int)
+    count.add_argument("zones", type=int)
+    count.add_argument("--distinct-zones", action="store_true",
+                       help="treat zones as distinguishable (drop the n! factor)")
+    count.set_defaults(operands=["occupants", "zones", "distinct_zones"])
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     cfg = build_config(args)
-    command = args.command
-    if command == "ingest":
-        return cmd_ingest(cfg)
-    if command == "infer-states":
-        return cmd_infer_states(cfg)
-    if command == "diversity-report":
-        return cmd_diversity_report(cfg)
-    if command == "train-surrogate":
-        return cmd_train_surrogate(cfg)
-    if command == "optimize":
-        return cmd_optimize(cfg)
-    if command == "simulate":
-        return cmd_simulate(cfg)
-    if command == "count-layouts":
-        return cmd_count_layouts(cfg, args.occupants, args.zones, args.distinct_zones)
-    if command == "synth-demo":
-        return cmd_synth_demo(cfg)
-    raise ingest.InputError(f"unknown command {command!r}")
+    return args.run(cfg, *(getattr(args, name) for name in args.operands))
 
 
 def main(argv: list[str] | None = None) -> int:

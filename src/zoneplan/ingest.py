@@ -9,6 +9,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -696,7 +697,12 @@ def _write_rows(path, header: Sequence[str], rows, comments: Sequence[str | None
 
 @contextmanager
 def _create_csv(path, header: Sequence[str], comments: Sequence[str | None]):
-    """Open path for writing, write the comment lines and header; yield (file, csv.writer)."""
+    """Open path for writing, write the comment lines and header; yield (file, csv.writer).
+
+    Like _write_json, it makes a missing directory first, so a command's
+    output directory exists only once it holds a file.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(f"# {line}\n" for c in comments if c for line in c.splitlines()))
         writer = _csv_writer(fh)
@@ -716,7 +722,9 @@ def _read_json(path):
 
 
 def _write_json(path, doc: dict) -> None:
-    """Write doc as JSON: 2-space indent, sorted keys, a final newline."""
+    """Write doc as JSON: 2-space indent, sorted keys, a final newline; a
+    missing directory is made first, as _create_csv does."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

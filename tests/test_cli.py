@@ -224,6 +224,18 @@ def test_leaf_values_of_a_compatible_type_are_accepted():
     assert cfg["window"]["start"] == "2018-01-01T00:00:00Z"
 
 
+def test_flags_set_their_keys_after_every_set_and_an_empty_one_sets_nothing():
+    args = _make_parser().parse_args(
+        ["optimize", "--set", "optimize.batch=5", "--batch", "0", "--dims", "0",
+         "--set", "out_dir=elsewhere", "--out-dir", "", "--states", "s.csv"]
+    )
+    cfg = build_config(args)
+    assert cfg["optimize"]["batch"] == 0  # the flag wins over --set, and 0 is a value
+    assert cfg["optimize"]["dims"] == 0
+    assert cfg["out_dir"] == "elsewhere"  # "" leaves the key as it was
+    assert cfg["paths"]["states"] == "s.csv"
+
+
 def _config_leaves(tree, prefix=""):
     for key, value in tree.items():
         if isinstance(value, dict):
@@ -261,24 +273,26 @@ def test_any_set_assignment_builds_a_typed_config_or_is_an_input_error(key, valu
             assert isinstance(node, bool) == isinstance(default, bool), name
 
 
-def test_diversity_report_rejects_a_partial_trailing_day(tmp_path, capsys):
-    # 3 days and 8 steps: the 8 steps must not be dropped silently
+def write_partial_day_inputs(base):
+    """diversity-report flags for states of 3 days and 8 steps, with a zone map and lighting."""
     full = synth.generate_population((1, 1, 1, 1), 4, seed=0)
     grid = states_mod.StateGrid(full.occupants, full.start, full.states[:, : 3 * 96 + 8])
-    states_mod.write_states(grid, tmp_path / "states.csv")
+    states_mod.write_states(grid, base / "states.csv")
     zones = {"Z1": grid.occupants[:2], "Z2": grid.occupants[2:]}
     write_zone_map(
         Layout.from_rows([(o, f"D{o}", z) for z, occs in zones.items() for o in occs]),
-        tmp_path / "zone_map.csv",
+        base / "zone_map.csv",
     )
-    write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
+    write_lighting(synth.oracle_lighting_table(zones, grid), base / "lighting.csv")
+    return ["--states", str(base / "states.csv"), "--zone-map", str(base / "zone_map.csv"),
+            "--lighting", str(base / "lighting.csv")]
+
+
+def test_diversity_report_rejects_a_partial_trailing_day(tmp_path, capsys):
+    # 3 days and 8 steps: the 8 steps must not be dropped silently
     out = tmp_path / "out"
-    code = main(
-        ["diversity-report", "--states", str(tmp_path / "states.csv"),
-         "--zone-map", str(tmp_path / "zone_map.csv"),
-         "--lighting", str(tmp_path / "lighting.csv"), "--out-dir", str(out)]
-    )
-    assert code == 1
+    inputs = write_partial_day_inputs(tmp_path)
+    assert main(["diversity-report", *inputs, "--out-dir", str(out)]) == 1
     message = f"{tmp_path / 'states.csv'}: 296 steps do not cover whole days"
     assert message in capsys.readouterr().err
     assert not (out / "diversity.csv").exists()
@@ -296,6 +310,29 @@ def test_inferred_window_ends_with_the_last_events_day(tmp_path):
     grid = load_grid(out / "grid.csv")
     assert grid.n_steps == 96
     assert int(grid.start.timestamp()) == base
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["window.start=2018-01-02T00:00:00Z"], "window.start is set, so window.end is required"),
+    (["window.end=2018-01-02T00:00:00Z"], "window.end is set, so window.start is required"),
+    (["window.start=bad", "window.end=bad2"], "window.start: bad timestamp 'bad': "),
+    (["window.start=2018-01-01T00:00:00Z", "window.end=5"],
+     "window.end must be a timestamp string, got 5"),
+    (['window.exclude_days=[["2018-01-02T00:00:00Z"]]'],
+     "window.exclude_days[0] must be [start, end], got ['2018-01-02T00:00:00Z']"),
+    (['window.exclude_days=[["2018-01-02T00:00:00Z", "2018-01-03T00:00:00Z"], ["x", "y"]]'],
+     "window.exclude_days[1]: bad timestamp 'x': "),
+    (["window.exclude_days=5"], "config key window.exclude_days must be list, got int"),
+])
+def test_window_settings_are_checked_before_the_plug_load_file(tmp_path, capsys, settings,
+                                                               message):
+    # the plug-load file does not exist, so a later check would name it instead
+    out = tmp_path / "out"
+    sets = [arg for kv in settings for arg in ("--set", kv)]
+    argv = ["ingest", "--plug-load", str(tmp_path / "missing.csv"), *sets, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_event_past_year_9999_is_an_input_error_naming_the_file(tmp_path, capsys):
@@ -509,6 +546,7 @@ def test_synth_demo_traces_monotone(demo_dir):
     ("synth.random_baseline", 0),
     ("synth.holdout_layouts", 0),
     ("synth.train_layouts", -1),
+    ("surrogate.rf.n_trees", 0),
 ])
 def test_synth_demo_rejects_sizes_it_cannot_use(tmp_path, capsys, key, value):
     # no random mean to compare with, no holdout to score, no negative count
@@ -806,12 +844,15 @@ def test_a_seated_occupant_without_states_names_both_files(tmp_path, demo_dir, c
     assert main([*argv, "--states", str(states), "--out-dir", str(out)]) == 1
     message = f"error: {desk_table}: occupants without states in {states}: ['GHOST']\n"
     assert capsys.readouterr().err == message
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting, message", [
     ("surrogate.kind=svm", "surrogate.kind must be mlr or rf, got 'svm'"),
     ("surrogate.split_fraction=1", "surrogate.split_fraction must be in (0, 1), got 1"),
+    ("surrogate.rf.n_trees=0", "surrogate.rf.n_trees must be >= 1, got 0"),
+    ("surrogate.cv_folds=1", "surrogate.cv_folds must be 0 (off) or >= 2, got 1"),
+    ("surrogate.cv_folds=-1", "surrogate.cv_folds must be 0 (off) or >= 2, got -1"),
 ])
 def test_train_surrogate_checks_its_config_before_reading_input(tmp_path, capsys, setting,
                                                                 message):
@@ -831,3 +872,32 @@ def test_train_surrogate_split_of_one_day_names_the_fraction_and_the_days(tmp_pa
     assert main(argv) == 1
     message = f"leaves a side empty: {states} has 1 day(s) of states"
     assert capsys.readouterr().err == f"error: surrogate.split_fraction=0.8 {message}\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "infer-states", "diversity-report",
+                                     "train-surrogate", "optimize", "simulate"])
+def test_a_failing_command_leaves_no_output_directory(tmp_path, demo_dir, office_inputs,
+                                                      capsys, command):
+    # the output directory is made at the first write, which none of these reaches
+    demo = {name: str(demo_dir / f"{name}.csv") for name in ("states", "zone_map", "lighting")}
+
+    def simulate_with_a_bad_model():
+        (tmp_path / "model.json").write_text("{}", encoding="utf-8")
+        return ["simulate", "--states", demo["states"], "--model", str(tmp_path / "model.json"),
+                "--layout", str(demo_dir / "cluster_layout.csv")]
+
+    argv = {
+        "ingest": lambda: ["ingest", "--plug-load", str(make_plug_csv(tmp_path / "plug.csv")),
+                           "--set", 'window.exclude_days=[["2030-01-01T00:00:00Z", '
+                                    '"2030-01-02T00:00:00Z"]]'],
+        "infer-states": lambda: ["infer-states"],  # no grid, and none in the output directory
+        "diversity-report": lambda: ["diversity-report", *write_partial_day_inputs(tmp_path)],
+        "train-surrogate": lambda: ["train-surrogate", "--states", demo["states"],
+                                    "--zone-map", demo["zone_map"], "--lighting", demo["lighting"]],
+        "optimize": lambda: ["optimize", *office_inputs, "--set", "optimize.method=anneal"],
+        "simulate": simulate_with_a_bad_model,
+    }[command]()
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -1,12 +1,14 @@
 """The benchmark tracer and the experiment scripts still fit the library, and
 the library reads and writes its files from one module."""
 
+import argparse
 import ast
 import importlib
 
 import pytest
 
 from conftest import REPO, load_module
+from zoneplan.cli import DEFAULT_CONFIG, _make_parser
 
 
 def test_every_traced_name_resolves():
@@ -21,6 +23,32 @@ def test_every_traced_name_resolves():
             assert callable(target), f"{module_name}.{name}"
     traced = {f"{m}.{n}" for m, names in tracer.TARGETS.items() for n in names}
     assert set(tracer.COUNTS) <= traced
+
+
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def test_every_flag_is_a_config_key():
+    # a flag is shorthand for one config leaf, so it is checked and applied like --set
+    leaves = set(_leaves(DEFAULT_CONFIG))
+    subparsers = next(a for a in _make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    others = []
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag is None or flag in ("--config", "--set", "--help"):
+                continue
+            if (name, flag) == ("count-layouts", "--distinct-zones"):
+                continue
+            if action.dest not in leaves:
+                others.append(f"{name} {flag}: {action.dest}")
+    assert others == []
 
 
 SCRIPT_RUNS = {
