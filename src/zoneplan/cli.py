@@ -289,7 +289,7 @@ def cmd_ingest(cfg: dict) -> int:
     events = ingest.load_plug_load(plug_load)
     grid = ingest.resample_15min(events, window or _inferred_window(events, plug_load))
     if ranges:
-        grid = ingest.exclude_days(grid, ranges)
+        grid = ingest.exclude_days(grid, ranges, "window.exclude_days")
     out = Path(cfg["out_dir"])
     ingest.write_grid(grid, out / "grid.csv", _header(cfg, "ingest"))
     print(f"wrote {out / 'grid.csv'} ({len(grid.occupants)} occupants, {grid.n_days} days)")

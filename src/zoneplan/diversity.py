@@ -11,7 +11,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from .ingest import STEPS_PER_DAY, _write_rows
@@ -27,7 +26,14 @@ def distance_matrix(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D array of stacked schedules")
-    d = cdist(rows, rows, metric="euclidean")
+    d = np.zeros((rows.shape[0], rows.shape[0]))
+    if rows.shape[1] == 0:
+        return d
+    for i, row in enumerate(rows):
+        # squares added in schedule order, as scipy's cdist does, one row
+        # against all at a time so memory stays O(n * T)
+        diff = rows - row
+        d[i] = np.sqrt(np.add.accumulate(diff * diff, axis=-1)[:, -1])
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -210,21 +210,26 @@ def resample_15min(
 
 
 def exclude_days(
-    grid: TimeSeriesGrid, day_ranges: list[tuple[datetime, datetime]]
+    grid: TimeSeriesGrid,
+    day_ranges: list[tuple[datetime, datetime]],
+    key: str = "day_ranges",
 ) -> TimeSeriesGrid:
-    """Drop whole-day column blocks covered by [start, end) datetime ranges."""
+    """Drop whole-day column blocks covered by [start, end) datetime ranges.
+
+    An error names the bad range as key[i], key being where the ranges came from.
+    """
     if not day_ranges:
         return TimeSeriesGrid(list(grid.occupants), grid.start, grid.values.copy())
     start_s = _epoch(grid.start)
     drop = np.zeros(grid.n_days, dtype=bool)
-    for a, b in day_ranges:
+    for i, (a, b) in enumerate(day_ranges):
         a_s, b_s = _epoch(a), _epoch(b)
         if (a_s - start_s) % DAY_SECONDS or (b_s - start_s) % DAY_SECONDS:
-            raise InputError("exclusion range must align to grid day boundaries")
+            raise InputError(f"{key}[{i}]: exclusion range must align to grid day boundaries")
         first = (a_s - start_s) // DAY_SECONDS
         last = (b_s - start_s) // DAY_SECONDS
         if first < 0 or last > grid.n_days or first >= last:
-            raise InputError("exclusion range outside grid window")
+            raise InputError(f"{key}[{i}]: exclusion range outside grid window")
         drop[first:last] = True
     if drop.all():
         raise InputError("empty grid: all days excluded")
@@ -695,6 +700,17 @@ def _write_rows(path, header: Sequence[str], rows, comments: Sequence[str | None
         writer.writerows(rows)
 
 
+def _make_parent(path) -> None:
+    """Make path's missing directories; a file standing in their place is an InputError."""
+    parent = Path(path).parent
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise InputError(
+            f"{parent}: cannot make this output directory, a file is in the way"
+        ) from None
+
+
 @contextmanager
 def _create_csv(path, header: Sequence[str], comments: Sequence[str | None]):
     """Open path for writing, write the comment lines and header; yield (file, csv.writer).
@@ -702,7 +718,7 @@ def _create_csv(path, header: Sequence[str], comments: Sequence[str | None]):
     Like _write_json, it makes a missing directory first, so a command's
     output directory exists only once it holds a file.
     """
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(f"# {line}\n" for c in comments if c for line in c.splitlines()))
         writer = _csv_writer(fh)
@@ -724,7 +740,7 @@ def _read_json(path):
 def _write_json(path, doc: dict) -> None:
     """Write doc as JSON: 2-space indent, sorted keys, a final newline; a
     missing directory is made first, as _create_csv does."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -70,7 +70,8 @@ def build_features(states: StateGrid, zones: Mapping[str, Sequence[str]]) -> Fea
     """
     zone_order = sorted(zones)
     encoder = _RowEncoder(states, {z: j for j, z in enumerate(zone_order)})
-    features = encoder.decode(encoder.keys(encoder.rows(zones))[0].T.ravel())
+    keys = encoder.keys(encoder.rows(zones))[0].T[encoder.step_of]
+    features = encoder.decode(keys.ravel())
     n_zones = len(zone_order)
     hour_epoch = np.repeat(states.calendar.hour_epochs(), n_zones)
     day_index = np.repeat(np.arange(states.n_steps) // STEPS_PER_DAY, n_zones)
@@ -593,7 +594,7 @@ def percent_change(value: float, base: float) -> float:
 
 
 class _RowEncoder:
-    """Feature rows of layouts as int64 keys, one per zone per step.
+    """Feature rows of layouts as int64 keys, one per zone per distinct step.
 
     A feature row (s1, s2, s3, hour, day_of_week, is_weekend, zone) takes
     few distinct values, so it packs into one integer:
@@ -601,6 +602,11 @@ class _RowEncoder:
     calendar = (hour * 7 + day_of_week) * 2 + is_weekend, m is
     n_occupants + 1 (a zone count lies in [0, n_occupants]) and zone is
     the zone's index in zone_index.
+
+    Two steps with the same calendar key and the same state for every
+    occupant give the same key in every layout and zone, so keys are built
+    only for the distinct steps, in order of first appearance (keys still
+    rise through each day); step_of maps each step to its distinct step.
     """
 
     _CALENDAR_KEYS = 24 * 7 * 2
@@ -608,18 +614,24 @@ class _RowEncoder:
     def __init__(self, states: StateGrid, zone_index: dict):
         cal = states.calendar
         self.zone_index = zone_index
-        # a zero row after the occupants' rows: row -1 (a vacant desk) adds nothing
-        self._states = np.vstack([states.states, np.zeros((1, cal.n_steps), states.states.dtype)])
         self._occ_index = {occ: i for i, occ in enumerate(states.occupants)}
         m = self._base = len(states.occupants) + 1
         if len(zone_index) * self._CALENDAR_KEYS * m**3 >= 2**63:
             raise ValueError("too many occupants and zones for 64-bit row keys")
         calendar_key = (cal.hours.astype(np.int64) * 7 + cal.dows) * 2 + cal.weekend
-        self._step_key = calendar_key * m**3
+        columns = np.vstack([calendar_key, states.states]).astype(np.int16)
+        _, first, inverse = np.unique(columns, axis=1, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # distinct steps by first appearance
+        self.step_of = np.argsort(order)[inverse.reshape(-1)]
+        distinct = first[order]
+        self._step_key = calendar_key[distinct] * m**3
         self._zone_key = self._CALENDAR_KEYS * m**3
-        # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key
-        self._state_weight = np.zeros(256, dtype=np.int64)
-        self._state_weight[[1, 2, 3]] = (m * m, m, 1)
+        # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key;
+        # the zero row after the occupants' rows is row -1, a vacant desk
+        state_weight = np.zeros(256, dtype=np.int32 if m * m < 2**31 else np.int64)
+        state_weight[[1, 2, 3]] = (m * m, m, 1)
+        self._weights = np.zeros((m, distinct.size), state_weight.dtype)
+        self._weights[:-1] = state_weight.take(states.states[:, distinct])
 
     def occupant_rows(self, occupants: Sequence[str]) -> np.ndarray:
         """The state-grid row of each occupant id."""
@@ -634,17 +646,18 @@ class _RowEncoder:
         return {z: self.occupant_rows(members)[None, :] for z, members in zones.items()}
 
     def keys(self, rows: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Row keys (n_layouts, n_zones, n_steps), zones in sorted id order.
+        """Row keys (n_layouts, n_zones, n_distinct_steps), zones in sorted id order.
 
         rows maps zone_id to (n_layouts, desks) state-grid rows, -1 vacant.
+        Index the last axis with step_of for every step's keys.
         """
         zone_order = sorted(rows)
         _require_model_zones(zone_order, self.zone_index)
         n_layouts = len(rows[zone_order[0]]) if zone_order else 1
-        keys = np.empty((n_layouts, len(zone_order), self._states.shape[1]), dtype=np.int64)
+        keys = np.empty((n_layouts, len(zone_order), self._step_key.size), dtype=np.int64)
         for j, zone_id in enumerate(zone_order):
             keys[:, j] = self._step_key + self.zone_index[zone_id] * self._zone_key
-            keys[:, j] += self._state_weight.take(self._states[rows[zone_id]]).sum(axis=1)
+            keys[:, j] += self._weights[rows[zone_id]].sum(axis=1)
         return keys
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
@@ -665,9 +678,10 @@ class LayoutScorer:
 
     Rows are _RowEncoder keys over the model's zone indices; the model's
     clamped prediction of each key is kept in a sorted memo.  Scoring a
-    layout gathers its rows' predictions in build_features' step-major
-    order and sums them, and totals() does so for a whole GA population at
-    once; the model only sees keys it has not seen before.
+    layout looks up its keys on the distinct steps, gathers the predictions
+    of every step (step_of) in build_features' step-major order and sums
+    them, and totals() does so for a whole GA population at once; the
+    model only sees keys it has not seen before.
     Predictions do not depend on their batch, so totals equal scoring the
     whole feature table at once.
     """
@@ -682,15 +696,16 @@ class LayoutScorer:
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self._keys, keys)
-        missing = keys[self._keys[pos] != keys]
-        if missing.size:
-            new = np.unique(missing)
+        values = self._values[pos]
+        miss = self._keys[pos] != keys
+        if miss.any():
+            new, new_of = np.unique(keys[miss], return_inverse=True)
             pred = np.maximum(self.model.predict_raw(self._encoder.decode(new)), 0.0)
             at = np.searchsorted(self._keys, new)
             self._keys = np.insert(self._keys, at, new)
             self._values = np.insert(self._values, at, pred)
-            pos += np.searchsorted(new, keys)  # shift by the new keys below each
-        return self._values[pos]
+            values[miss] = pred[new_of]
+        return values
 
     def predict(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
         """Zone order and clamped per-row predictions, step-major, zones inner."""
@@ -699,7 +714,7 @@ class LayoutScorer:
         # zone-major keys rise through each day (hour is their leading
         # calendar part), which keeps the memo search local
         pred = self._lookup(keys.ravel()).reshape(keys.shape)
-        return zone_order, pred.T.ravel()
+        return zone_order, pred.T[self._encoder.step_of].ravel()
 
     def total(self, zones: Mapping[str, Sequence[str]]) -> float:
         """Predicted energy of a layout given as zone_id -> occupant ids."""
@@ -721,7 +736,8 @@ class LayoutScorer:
         for lo in range(0, n_layouts, chunk):
             keys = self._encoder.keys({z: r[lo : lo + chunk] for z, r in rows.items()})
             pred = self._lookup(keys.ravel()).reshape(keys.shape)
-            out[lo : lo + len(keys)] = pred.transpose(0, 2, 1).reshape(len(keys), -1).sum(axis=1)
+            steps = pred.transpose(0, 2, 1)[:, self._encoder.step_of]
+            out[lo : lo + len(keys)] = steps.reshape(len(keys), -1).sum(axis=1)
         return out
 
     def report(

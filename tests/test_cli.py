@@ -152,6 +152,21 @@ def test_set_override_parses_json(tmp_path):
     assert len(rows) - 1 == 4 * 96
 
 
+@pytest.mark.parametrize("bad, message", [
+    ('["2018-01-01T12:00:00Z", "2018-01-02T00:00:00Z"]',
+     "exclusion range must align to grid day boundaries"),
+    ('["2018-01-02T00:00:00Z", "2018-01-04T00:00:00Z"]', "exclusion range outside grid window"),
+])
+def test_exclude_days_errors_name_their_entry(tmp_path, capsys, bad, message):
+    # the 2-day grid starts 2018-01-01; the first range is fine, the second is not
+    plug = make_plug_csv(tmp_path / "plug.csv")
+    ranges = f'[["2018-01-01T00:00:00Z", "2018-01-02T00:00:00Z"], {bad}]'
+    argv = ["ingest", "--plug-load", str(plug), "--set", f"window.exclude_days={ranges}",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: window.exclude_days[1]: {message}\n"
+
+
 def test_config_file_plus_set_override(tmp_path):
     plug = make_plug_csv(tmp_path / "plug.csv")
     cfg_path = tmp_path / "cfg.json"
@@ -872,6 +887,22 @@ def test_train_surrogate_split_of_one_day_names_the_fraction_and_the_days(tmp_pa
     assert main(argv) == 1
     message = f"leaves a side empty: {states} has 1 day(s) of states"
     assert capsys.readouterr().err == f"error: surrogate.split_fraction=0.8 {message}\n"
+
+
+@pytest.mark.parametrize("command, out_dir", [("synth-demo", "afile"), ("ingest", "afile"),
+                                              ("optimize", "afile/sub")])
+def test_out_dir_blocked_by_a_file_is_an_input_error(tmp_path, office_inputs, capsys, command,
+                                                     out_dir):
+    # the output directory, or a directory above it, is a file
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    argv = {
+        "synth-demo": ["synth-demo", "--set", "synth.counts=[3,3,3,3]", "--set", "synth.n_days=1"],
+        "ingest": ["ingest", "--plug-load", str(make_plug_csv(tmp_path / "plug.csv"))],
+        "optimize": ["optimize", *office_inputs, "--dims", "3"],
+    }[command]
+    assert main([*argv, "--out-dir", str(tmp_path / out_dir)]) == 1
+    message = f"{tmp_path / out_dir}: cannot make this output directory, a file is in the way"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["ingest", "infer-states", "diversity-report",

@@ -77,6 +77,17 @@ def test_distance_matrix_zero_diagonal_symmetric():
     np.testing.assert_allclose(d, d.T, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("n, t", [(1, 5), (5, 1), (12, 96), (164, 3), (9, 2688), (4, 0)])
+def test_distance_matrix_equals_scipy_cdist(n, t):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(n * 10_000 + t)
+    for rows in (rng.normal(scale=50.0, size=(n, t)), rng.integers(1, 4, (n, t)).astype(float)):
+        expected = cdist(rows, rows)
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(distance_matrix(rows), expected)
+
+
 # ---------------------------------------------------------------- zone diversity
 
 

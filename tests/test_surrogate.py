@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zoneplan import synth
 from zoneplan.ingest import LightingTable, StepCalendar
 from zoneplan.optimize import GaConfig, Layout, ga_optimize, random_layout
+from zoneplan.states import StateGrid
 from zoneplan.surrogate import (
     FEATURE_NAMES,
     SCORE_KEYS,
@@ -34,6 +35,7 @@ from zoneplan.surrogate import (
     targets_from_lighting,
     time_split,
 )
+from zoneplan.surrogate import _RowEncoder
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -573,6 +575,101 @@ def test_batched_totals_reject_a_stateless_occupant(scorer_case, pop8):
         LayoutScorer(model, pop8).totals(
             {"Z1": population[:, :4], "Z2": population[:, 4:]}, pop8.occupants[:7] + ["nobody"]
         )
+
+
+def per_step_keys(states, zone_index, rows) -> np.ndarray:
+    # reference: the scorer's keys built on every step, before distinct steps
+    # were keyed once; (n_layouts, n_zones, n_steps), zones in sorted id order
+    cal = states.calendar
+    m = len(states.occupants) + 1
+    padded = np.vstack([states.states, np.zeros((1, states.n_steps), states.states.dtype)])
+    step_key = ((cal.hours.astype(np.int64) * 7 + cal.dows) * 2 + cal.weekend) * m**3
+    weight = np.zeros(256, dtype=np.int64)
+    weight[[1, 2, 3]] = (m * m, m, 1)
+    zone_order = sorted(rows)
+    keys = np.empty((len(rows[zone_order[0]]), len(zone_order), states.n_steps), dtype=np.int64)
+    for j, zone_id in enumerate(zone_order):
+        keys[:, j] = step_key + zone_index[zone_id] * 336 * m**3
+        keys[:, j] += weight.take(padded[rows[zone_id]]).sum(axis=1)
+    return keys
+
+
+def per_step_totals(model, states, rows) -> np.ndarray:
+    # reference: every step's row predicted, summed step-major per layout
+    zone_index = {z: j for j, z in enumerate(model.zone_order)}
+    keys = per_step_keys(states, zone_index, rows)
+    decode = _RowEncoder(states, zone_index).decode
+    pred = np.maximum(model.predict_raw(decode(keys.ravel())), 0.0).reshape(keys.shape)
+    return pred.transpose(0, 2, 1).reshape(len(keys), -1).sum(axis=1)
+
+
+def grid_like(pop8, states: np.ndarray) -> StateGrid:
+    return StateGrid(list(pop8.occupants), pop8.start, states.astype(np.int8))
+
+
+def step_grids(pop8) -> dict:
+    n_occ, n_steps = pop8.states.shape
+    t = np.arange(n_steps)
+    # occupant i's state is digit i of the step index in base 3: no two columns equal
+    distinct = 1 + (t[None, :] // 3 ** np.arange(n_occ)[:, None]) % 3
+    # each occupant keeps one state through each day: one distinct step per hour
+    daily = np.repeat(pop8.states[:, ::96], 96, axis=1)
+    return {"pop8": pop8, "all distinct": grid_like(pop8, distinct),
+            "constant days": grid_like(pop8, daily)}
+
+
+@pytest.mark.parametrize("grid", ["pop8", "all distinct", "constant days"])
+def test_distinct_step_keys_equal_per_step_keys(scorer_case, pop8, grid):
+    model, _ = scorer_case
+    states = step_grids(pop8)[grid]
+    encoder = _RowEncoder(states, {})
+    n_distinct = int(encoder.step_of.max()) + 1
+    assert n_distinct == {"pop8": 93, "all distinct": 192, "constant days": 48}[grid]
+    template = vacant_template(pop8)
+    occupants = template.occupants()
+    rng = np.random.default_rng(700)
+    tokens = np.r_[np.arange(8), -1, -1]
+    population = np.array([tokens[rng.permutation(10)] for _ in range(30)])
+    population[0] = [-1, -1, -1, -1, -1, 0, 1, 2, 3, 4]  # an empty zone
+    zones = population_zones(population)
+    row_of = np.append(encoder.occupant_rows(occupants), -1)
+    expected = per_step_totals(model, states, {z: row_of[m] for z, m in zones.items()})
+    assert np.array_equal(LayoutScorer(model, states).totals(zones, occupants), expected)
+    scorer = LayoutScorer(model, states)
+    for row, want in zip(population[:6], expected):
+        zones = layout_of(row, template)
+        assert scorer.total(zones) == want
+        assert predict_energy(model, zones, states).grand_total == want
+        # the features are the per-step keys' rows, step-major
+        keys = per_step_keys(states, {"Z1": 0, "Z2": 1}, encoder.rows(zones))
+        features = build_features(states, zones).features
+        assert np.array_equal(features, encoder.decode(keys[0].T.ravel()))
+
+
+def test_population_reaches_the_model_once_per_distinct_row(scorer_case, pop8):
+    model, _ = scorer_case
+    model = copy.copy(model)
+    seen = []
+    predict_raw = model.predict_raw
+
+    def counting(x):
+        seen.extend(map(tuple, np.asarray(x)))
+        return predict_raw(x)
+
+    model.predict_raw = counting
+    template = vacant_template(pop8)
+    rng = np.random.default_rng(800)
+    tokens = np.r_[np.arange(8), -1, -1]
+    population = np.array([tokens[rng.permutation(10)] for _ in range(100)])
+    zones = population_zones(population)
+    scorer = LayoutScorer(model, pop8)
+    totals = scorer.totals(zones, template.occupants())
+    all_rows = {tuple(r) for row in population
+                for r in build_features(pop8, layout_of(row, template)).features}
+    assert len(seen) == len(set(seen)) == len(all_rows)
+    assert set(seen) == all_rows
+    assert np.array_equal(scorer.totals(zones, template.occupants()), totals)
+    assert len(seen) == len(all_rows)  # a scored population reaches the model no more
 
 
 # ---------------------------------------------------------------- persistence

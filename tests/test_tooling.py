@@ -4,6 +4,9 @@ the library reads and writes its files from one module."""
 import argparse
 import ast
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -119,3 +122,12 @@ def test_only_the_state_grid_builds_a_calendar():
                     builders.append(f"{path.name}:{node.lineno}")
     assert params == []
     assert builders == []
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # scipy.spatial costs every command's start-up, and no command needs it
+    code = "import sys, zoneplan.cli; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
