@@ -88,16 +88,19 @@ def _deep_update(base: dict, override: dict) -> dict:
     return base
 
 
-# the value types a leaf accepts, by the type of its default; a bool is
-# never taken for a number, and null defaults are not checked
-_LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
-
-
-def _leaf_type_ok(value, default) -> bool:
-    accepted = _LEAF_TYPES.get(type(default))
-    if accepted is None:
-        return True
-    return isinstance(value, accepted) and isinstance(value, bool) == isinstance(default, bool)
+# a leaf's type is its default's or, where the default is null, the type
+# declared here by its dotted key (the leaf then also takes null); then the
+# values each type accepts, a bool never being taken for a number
+_LEAF_TYPES = {
+    **{f"paths.{key}": str for key in DEFAULT_CONFIG["paths"]},
+    "window.start": str,
+    "window.end": str,
+    "states.priors.mean": float,
+    "states.priors.rate": float,
+    "optimize.iter_limit": int,
+    "optimize.seed_layouts": str,
+    bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,),
+}
 
 
 def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
@@ -111,16 +114,22 @@ def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ingest.InputError(f"config key {name} must be a JSON object")
             _check_keys(value, default[key], name + ".")
-        elif not _leaf_type_ok(value, default[key]):
+            continue
+        null = default[key] is None
+        if null and value is None:
+            continue
+        kind = _LEAF_TYPES[name] if null else type(default[key])
+        if not isinstance(value, _LEAF_TYPES[kind]) or isinstance(value, bool) != (kind is bool):
             raise ingest.InputError(
-                f"config key {name} must be {type(default[key]).__name__}, "
+                f"config key {name} must be {kind.__name__}{' or null' if null else ''}, "
                 f"got {type(value).__name__}"
             )
 
 
 def _set_leaf(cfg: dict, key: str, value) -> None:
     """Set the config leaf at a dotted key; an unknown key or a value of the
-    wrong type is an input error naming the key."""
+    wrong type is an input error naming the key.  An object at a group's key
+    sets the keys it names, as a config file does."""
     *groups, leaf = key.split(".")
     node, default = cfg, DEFAULT_CONFIG
     for part in groups:
@@ -128,7 +137,7 @@ def _set_leaf(cfg: dict, key: str, value) -> None:
             raise ingest.InputError(f"unknown config key {key}")
         node, default = node[part], default[part]
     _check_keys({leaf: value}, default, key[: len(key) - len(leaf)])
-    node[leaf] = value
+    _deep_update(node, {leaf: value})
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
@@ -478,9 +487,14 @@ def cmd_optimize(cfg: dict) -> int:
     method = cfg["optimize"]["method"]
     if method not in ("cluster", "ga"):
         raise ingest.InputError(f"optimize.method must be cluster or ga, got {method!r}")
-    batch = cfg["optimize"]["batch"]
+    batch, iter_limit = cfg["optimize"]["batch"], cfg["optimize"]["iter_limit"]
     if batch < 1:
         raise ingest.InputError(f"optimize.batch must be >= 1, got {batch}")
+    if iter_limit is not None and iter_limit < 1:
+        raise ingest.InputError(f"optimize.iter_limit must be null or >= 1, got {iter_limit}")
+    n_rand = cfg["optimize"]["random_baseline"]
+    if n_rand < 0:
+        raise ingest.InputError(f"optimize.random_baseline must be >= 0, got {n_rand}")
     ga_config = _ga_config(cfg) if method == "ga" else None
     if method == "ga" and not cfg["paths"]["model"]:
         raise ingest.InputError("the ga method needs paths.model (a trained surrogate)")
@@ -518,7 +532,7 @@ def cmd_optimize(cfg: dict) -> int:
     if method == "cluster":
         # the batch's runs are searched together, each as it would run alone
         starts = [optimize.random_layout(template, np.random.default_rng(s)) for s in seeds]
-        results = optimize.swap_search(vectors, starts, cfg["optimize"]["iter_limit"], seeds)
+        results = optimize.swap_search(vectors, starts, iter_limit, seeds)
     else:
         results = [
             optimize.ga_optimize(scorer.totals, template, ga_config, seed=s, seeds_in=seeds_in)
@@ -536,7 +550,6 @@ def cmd_optimize(cfg: dict) -> int:
         rows = [(k, objective) for k, _, objective in runs]
     else:
         existing = scorer.total(template.by_zone())
-        n_rand = int(cfg["optimize"]["random_baseline"])
         rand_energies = []
         for j in range(n_rand):
             rng = np.random.default_rng(master + 100_000 + j)

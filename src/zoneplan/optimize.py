@@ -113,9 +113,12 @@ def swap_search(
     seed), its incrementally updated objective and its exact recompute
     every 1024 iterations.  State is held as (R, n) occupant arrays and an
     (R, n_zones, n) array m, m[r, z, i] being the total distance from
-    occupant i to zone z in run r.  A run moves in only a small share of
-    its iterations, so the terms that depend on its zones alone are cached
-    and refreshed when it moves.
+    occupant i to zone z in run r.  A swap never moves a desk to another
+    zone, so each drawn desk's zone, and with it the zone weight and the
+    row of m, is fixed up front; an iteration reads only the desk's current
+    occupant.  A run moves in only a small share of its iterations, so the
+    terms that depend on its zones alone are cached and refreshed when it
+    moves.
     """
     if not initials:
         raise ValueError("no starting layouts")
@@ -174,49 +177,31 @@ def swap_search(
     own = np.empty((n_runs, n))  # weight of each occupant's own zone
     m_own = np.empty((n_runs, n))  # distance from each occupant to its own zone
     own_offset = np.empty((n_runs, n), dtype=np.intp)  # m_flat offset of m[r, zone(i), 0]
-    same = np.empty((n_runs, nz, n), dtype=bool)  # occupant i seated in zone z
-    same_rows = same.reshape(n_runs * nz, n)
 
     def refresh(r: int) -> None:
         own[r] = weight[r, zone[r]]
         m_own[r] = m[r, zone[r], idx_all]
         own_offset[r] = (r * nz + zone[r]) * n
-        same[r] = zone[r] == np.arange(nz)[:, None]
-
-    # per run and iteration: the drawn occupant a, the m_rows row of its
-    # zone, the m_flat index of m[r, zone(a), a], its zone's weight and the
-    # delta_flat index of the null swap; a run that moves is replanned from
-    # its next iteration on; one integers(n, size=limit) call draws what
-    # limit scalar integers(n) calls would
-    draws = np.array([np.random.default_rng(s).integers(n, size=limit) for s in seeds])
-    at_a = np.empty((n_runs, limit), dtype=np.intp)
-    at_row = np.empty((n_runs, limit), dtype=np.intp)
-    at_base = np.empty((n_runs, limit, 1), dtype=np.intp)
-    at_wa = np.empty((n_runs, limit, 1))
-    at_null = np.empty((n_runs, limit), dtype=np.intp)
-
-    def plan(r: int, start: int) -> None:
-        a = seat[r].take(draws[r, start:])
-        row = zone[r].take(a) + r * nz
-        at_a[r, start:] = a
-        at_row[r, start:] = row
-        at_base[r, start:, 0] = row * n + a
-        at_wa[r, start:, 0] = weight.reshape(-1).take(row)
-        at_null[r, start:] = a + r * n
 
     for r in range(n_runs):
         resync(r)
         refresh(r)
-        plan(r, 0)
 
-    # each run's objective from iteration it on, at every it where it changed
-    changes = [[(0, float(value))] for value in cur]
+    # each iteration's drawn slot fixes, up front, its zone and that zone's
+    # m_rows row, m_flat offset and weight; the slot's occupant is read from
+    # seat's flat view (seat is C-contiguous, so the view sees every swap).
+    # One integers(n, size=limit) call draws what limit scalar integers(n)
+    # calls would
+    draws = np.array([np.random.default_rng(s).integers(n, size=limit) for s in seeds])
+    run_offset = np.arange(n_runs) * n  # run r's offset in a flat (R, n) array
+    drawn_zone = np.take_along_axis(slot_zone, draws, axis=1)
+    drawn_row = drawn_zone + (np.arange(n_runs) * nz)[:, None]
+    drawn_base = drawn_row * n
+    drawn_wa = weight.reshape(-1).take(drawn_row)[..., None]
+    draws += run_offset[:, None]  # now indices into seat_flat
+    seat_flat = seat.reshape(-1)
 
-    def record(r: int, it: int) -> None:
-        if changes[r][-1][0] == it:
-            changes[r].pop()
-        changes[r].append((it, float(cur[r])))
-
+    objectives = np.empty((n_runs, limit))  # each run's objective after each iteration
     accepted: list[list[tuple[int, str, str]]] = [[] for _ in range(n_runs)]
     d_a = np.empty((n_runs, n))
     delta = np.empty((n_runs, n))
@@ -226,15 +211,15 @@ def swap_search(
     blocked = np.empty((n_runs, n), dtype=bool)
 
     for it in range(limit):
-        a = at_a[:, it]
+        a = seat_flat.take(draws[:, it])
         np.take(d, a, axis=0, out=d_a)
         # a zone's distance sum counts each pair twice, so a swap changes it
         # by twice the bracketed sums:
         # (m[za, :] - m[za, a] - d[a]) * wa + (m[zone(i), a] - m[zone(i), i] - d[a]) * own
-        np.take(m_rows, at_row[:, it], axis=0, out=delta)
-        delta -= m_flat.take(at_base[:, it])
+        np.take(m_rows, drawn_row[:, it], axis=0, out=delta)
+        delta -= m_flat.take(drawn_base[:, it] + a)[:, None]
         delta -= d_a
-        delta *= at_wa[:, it]
+        delta *= drawn_wa[:, it]
         np.add(own_offset, a[:, None], out=gather)
         m_flat.take(gather, out=other)
         other -= m_own
@@ -242,9 +227,9 @@ def swap_search(
         other *= own
         delta += other
         delta *= 2.0
-        np.take(same_rows, at_row[:, it], axis=0, out=blocked)
+        np.equal(zone, drawn_zone[:, it, None], out=blocked)
         np.copyto(delta, np.inf, where=blocked)  # same-zone swaps are not moves
-        delta_flat[at_null[:, it]] = 0.0  # the null swap
+        delta_flat[a + run_offset] = 0.0  # the null swap
         b = delta.argmin(axis=1)  # ties go to the lowest occupant index
         for r in np.flatnonzero(b != a).tolist():
             ar, br = int(a[r]), int(b[r])
@@ -257,26 +242,20 @@ def swap_search(
             seat[r, sa], seat[r, sb] = br, ar
             slot[r, ar], slot[r, br] = sb, sa
             accepted[r].append((it, occs[ar], occs[br]))
-            record(r, it)
             refresh(r)
-            plan(r, it + 1)
         if (it + 1) % 1024 == 0:
             for r in range(n_runs):
                 resync(r)
-                record(r, it)
                 refresh(r)
+        objectives[:, it] = cur
 
+    best_so_far = np.minimum.accumulate(objectives, axis=1)
     results = []
     for r, initial in enumerate(initials):
         desk_at = {desk: j for j, desk in enumerate(occupied[r])}
         assignment = {desk: occs[seat[r, desk_at[desk]]] for desk in initial.assignment}
         final = initial.with_assignment(assignment)
-        trace = OptTrace([], [], accepted[r])
-        low = math.inf
-        for (start, value), (stop, _) in zip(changes[r], changes[r][1:] + [(limit, 0.0)]):
-            low = min(low, value)
-            trace.objectives += [value] * (stop - start)
-            trace.best_so_far += [low] * (stop - start)
+        trace = OptTrace(objectives[r].tolist(), best_so_far[r].tolist(), accepted[r])
         # no move raises the objective, so the final layout is the best one;
         # its exact objective replaces the incrementally updated value
         trace.objectives[-1] = trace.best_so_far[-1] = layout_objective(final, vectors)

@@ -605,8 +605,8 @@ class _RowEncoder:
 
     Two steps with the same calendar key and the same state for every
     occupant give the same key in every layout and zone, so keys are built
-    only for the distinct steps, in order of first appearance (keys still
-    rise through each day); step_of maps each step to its distinct step.
+    only for the distinct steps, in np.unique's order, which sorts them by
+    calendar key first; step_of maps each step to its distinct step.
     """
 
     _CALENDAR_KEYS = 24 * 7 * 2
@@ -620,10 +620,8 @@ class _RowEncoder:
             raise ValueError("too many occupants and zones for 64-bit row keys")
         calendar_key = (cal.hours.astype(np.int64) * 7 + cal.dows) * 2 + cal.weekend
         columns = np.vstack([calendar_key, states.states]).astype(np.int16)
-        _, first, inverse = np.unique(columns, axis=1, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # distinct steps by first appearance
-        self.step_of = np.argsort(order)[inverse.reshape(-1)]
-        distinct = first[order]
+        _, distinct, step_of = np.unique(columns, axis=1, return_index=True, return_inverse=True)
+        self.step_of = step_of.reshape(-1)
         self._step_key = calendar_key[distinct] * m**3
         self._zone_key = self._CALENDAR_KEYS * m**3
         # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key;
@@ -711,8 +709,8 @@ class LayoutScorer:
         """Zone order and clamped per-row predictions, step-major, zones inner."""
         zone_order = sorted(zones)
         keys = self._encoder.keys(self._encoder.rows(zones))[0]
-        # zone-major keys rise through each day (hour is their leading
-        # calendar part), which keeps the memo search local
+        # zone-major keys rise with the distinct steps' calendar keys, which
+        # keeps the memo search local
         pred = self._lookup(keys.ravel()).reshape(keys.shape)
         return zone_order, pred.T[self._encoder.step_of].ravel()
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, file outputs, deterministic reruns."""
 
 import argparse
+import copy
 import csv
 import json
 from datetime import datetime, timezone
@@ -206,7 +207,16 @@ def test_config_files_merge_in_order(tmp_path):
      ("optimize.ga.population=5.0", "config key optimize.ga.population must be int, got float"),
      ("surrogate.ridge=true", "config key surrogate.ridge must be float, got bool"),
      ("oracle.daylight_factor=1", "config key oracle.daylight_factor must be bool, got int"),
-     ("synth.start=5", "config key synth.start must be str, got int")],
+     ("synth.start=5", "config key synth.start must be str, got int"),
+     # a null default's key declares its type; null itself stays allowed
+     ('optimize.iter_limit="abc"', "config key optimize.iter_limit must be int or null, got str"),
+     ("optimize.iter_limit=2.5", "config key optimize.iter_limit must be int or null, got float"),
+     ("optimize.iter_limit=true", "config key optimize.iter_limit must be int or null, got bool"),
+     ("paths.model=5", "config key paths.model must be str or null, got int"),
+     ("paths.states=[1]", "config key paths.states must be str or null, got list"),
+     ("optimize.seed_layouts=5", "config key optimize.seed_layouts must be str or null, got int"),
+     ('states.priors.mean="x"', "config key states.priors.mean must be float or null, got str"),
+     ("states.priors.rate=[1]", "config key states.priors.rate must be float or null, got list")],
 )
 def test_bad_set_key_exits_one_and_names_it(tmp_path, capsys, assignment, message):
     argv = ["optimize", "--method", "ga", "--set", assignment, "--out-dir", str(tmp_path)]
@@ -239,6 +249,14 @@ def test_leaf_values_of_a_compatible_type_are_accepted():
     assert cfg["window"]["start"] == "2018-01-01T00:00:00Z"
 
 
+def test_a_set_object_sets_only_the_keys_it_names():
+    # as in a config file; replacing the group would drop its other keys
+    cfg = build_config(argparse.Namespace(set=["optimize={}", 'states.priors={"mean": 1.5}']))
+    expected = copy.deepcopy(DEFAULT_CONFIG)
+    expected["states"]["priors"]["mean"] = 1.5
+    assert cfg == expected
+
+
 def test_flags_set_their_keys_after_every_set_and_an_empty_one_sets_nothing():
     args = _make_parser().parse_args(
         ["optimize", "--set", "optimize.batch=5", "--batch", "0", "--dims", "0",
@@ -262,6 +280,11 @@ def _config_leaves(tree, prefix=""):
 _DEFAULT_LEAVES = dict(_config_leaves(DEFAULT_CONFIG))
 # what a leaf may hold after build_config, by the type of its default
 _LEAF_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+# the types of the leaves whose default is null (which may stay null)
+_NULL_LEAF_TYPES = {"window.start": str, "window.end": str, "states.priors.mean": float,
+                    "states.priors.rate": float, "optimize.iter_limit": int,
+                    "optimize.seed_layouts": str,
+                    **{f"paths.{key}": str for key in DEFAULT_CONFIG["paths"]}}
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,10 +305,13 @@ def test_any_set_assignment_builds_a_typed_config_or_is_an_input_error(key, valu
         node = cfg
         for part in name.split("."):
             node = node[part]
-        accepted = _LEAF_TYPES.get(type(default))
+        if default is None and node is None:
+            continue
+        kind = _NULL_LEAF_TYPES[name] if default is None else type(default)
+        accepted = _LEAF_TYPES.get(kind)
         if accepted:
             assert isinstance(node, accepted), name
-            assert isinstance(node, bool) == isinstance(default, bool), name
+            assert isinstance(node, bool) == (kind is bool), name
 
 
 def write_partial_day_inputs(base):
@@ -332,7 +358,7 @@ def test_inferred_window_ends_with_the_last_events_day(tmp_path):
     (["window.end=2018-01-02T00:00:00Z"], "window.end is set, so window.start is required"),
     (["window.start=bad", "window.end=bad2"], "window.start: bad timestamp 'bad': "),
     (["window.start=2018-01-01T00:00:00Z", "window.end=5"],
-     "window.end must be a timestamp string, got 5"),
+     "config key window.end must be str or null, got int"),
     (['window.exclude_days=[["2018-01-02T00:00:00Z"]]'],
      "window.exclude_days[0] must be [start, end], got ['2018-01-02T00:00:00Z']"),
     (['window.exclude_days=[["2018-01-02T00:00:00Z", "2018-01-03T00:00:00Z"], ["x", "y"]]'],
@@ -616,6 +642,20 @@ def test_negative_seed_exits_one_and_names_it(tmp_path, capsys, office_inputs, c
     inputs = [*office_inputs, "--dims", "3"] if command == "optimize" else []
     assert main([command, *inputs, "--seed", "-1", "--out-dir", str(out)]) == 1
     assert "error: seed must be >= 0, got -1\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("optimize.iter_limit=0", "optimize.iter_limit must be null or >= 1, got 0"),
+    ("optimize.random_baseline=-1", "optimize.random_baseline must be >= 0, got -1"),
+])
+def test_optimize_checks_its_config_before_reading_input(tmp_path, capsys, setting, message):
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "out"
+    argv = ["optimize", "--states", missing, "--zone-map", missing, "--model", missing,
+            "--set", setting, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -290,6 +290,29 @@ def test_swap_search_runs_as_each_run_alone():
     assert any(trace.accepted for _, trace in together)
 
 
+def test_swap_search_with_zones_interleaved_in_desk_order_matches_the_reference():
+    # each iteration's zone comes from its drawn slot, the run's j-th occupied
+    # desk in sorted id order; here that order alternates zones, unlike
+    # desk_order(), and 4 of 18 desks are vacant; 2100 iterations pass two
+    # exact recomputes
+    rng = np.random.default_rng(16)
+    names = [f"o{i:02d}" for i in range(14)]
+    vectors = {o: rng.normal(size=3) for o in names}
+    zones = {f"Z{z}": [f"d{k:02d}" for k in range(z, 18, 3)] for z in range(3)}
+    desks = sorted(d for zone in zones.values() for d in zone)
+    template = Layout(zones, dict(zip(desks, names)))
+    occupied = [d for d in template.desk_order() if d in template.assignment]
+    assert sorted(occupied) != occupied
+    starts = [random_layout(template, np.random.default_rng(60 + r)) for r in range(5)]
+    seeds = [11, 12, 13, 14, 15]
+    results = swap_search(vectors, starts, 2100, seeds)
+    for start, seed, (layout, trace) in zip(starts, seeds, results):
+        ref_layout, *ref_trace = reference_swap_optimize(vectors, start, 2100, seed)
+        assert layout.assignment == ref_layout.assignment
+        assert [trace.objectives, trace.best_so_far, trace.accepted] == ref_trace
+        assert trace.accepted
+
+
 def test_swap_search_rejects_starts_it_cannot_batch(paired_vectors, paired_adversarial):
     other_zones = Layout({"Z1": ["D1", "D2"], "Z2": ["D3", "D4"]},
                          {"D1": "a1", "D2": "b1", "D3": "a2", "D4": "b2"})

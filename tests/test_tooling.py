@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import REPO, load_module
-from zoneplan.cli import DEFAULT_CONFIG, _make_parser
+from zoneplan.cli import _LEAF_TYPES, DEFAULT_CONFIG, _make_parser
 
 
 def test_every_traced_name_resolves():
@@ -33,12 +33,12 @@ def _leaves(tree, prefix=""):
         if isinstance(value, dict):
             yield from _leaves(value, prefix + key + ".")
         else:
-            yield prefix + key
+            yield prefix + key, value
 
 
 def test_every_flag_is_a_config_key():
     # a flag is shorthand for one config leaf, so it is checked and applied like --set
-    leaves = set(_leaves(DEFAULT_CONFIG))
+    leaves = dict(_leaves(DEFAULT_CONFIG))
     subparsers = next(a for a in _make_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     others = []
@@ -52,6 +52,14 @@ def test_every_flag_is_a_config_key():
             if action.dest not in leaves:
                 others.append(f"{name} {flag}: {action.dest}")
     assert others == []
+
+
+def test_every_null_default_key_declares_its_type():
+    # a null default names no type, so the config check reads the one its key declares
+    nulls = {name for name, value in _leaves(DEFAULT_CONFIG) if value is None}
+    declared = {key for key in _LEAF_TYPES if isinstance(key, str)}
+    assert nulls and declared == nulls
+    assert all(_LEAF_TYPES[key] in _LEAF_TYPES for key in declared)
 
 
 SCRIPT_RUNS = {
