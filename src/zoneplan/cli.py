@@ -194,9 +194,82 @@ def build_config(args: argparse.Namespace) -> dict:
         value = getattr(args, flag["dest"], None)
         if value is not None and value != "":  # an empty string leaves the key alone
             _set_leaf(cfg, flag["dest"], value)
-    if cfg["seed"] < 0:  # numpy's generators take no negative seed
-        raise ingest.InputError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
+
+
+def _at_least(least) -> tuple:
+    return f">= {least}", lambda value: value >= least
+
+
+def _above(bound) -> tuple:
+    return f"> {bound}", lambda value: value > bound
+
+
+_N_ZONES = len(synth.DEFAULT_ARCHETYPES)  # synth-demo seats one archetype per zone
+
+
+def _archetype_counts(counts: list) -> bool:
+    whole = all(type(c) is int and c >= 0 for c in counts)
+    return len(counts) == _N_ZONES and whole and sum(counts) > 0 and sum(counts) % _N_ZONES == 0
+
+
+def _midnight_utc(value: str) -> bool:
+    return _timestamp(value, "synth.start").timestamp() % ingest.DAY_SECONDS == 0
+
+
+# every config value rule that needs no input file: dotted key -> (the values
+# allowed, as an error names them, and a test of the value); run() applies
+# them before any command, whatever the command
+_RULES = {
+    "seed": _at_least(0),  # numpy's generators take no negative seed
+    "states.k_max": _at_least(2),
+    "states.weight_floor": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "states.max_iter": _at_least(1),
+    "states.priors.concentration": _above(0),
+    "states.priors.mean_scale": _above(0),
+    "states.priors.shape": _above(0),
+    "states.priors.rate": ("null or > 0", lambda v: v is None or v > 0),
+    "surrogate.kind": ("mlr or rf", lambda v: v in ("mlr", "rf")),
+    "surrogate.split_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
+    "surrogate.cv_folds": ("0 (off) or >= 2", lambda v: v == 0 or v >= 2),
+    "surrogate.rf.n_trees": _at_least(1),
+    "optimize.method": ("cluster or ga", lambda v: v in ("cluster", "ga")),
+    "optimize.dims": _at_least(0),
+    "optimize.iter_limit": ("null or >= 1", lambda v: v is None or v >= 1),
+    "optimize.batch": _at_least(1),
+    "optimize.random_baseline": _at_least(0),
+    "oracle.standby_power_w": _at_least(0),
+    "oracle.hold_weekday_min": _at_least(1),
+    "oracle.hold_weekend_min": _at_least(1),
+    "oracle.motion_state": ("1, 2 or 3", lambda v: v in (1, 2, 3)),
+    "synth.counts": (f"{_N_ZONES} counts >= 0 whose sum is a positive multiple of {_N_ZONES}",
+                     _archetype_counts),
+    "synth.n_days": _at_least(1),
+    "synth.p_high": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "synth.jitter_minutes": _at_least(0),
+    "synth.start": ("a timestamp at 00:00 UTC", _midnight_utc),
+    "synth.train_layouts": _at_least(0),
+    "synth.holdout_layouts": _at_least(1),
+    "synth.random_baseline": _at_least(1),
+}
+
+
+def _check_config(cfg: dict) -> None:
+    """Apply _RULES, then the rules that span keys: the GA's, the oracle's
+    power order and the window's."""
+    for key, (allowed, ok) in _RULES.items():
+        value = cfg
+        for part in key.split("."):
+            value = value[part]
+        if not ok(value):
+            raise ingest.InputError(f"{key} must be {allowed}, got {value!r}")
+    optimize.GaConfig(**cfg["optimize"]["ga"]).validate(prefix="optimize.ga.")
+    lit, standby = cfg["oracle"]["lit_power_w"], cfg["oracle"]["standby_power_w"]
+    if not lit > standby:
+        raise ingest.InputError(
+            f"oracle.lit_power_w must be > oracle.standby_power_w ({standby!r}), got {lit!r}"
+        )
+    _window_config(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -256,6 +329,15 @@ def _window_config(cfg: dict):
     window = None
     if w["start"]:
         window = (_timestamp(w["start"], "window.start"), _timestamp(w["end"], "window.end"))
+        for key, t in zip(("start", "end"), window):
+            if t.timestamp() % ingest.STEP_SECONDS:
+                raise ingest.InputError(f"window.{key} must be on a 15-minute mark, got {w[key]!r}")
+        span = (window[1] - window[0]).total_seconds()
+        if span <= 0 or span % ingest.DAY_SECONDS:
+            raise ingest.InputError(
+                f"window.end must be a positive whole number of days after window.start, "
+                f"got {w['end']!r}"
+            )
     ranges = []
     for i, pair in enumerate(w["exclude_days"]):
         key = f"window.exclude_days[{i}]"
@@ -309,7 +391,10 @@ def cmd_infer_states(cfg: dict) -> int:
     grid_path = _require_path(cfg, "grid", fallback=Path(cfg["out_dir"]) / "grid.csv")
     grid = ingest.load_grid(grid_path)
     state_cfg = _state_config(cfg)
-    state_grid, fits = states_mod.infer_states_detailed(grid, state_cfg)
+    try:
+        state_grid, fits = states_mod.infer_states_detailed(grid, state_cfg)
+    except states_mod.WeightFloorError as exc:
+        raise ingest.InputError(f"states.weight_floor: {exc}") from None
     for fit in fits:
         for pass_name, model in (("first", fit.first), ("second", fit.second)):
             if model is not None and not states_mod.converged(model, state_cfg.tol):
@@ -398,25 +483,10 @@ def _metrics_doc(metrics: surrogate.Metrics) -> dict:
     }
 
 
-def _rf_config(cfg: dict) -> surrogate.RfConfig:
-    """The forest settings, checked before any input is read or output written."""
-    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
-    if rf_config.n_trees < 1:
-        raise ingest.InputError(f"surrogate.rf.n_trees must be >= 1, got {rf_config.n_trees}")
-    return rf_config
-
-
 def cmd_train_surrogate(cfg: dict) -> int:
     kind = cfg["surrogate"]["kind"]
-    if kind not in ("mlr", "rf"):
-        raise ingest.InputError(f"surrogate.kind must be mlr or rf, got {kind!r}")
     fraction = cfg["surrogate"]["split_fraction"]
-    if not 0.0 < fraction < 1.0:
-        raise ingest.InputError(f"surrogate.split_fraction must be in (0, 1), got {fraction}")
     folds = cfg["surrogate"]["cv_folds"]
-    if folds < 0 or folds == 1:
-        raise ingest.InputError(f"surrogate.cv_folds must be 0 (off) or >= 2, got {folds}")
-    rf_config = _rf_config(cfg) if kind == "rf" else None
     states_path, state_grid = _load_states(cfg)
     layout = _load_desk_table(cfg, "zone_map", states_path, state_grid)
     lighting = ingest.load_lighting(_require_path(cfg, "lighting"))
@@ -432,6 +502,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
     def fit(tbl: surrogate.FeatureTable, ty: np.ndarray):
         if kind == "mlr":
             return surrogate.fit_mlr(tbl, ty, cfg["surrogate"]["ridge"])
+        rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
         return surrogate.fit_random_forest(tbl, ty, rf_config, seed=cfg["seed"])
 
     model = fit(table.take(train_idx), y[train_idx])
@@ -476,26 +547,10 @@ def _load_seed_layouts(path_value) -> list[ingest.Layout]:
     return [optimize.load_layout(path)]
 
 
-def _ga_config(cfg: dict) -> optimize.GaConfig:
-    """The GA settings, checked before any input is read or output written."""
-    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
-    ga_config.validate(prefix="optimize.ga.")
-    return ga_config
-
-
 def cmd_optimize(cfg: dict) -> int:
     method = cfg["optimize"]["method"]
-    if method not in ("cluster", "ga"):
-        raise ingest.InputError(f"optimize.method must be cluster or ga, got {method!r}")
     batch, iter_limit = cfg["optimize"]["batch"], cfg["optimize"]["iter_limit"]
-    if batch < 1:
-        raise ingest.InputError(f"optimize.batch must be >= 1, got {batch}")
-    if iter_limit is not None and iter_limit < 1:
-        raise ingest.InputError(f"optimize.iter_limit must be null or >= 1, got {iter_limit}")
     n_rand = cfg["optimize"]["random_baseline"]
-    if n_rand < 0:
-        raise ingest.InputError(f"optimize.random_baseline must be >= 0, got {n_rand}")
-    ga_config = _ga_config(cfg) if method == "ga" else None
     if method == "ga" and not cfg["paths"]["model"]:
         raise ingest.InputError("the ga method needs paths.model (a trained surrogate)")
     states_path, state_grid = _load_states(cfg)
@@ -514,7 +569,7 @@ def cmd_optimize(cfg: dict) -> int:
     if method == "cluster" and dims:
         matrix, occupants = reduce.state_matrix(state_grid)
         factors = reduce.svd_decompose(matrix)
-        if not 1 <= dims <= factors.rank:
+        if dims > factors.rank:
             raise ingest.InputError(
                 f"optimize.dims={dims} out of range (numerical rank {factors.rank})"
             )
@@ -534,6 +589,7 @@ def cmd_optimize(cfg: dict) -> int:
         starts = [optimize.random_layout(template, np.random.default_rng(s)) for s in seeds]
         results = optimize.swap_search(vectors, starts, iter_limit, seeds)
     else:
+        ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
         results = [
             optimize.ga_optimize(scorer.totals, template, ga_config, seed=s, seeds_in=seeds_in)
             for s in seeds
@@ -596,17 +652,14 @@ def cmd_count_layouts(cfg: dict, occupants: int, zones: int, distinct: bool) -> 
 
 def cmd_synth_demo(cfg: dict) -> int:
     s = cfg["synth"]
-    for key, least in (("train_layouts", 0), ("holdout_layouts", 1), ("random_baseline", 1)):
-        if s[key] < least:
-            raise ingest.InputError(f"synth.{key} must be >= {least}, got {s[key]}")
-    ga_config = _ga_config(cfg)
-    rf_config = _rf_config(cfg)
-    start = _timestamp(s["start"], "synth.start")
+    ga_config = optimize.GaConfig(**cfg["optimize"]["ga"])
+    rf_config = surrogate.RfConfig(**cfg["surrogate"]["rf"])
+    start = ingest.parse_timestamp(s["start"])
     out = Path(cfg["out_dir"])
     header = _header(cfg, "synth-demo")
     seed = int(cfg["seed"])
     oracle_cfg = synth.LightingOracleConfig(**cfg["oracle"])
-    counts = tuple(int(c) for c in s["counts"])
+    counts = tuple(s["counts"])
     n_zones = len(counts)
 
     state_grid = synth.generate_population(
@@ -730,6 +783,7 @@ def _make_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     cfg = build_config(args)
+    _check_config(cfg)
     return args.run(cfg, *(getattr(args, name) for name in args.operands))
 
 

@@ -448,6 +448,33 @@ def _derived_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1)[0])
 
 
+class WeightFloorError(ValueError):
+    """No component of a mixture fit reaches the weight floor."""
+
+
+def _high_group(
+    model: VbGmmModel, x: np.ndarray, weight_floor: float, idle_threshold_w: float, name: str
+) -> tuple[int, np.ndarray | None]:
+    """The fit's effective components and which samples fall in their high group.
+
+    The effective components, sorted by mean, are merged into a low and a
+    high group (_split_low_group); the mask is None when a single component
+    is effective.  A WeightFloorError names the fit by name.
+    """
+    keep = np.flatnonzero(model.weights >= weight_floor)
+    if keep.size == 0:
+        raise WeightFloorError(
+            f"no component of {name} has weight >= {weight_floor!r}, "
+            f"the largest is {float(model.weights.max())!r}"
+        )
+    if model.degenerate or keep.size == 1:
+        return keep.size, None
+    comp = model.assign(x, weight_floor)
+    order = keep[np.argsort(model.means[keep], kind="stable")]
+    low, _ = _split_low_group(np.arange(order.size), model.means[order], idle_threshold_w)
+    return keep.size, ~np.isin(comp, order[low])
+
+
 def infer_states_detailed(
     grid: TimeSeriesGrid, config: StateConfig | None = None
 ) -> tuple[StateGrid, list[OccupantFit]]:
@@ -461,26 +488,33 @@ def infer_states_detailed(
     are merged to two groups at the largest mean gap whose low side stays
     under the idle threshold (unconstrained largest gap when none does);
     a single second-pass component sends all high samples to state 3.
+    A fit with no component at or above the weight floor raises
+    WeightFloorError.
     """
     cfg = config or StateConfig()
     n_occ = len(grid.occupants)
     states = np.empty((n_occ, grid.n_steps), dtype=np.int8)
     fits: list[OccupantFit] = []
 
-    for i, occ in enumerate(grid.occupants):
-        x = grid.values[i]
-        first = fit_vbgmm(
-            x,
+    def fit(samples: np.ndarray, *path: int) -> VbGmmModel:
+        return fit_vbgmm(
+            samples,
             k_max=cfg.k_max,
             priors=cfg.priors,
             tol=cfg.tol,
             max_iter=cfg.max_iter,
-            seed=_derived_seed(cfg.seed, i),
+            seed=_derived_seed(cfg.seed, *path),
         )
+
+    for i, occ in enumerate(grid.occupants):
+        x = grid.values[i]
+        first = fit(x, i)
         labels = np.ones(x.size, dtype=np.int8)
         second = None
-        n_eff = effective_components(first, cfg.weight_floor)
-        if first.degenerate or n_eff == 1:
+        n_eff, is_high = _high_group(
+            first, x, cfg.weight_floor, cfg.idle_threshold_w, f"occupant {occ}'s first-pass fit"
+        )
+        if is_high is None:
             mean = float(first.means[np.argmax(first.weights)])
             if mean < cfg.idle_threshold_w:
                 rule = "single-low"
@@ -488,35 +522,17 @@ def infer_states_detailed(
                 labels[:] = 3
                 rule = "single-high"
         else:
-            keep = np.flatnonzero(first.weights >= cfg.weight_floor)
-            comp = first.assign(x, cfg.weight_floor)
-            order = keep[np.argsort(first.means[keep], kind="stable")]
-            low_comps, high_comps = _split_low_group(
-                np.arange(order.size), first.means[order], cfg.idle_threshold_w
-            )
-            is_high = ~np.isin(comp, order[low_comps])
             rule = "two-step" if n_eff == 2 else "two-step-merged"
             high_x = x[is_high]
-            second = fit_vbgmm(
-                high_x,
-                k_max=cfg.k_max,
-                priors=cfg.priors,
-                tol=cfg.tol,
-                max_iter=cfg.max_iter,
-                seed=_derived_seed(cfg.seed, i, 1),
+            second = fit(high_x, i, 1)
+            _, is_top = _high_group(
+                second, high_x, cfg.weight_floor, np.inf, f"occupant {occ}'s second-pass fit"
             )
-            n_eff2 = effective_components(second, cfg.weight_floor)
-            if second.degenerate or n_eff2 == 1:
+            if is_top is None:
                 labels[is_high] = 3
                 rule += "/high-only"
             else:
-                keep2 = np.flatnonzero(second.weights >= cfg.weight_floor)
-                comp2 = second.assign(high_x, cfg.weight_floor)
-                order2 = keep2[np.argsort(second.means[keep2], kind="stable")]
-                med_comps, _ = _split_low_group(
-                    np.arange(order2.size), second.means[order2], np.inf
-                )
-                labels[is_high] = np.where(np.isin(comp2, order2[med_comps]), 2, 3)
+                labels[is_high] = np.where(is_top, 3, 2)
         states[i] = labels
         fits.append(OccupantFit(occ, first, second, rule))
 

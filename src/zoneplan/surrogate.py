@@ -314,10 +314,6 @@ def _fit_tree(
             continue
         _, f, thr = best
         mask = x[rows, f] < thr
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        if left_rows.size < cfg.min_leaf or right_rows.size < cfg.min_leaf:
-            continue
         importance[f] += best[0]
         lnode = new_node()
         rnode = new_node()
@@ -325,8 +321,10 @@ def _fit_tree(
         threshold[node] = thr
         left[node] = lnode
         right[node] = rnode
-        stack.append((lnode, left_rows, depth + 1))
-        stack.append((rnode, right_rows, depth + 1))
+        # the threshold sits between sorted positions li - 1 and li, so the
+        # sides hold li and n - li rows, both at least min_leaf
+        stack.append((lnode, rows[mask], depth + 1))
+        stack.append((rnode, rows[~mask], depth + 1))
 
     return _Tree(
         np.array(feature, dtype=np.int32),

@@ -364,6 +364,14 @@ def test_inferred_window_ends_with_the_last_events_day(tmp_path):
     (['window.exclude_days=[["2018-01-02T00:00:00Z", "2018-01-03T00:00:00Z"], ["x", "y"]]'],
      "window.exclude_days[1]: bad timestamp 'x': "),
     (["window.exclude_days=5"], "config key window.exclude_days must be list, got int"),
+    (["window.start=2018-01-01T00:07:00Z", "window.end=2018-01-02T00:07:00Z"],
+     "window.start must be on a 15-minute mark, got '2018-01-01T00:07:00Z'"),
+    (["window.start=2018-01-01T00:00:00Z", "window.end=2018-01-02T00:15:00Z"],
+     "window.end must be a positive whole number of days after window.start, "
+     "got '2018-01-02T00:15:00Z'"),
+    (["window.start=2018-01-02T00:00:00Z", "window.end=2018-01-01T00:00:00Z"],
+     "window.end must be a positive whole number of days after window.start, "
+     "got '2018-01-01T00:00:00Z'"),
 ])
 def test_window_settings_are_checked_before_the_plug_load_file(tmp_path, capsys, settings,
                                                                message):
@@ -971,4 +979,73 @@ def test_a_failing_command_leaves_no_output_directory(tmp_path, demo_dir, office
     out = tmp_path / "out"
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- config rules
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("states.k_max=1", "states.k_max must be >= 2, got 1"),
+    ("states.max_iter=0", "states.max_iter must be >= 1, got 0"),
+    ("states.weight_floor=0", "states.weight_floor must be in (0, 1], got 0"),
+    ("states.priors.concentration=0", "states.priors.concentration must be > 0, got 0"),
+    ("states.priors.mean_scale=0", "states.priors.mean_scale must be > 0, got 0"),
+    ("states.priors.shape=-1", "states.priors.shape must be > 0, got -1"),
+    ("states.priors.rate=0", "states.priors.rate must be null or > 0, got 0"),
+    ("optimize.dims=-1", "optimize.dims must be >= 0, got -1"),
+    ("oracle.standby_power_w=-1", "oracle.standby_power_w must be >= 0, got -1"),
+    ("oracle.hold_weekday_min=0", "oracle.hold_weekday_min must be >= 1, got 0"),
+    ("oracle.hold_weekend_min=0", "oracle.hold_weekend_min must be >= 1, got 0"),
+    ("oracle.motion_state=7", "oracle.motion_state must be 1, 2 or 3, got 7"),
+    ("oracle.lit_power_w=20", "oracle.lit_power_w must be > oracle.standby_power_w (20.0), "
+                              "got 20"),
+    ("synth.counts=[3,3,3]", "synth.counts must be 4 counts >= 0 whose sum is a positive "
+                             "multiple of 4, got [3, 3, 3]"),
+    ("synth.n_days=0", "synth.n_days must be >= 1, got 0"),
+    ("synth.p_high=1.5", "synth.p_high must be in [0, 1], got 1.5"),
+    ("synth.jitter_minutes=-1", "synth.jitter_minutes must be >= 0, got -1"),
+    ("synth.start=2018-01-01T00:00:00+01:00",
+     "synth.start must be a timestamp at 00:00 UTC, got '2018-01-01T00:00:00+01:00'"),
+    ("optimize.batch=0", "optimize.batch must be >= 1, got 0"),
+])
+def test_every_command_checks_every_config_rule_before_reading_input(tmp_path, capsys, setting,
+                                                                     message):
+    # simulate reads none of these keys, and its input files do not exist
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "out"
+    argv = ["simulate", "--states", missing, "--model", missing, "--layout", missing,
+            "--set", setting, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("synth.counts=[3,3,3,2]", "synth.counts must be 4 counts >= 0 whose sum is a positive "
+                               "multiple of 4, got [3, 3, 3, 2]"),
+    # a 05:00 start would shift every archetype routine off its clock hours
+    ("synth.start=2018-01-01T05:00:00Z",
+     "synth.start must be a timestamp at 00:00 UTC, got '2018-01-01T05:00:00Z'"),
+])
+def test_synth_demo_rejects_a_population_before_writing_it(tmp_path, capsys, setting, message):
+    # 15 occupants cannot fill 4 equal zones, but states.csv and heatmap.csv
+    # were written before that showed
+    out = tmp_path / "out"
+    assert main(["synth-demo", "--set", setting, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_weight_floor_no_component_reaches_names_the_key_and_the_occupant(tmp_path, capsys):
+    # two power levels, so no first-pass component holds 90% of the weight
+    grid = tmp_path / "in"
+    assert main(["ingest", "--plug-load", str(make_plug_csv(tmp_path / "plug.csv")),
+                 "--out-dir", str(grid)]) == 0
+    out = tmp_path / "out"
+    assert main(["infer-states", "--grid", str(grid / "grid.csv"),
+                 "--set", "states.weight_floor=0.9", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: states.weight_floor: no component of occupant O1's "
+                          "first-pass fit has weight >= 0.9, the largest is 0.")
     assert not out.exists()

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import REPO, load_module
-from zoneplan.cli import _LEAF_TYPES, DEFAULT_CONFIG, _make_parser
+from zoneplan.cli import _LEAF_TYPES, _RULES, DEFAULT_CONFIG, _make_parser
 
 
 def test_every_traced_name_resolves():
@@ -61,6 +61,15 @@ def test_every_null_default_key_declares_its_type():
     assert nulls and declared == nulls
     assert all(_LEAF_TYPES[key] in _LEAF_TYPES for key in declared)
 
+
+
+def test_every_rule_names_a_config_leaf_its_default_passes():
+    # a rule on a misspelt key would never run, and one its default fails
+    # would stop every command
+    leaves = dict(_leaves(DEFAULT_CONFIG))
+    assert set(_RULES) <= set(leaves)
+    failing = [key for key, (_, ok) in _RULES.items() if not ok(leaves[key])]
+    assert failing == []
 
 SCRIPT_RUNS = {
     "run_known_optimum": (["--seeds", "2"],
