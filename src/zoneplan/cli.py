@@ -16,6 +16,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 import traceback
 from dataclasses import asdict
@@ -104,8 +105,8 @@ _LEAF_TYPES = {
 
 
 def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
-    """Reject keys the default config lacks and leaves of the wrong type,
-    descending where the default is a dict."""
+    """Reject keys the default config lacks, leaves of the wrong type and
+    non-finite numbers, descending where the default is a dict."""
     for key, value in user.items():
         name = prefix + key
         if key not in default:
@@ -124,6 +125,8 @@ def _check_keys(user: dict, default: dict, prefix: str = "") -> None:
                 f"config key {name} must be {kind.__name__}{' or null' if null else ''}, "
                 f"got {type(value).__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):  # JSON's NaN, Infinity
+            raise ingest.InputError(f"config key {name} must be a finite number, got {value!r}")
 
 
 def _set_leaf(cfg: dict, key: str, value) -> None:
@@ -233,6 +236,7 @@ _RULES = {
     "surrogate.split_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
     "surrogate.cv_folds": ("0 (off) or >= 2", lambda v: v == 0 or v >= 2),
     "surrogate.rf.n_trees": _at_least(1),
+    "surrogate.rf.max_depth": _at_least(1),
     "optimize.method": ("cluster or ga", lambda v: v in ("cluster", "ga")),
     "optimize.dims": _at_least(0),
     "optimize.iter_limit": ("null or >= 1", lambda v: v is None or v >= 1),

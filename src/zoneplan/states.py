@@ -8,6 +8,7 @@ Final labels are {1, 2, 3}, ordered by mean power.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -475,6 +476,58 @@ def _high_group(
     return keep.size, ~np.isin(comp, order[low])
 
 
+def _fit_occupant(
+    x: np.ndarray, occupant: str, index: int, cfg: StateConfig
+) -> tuple[np.ndarray, OccupantFit]:
+    """One occupant's labels and fits; the seeds derive from the occupant's index."""
+
+    def fit(samples: np.ndarray, *path: int) -> VbGmmModel:
+        return fit_vbgmm(
+            samples,
+            k_max=cfg.k_max,
+            priors=cfg.priors,
+            tol=cfg.tol,
+            max_iter=cfg.max_iter,
+            seed=_derived_seed(cfg.seed, index, *path),
+        )
+
+    first = fit(x)
+    labels = np.ones(x.size, dtype=np.int8)
+    second = None
+    n_eff, is_high = _high_group(
+        first, x, cfg.weight_floor, cfg.idle_threshold_w, f"occupant {occupant}'s first-pass fit"
+    )
+    if is_high is None:
+        mean = float(first.means[np.argmax(first.weights)])
+        if mean < cfg.idle_threshold_w:
+            rule = "single-low"
+        else:
+            labels[:] = 3
+            rule = "single-high"
+    else:
+        rule = "two-step" if n_eff == 2 else "two-step-merged"
+        high_x = x[is_high]
+        second = fit(high_x, 1)
+        _, is_top = _high_group(
+            second, high_x, cfg.weight_floor, np.inf, f"occupant {occupant}'s second-pass fit"
+        )
+        if is_top is None:
+            labels[is_high] = 3
+            rule += "/high-only"
+        else:
+            labels[is_high] = np.where(is_top, 3, 2)
+    return labels, OccupantFit(occupant, first, second, rule)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes for n_tasks fits: one per CPU this process may run on, at
+    most one per task.  1, so no pool, where the OS cannot report those
+    CPUs; only Linux can, and the pool forks only there."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
+
+
 def infer_states_detailed(
     grid: TimeSeriesGrid, config: StateConfig | None = None
 ) -> tuple[StateGrid, list[OccupantFit]]:
@@ -489,53 +542,33 @@ def infer_states_detailed(
     under the idle threshold (unconstrained largest gap when none does);
     a single second-pass component sends all high samples to state 3.
     A fit with no component at or above the weight floor raises
-    WeightFloorError.
+    WeightFloorError, the first failing occupant's.
+
+    Occupants are fitted in forked worker processes, one per CPU this
+    process may run on (_worker_count); each occupant's seeds derive from
+    its index, so the result does not depend on the number of workers.
     """
     cfg = config or StateConfig()
     n_occ = len(grid.occupants)
+    args = (grid.values, grid.occupants, range(n_occ), [cfg] * n_occ)
+    workers = _worker_count(n_occ)
+    if workers == 1:
+        results = list(map(_fit_occupant, *args))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy and scipy again,
+        # which takes longer than all of a typical grid's fits
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:  # map yields in occupant order, so the first failure raises
+            results = list(pool.map(_fit_occupant, *args))
+        finally:  # drop the occupants still queued and wait for every child
+            pool.shutdown(wait=True, cancel_futures=True)
     states = np.empty((n_occ, grid.n_steps), dtype=np.int8)
-    fits: list[OccupantFit] = []
-
-    def fit(samples: np.ndarray, *path: int) -> VbGmmModel:
-        return fit_vbgmm(
-            samples,
-            k_max=cfg.k_max,
-            priors=cfg.priors,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            seed=_derived_seed(cfg.seed, *path),
-        )
-
-    for i, occ in enumerate(grid.occupants):
-        x = grid.values[i]
-        first = fit(x, i)
-        labels = np.ones(x.size, dtype=np.int8)
-        second = None
-        n_eff, is_high = _high_group(
-            first, x, cfg.weight_floor, cfg.idle_threshold_w, f"occupant {occ}'s first-pass fit"
-        )
-        if is_high is None:
-            mean = float(first.means[np.argmax(first.weights)])
-            if mean < cfg.idle_threshold_w:
-                rule = "single-low"
-            else:
-                labels[:] = 3
-                rule = "single-high"
-        else:
-            rule = "two-step" if n_eff == 2 else "two-step-merged"
-            high_x = x[is_high]
-            second = fit(high_x, i, 1)
-            _, is_top = _high_group(
-                second, high_x, cfg.weight_floor, np.inf, f"occupant {occ}'s second-pass fit"
-            )
-            if is_top is None:
-                labels[is_high] = 3
-                rule += "/high-only"
-            else:
-                labels[is_high] = np.where(is_top, 3, 2)
+    for i, (labels, _) in enumerate(results):
         states[i] = labels
-        fits.append(OccupantFit(occ, first, second, rule))
-
+    fits = [fit for _, fit in results]
     return StateGrid(list(grid.occupants), grid.start, states), fits
 
 

@@ -914,6 +914,8 @@ def test_a_seated_occupant_without_states_names_both_files(tmp_path, demo_dir, c
     ("surrogate.kind=svm", "surrogate.kind must be mlr or rf, got 'svm'"),
     ("surrogate.split_fraction=1", "surrogate.split_fraction must be in (0, 1), got 1"),
     ("surrogate.rf.n_trees=0", "surrogate.rf.n_trees must be >= 1, got 0"),
+    # a depth below 1 grows every tree as a single leaf
+    ("surrogate.rf.max_depth=-1", "surrogate.rf.max_depth must be >= 1, got -1"),
     ("surrogate.cv_folds=1", "surrogate.cv_folds must be 0 (off) or >= 2, got 1"),
     ("surrogate.cv_folds=-1", "surrogate.cv_folds must be 0 (off) or >= 2, got -1"),
 ])
@@ -1008,6 +1010,12 @@ def test_a_failing_command_leaves_no_output_directory(tmp_path, demo_dir, office
     ("synth.start=2018-01-01T00:00:00+01:00",
      "synth.start must be a timestamp at 00:00 UTC, got '2018-01-01T00:00:00+01:00'"),
     ("optimize.batch=0", "optimize.batch must be >= 1, got 0"),
+    # JSON's NaN and Infinity parse as floats, which every float key's type takes
+    ("surrogate.ridge=NaN", "config key surrogate.ridge must be a finite number, got nan"),
+    ("oracle.lit_power_w=Infinity",
+     "config key oracle.lit_power_w must be a finite number, got inf"),
+    ("states.idle_threshold_w=-Infinity",
+     "config key states.idle_threshold_w must be a finite number, got -inf"),
 ])
 def test_every_command_checks_every_config_rule_before_reading_input(tmp_path, capsys, setting,
                                                                      message):
@@ -1017,6 +1025,19 @@ def test_every_command_checks_every_config_rule_before_reading_input(tmp_path, c
     argv = ["simulate", "--states", missing, "--model", missing, "--layout", missing,
             "--set", setting, "--out-dir", str(out)]
     assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_file_with_nan_names_the_file_and_the_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"surrogate": {"ridge": NaN}}', encoding="utf-8")
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "out"
+    argv = ["simulate", "--states", missing, "--model", missing, "--layout", missing,
+            "--config", str(config), "--out-dir", str(out)]
+    assert main(argv) == 1
+    message = f"{config}: config key surrogate.ridge must be a finite number, got nan"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -1,5 +1,8 @@
 """State inference: variational GMM fitting and two-step labeling."""
 
+import concurrent.futures
+import multiprocessing
+import os
 import re
 from datetime import datetime, timezone
 
@@ -15,6 +18,7 @@ from zoneplan.states import (
     StateConfig,
     StateGrid,
     VbGmmModel,
+    WeightFloorError,
     VbGmmPriors,
     _degenerate_model,
     _exp,
@@ -383,6 +387,85 @@ def test_infer_states_deterministic_per_occupant_order():
     a = infer_states_detailed(grid_of(rows))[0]
     b = infer_states_detailed(grid_of(rows))[0]
     np.testing.assert_array_equal(a.states, b.states)
+
+
+# ---------------------------------------------------------------- worker pool
+
+
+def _rule_grid() -> TimeSeriesGrid:
+    """Five occupants whose fits take the single-low, single-high, two-step,
+    two-step/high-only and two-step-merged rules."""
+    rng = np.random.default_rng(10)
+    low = rng.normal(2, 0.1, 480)
+    return grid_of({
+        "lo": np.full(960, 1.0),
+        "hi": np.full(960, 70.0),
+        "spread": np.concatenate([low, rng.uniform(40, 90, 480)]),
+        "one-high": np.concatenate([low, rng.normal(80, 0.5, 480)]),
+        "three": np.concatenate([low[:320], rng.normal(40, 0.5, 320), rng.normal(90, 0.5, 320)]),
+    })
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs this process may run on; record the worker pools opened."""
+    pools = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+
+    def use(n: int) -> list[int]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        pools.clear()
+        return pools
+
+    return use
+
+
+def test_the_worker_count_does_not_change_states_or_fits(cpus):
+    grid = _rule_grid()
+    runs = {}
+    for n in (1, 2, 8):
+        pools = cpus(n)
+        runs[n] = infer_states_detailed(grid)
+        # one worker fits in this process; more open one pool of at most one per occupant
+        assert pools == ([] if n == 1 else [min(n, len(grid.occupants))])
+        assert multiprocessing.active_children() == []
+    serial_states, serial_fits = runs[1]
+    assert [f.rule for f in serial_fits] == [
+        "single-low", "single-high", "two-step", "two-step/high-only", "two-step-merged"]
+    for sg, fits in (runs[2], runs[8]):
+        assert sg.occupants == serial_states.occupants
+        np.testing.assert_array_equal(sg.states, serial_states.states)
+        for a, b in zip(fits, serial_fits, strict=True):
+            assert (a.occupant_id, a.rule) == (b.occupant_id, b.rule)
+            assert a.first.to_dict() == b.first.to_dict()
+            assert (a.second is None) == (b.second is None)
+            assert a.second is None or a.second.to_dict() == b.second.to_dict()
+
+
+def test_a_later_occupants_weight_floor_error_is_the_serial_one(cpus):
+    # a constant series keeps its one component's full weight; a two-level
+    # series gives no first-pass component 90 % of it, and two of them fail
+    rng = np.random.default_rng(3)
+    two_levels = np.concatenate([rng.normal(2, 0.1, 48), rng.normal(80, 0.5, 48)])
+    grid = grid_of({"a": np.full(96, 1.0), "b": np.full(96, 70.0), "c": two_levels,
+                    "d": two_levels[::-1].copy()})
+    cfg = StateConfig(weight_floor=0.9)
+    messages = {}
+    for n in (1, 2):
+        pools = cpus(n)
+        with pytest.raises(WeightFloorError) as caught:
+            infer_states_detailed(grid, cfg)
+        messages[n] = str(caught.value)
+        assert pools == ([] if n == 1 else [2])
+        assert multiprocessing.active_children() == []
+    assert messages[1].startswith("no component of occupant c's first-pass fit has weight >= 0.9")
+    assert messages[2] == messages[1]
 
 
 @settings(max_examples=20, deadline=None)

@@ -148,3 +148,14 @@ def test_cli_import_leaves_scipy_spatial_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only infer-states runs its fits in worker processes, and it imports the pool itself
+    code = ("import sys, zoneplan.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
