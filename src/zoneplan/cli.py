@@ -425,14 +425,21 @@ def _load_states(cfg: dict) -> tuple[Path, states_mod.StateGrid]:
 
 
 def _load_desk_table(
-    cfg: dict, key: str, states_path: Path, state_grid: states_mod.StateGrid
+    cfg: dict, key: str, states_path: Path, state_grid: states_mod.StateGrid, model=None
 ) -> ingest.Layout:
-    """The zone map or layout file at paths.<key>; each seated occupant needs states."""
+    """The zone map or layout file at paths.<key>; each seated occupant needs
+    states and, given a model, each zone must be one of the model's."""
     path = _require_path(cfg, key)
     layout = optimize.load_layout(path) if key == "layout" else ingest.load_zone_map(path)
     missing = sorted(set(layout.assignment.values()).difference(state_grid.occupants))
     if missing:
         raise ingest.InputError(f"{path}: occupants without states in {states_path}: {missing}")
+    unknown = sorted(set(layout.zones).difference(model.zone_order)) if model is not None else []
+    if unknown:
+        raise ingest.InputError(
+            f"{path}: zone ids {unknown} are not zones of the model {_require_path(cfg, 'model')}, "
+            f"whose zones are {model.zone_order}"
+        )
     return layout
 
 
@@ -539,16 +546,24 @@ def cmd_train_surrogate(cfg: dict) -> int:
     return 0
 
 
-def _load_seed_layouts(path_value) -> list[ingest.Layout]:
-    path = Path(path_value)
+def _load_seed_layouts(cfg: dict, template: ingest.Layout) -> list[ingest.Layout]:
+    """The layout file, or a directory's layout files, at optimize.seed_layouts;
+    each must have the zone map's zones and occupants."""
+    path = Path(cfg["optimize"]["seed_layouts"])
+    files = [path]
     if path.is_dir():
         files = sorted(path.glob("layout_*.csv")) or sorted(path.glob("*.csv"))
         if not files:
             raise ingest.InputError(f"{path}: no layout CSVs found")
-        return [optimize.load_layout(f) for f in files]
-    if not path.exists():
+    elif not path.exists():
         raise ingest.InputError(f"seed layouts not found: {path}")
-    return [optimize.load_layout(path)]
+    layouts = [optimize.load_layout(f) for f in files]
+    other = next((f for f, lay in zip(files, layouts) if not template.same_structure(lay)), None)
+    if other is not None:
+        zone_map = _require_path(cfg, "zone_map")
+        raise ingest.InputError(f"{other}: seed layout differs from the zone map {zone_map} "
+                                "in zones or occupants")
+    return layouts
 
 
 def cmd_optimize(cfg: dict) -> int:
@@ -558,14 +573,13 @@ def cmd_optimize(cfg: dict) -> int:
     if method == "ga" and not cfg["paths"]["model"]:
         raise ingest.InputError("the ga method needs paths.model (a trained surrogate)")
     states_path, state_grid = _load_states(cfg)
-    template = _load_desk_table(cfg, "zone_map", states_path, state_grid)
-    out = Path(cfg["out_dir"])
-    header = _header(cfg, "optimize")
-    master = int(cfg["seed"])
-
     model = None
     if cfg["paths"]["model"]:
         model = surrogate.load_model(_require_path(cfg, "model"))
+    template = _load_desk_table(cfg, "zone_map", states_path, state_grid, model)
+    out = Path(cfg["out_dir"])
+    header = _header(cfg, "optimize")
+    master = int(cfg["seed"])
 
     vectors = state_grid.vectors()
     dims = cfg["optimize"]["dims"]
@@ -582,7 +596,7 @@ def cmd_optimize(cfg: dict) -> int:
 
     seeds_in = None
     if cfg["optimize"]["seed_layouts"]:
-        seeds_in = _load_seed_layouts(cfg["optimize"]["seed_layouts"])
+        seeds_in = _load_seed_layouts(cfg, template)
 
     scorer = None
     if model is not None:
@@ -609,20 +623,19 @@ def cmd_optimize(cfg: dict) -> int:
         columns = ["run", "objective"]
         rows = [(k, objective) for k, _, objective in runs]
     else:
-        existing = scorer.total(template.by_zone())
-        rand_energies = []
-        for j in range(n_rand):
-            rng = np.random.default_rng(master + 100_000 + j)
-            rand_layout = optimize.random_layout(template, rng)
-            rand_energies.append(scorer.total(rand_layout.by_zone()))
+        rngs = [np.random.default_rng(master + 100_000 + j) for j in range(n_rand)]
+        draws = [optimize.random_layout(template, rng) for rng in rngs]
+        # the existing layout, its random draws and the runs, scored in one call
+        layouts = [template, *draws, *(layout for _, layout, _ in runs)]
+        existing, *energies = scorer.totals(template.seat_rows(layouts), template).tolist()
+        rand_energies = energies[:n_rand]
         rand_mean = float(np.mean(rand_energies)) if rand_energies else float("nan")
         comments.append(f"existing_energy_wh: {existing!r}")
         comments.append(f"random_mean_energy_wh: {rand_mean!r} (n={n_rand})")
         columns = ["run", "objective", "energy_wh", "pct_vs_existing", "pct_vs_random_mean"]
         pct = surrogate.percent_change
         rows = [("existing", "", existing, 0.0, pct(existing, rand_mean))]
-        for k, layout, objective in runs:
-            energy = scorer.total(layout.by_zone())
+        for (k, _, objective), energy in zip(runs, energies[n_rand:]):
             rows.append((k, objective, energy, pct(energy, existing), pct(energy, rand_mean)))
     ingest._write_rows(out / "optimize_summary.csv", columns, rows, comments)
     print(f"wrote {batch} layout/trace pairs and {out / 'optimize_summary.csv'}")
@@ -632,11 +645,11 @@ def cmd_optimize(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     states_path, state_grid = _load_states(cfg)
     model = surrogate.load_model(_require_path(cfg, "model"))
-    layout = _load_desk_table(cfg, "layout", states_path, state_grid)
+    layout = _load_desk_table(cfg, "layout", states_path, state_grid, model)
     baseline = None
     if cfg["paths"].get("zone_map"):
-        baseline = _load_desk_table(cfg, "zone_map", states_path, state_grid).by_zone()
-    report = surrogate.predict_energy(model, layout.by_zone(), state_grid, baseline_zones=baseline)
+        baseline = _load_desk_table(cfg, "zone_map", states_path, state_grid, model)
+    report = surrogate.predict_energy(model, layout, state_grid, baseline=baseline)
     out = Path(cfg["out_dir"])
     surrogate.write_energy_report(report, out / "energy.csv", _header(cfg, "simulate"))
     print(f"wrote {out / 'energy.csv'} (total {report.grand_total:.1f} wh)")

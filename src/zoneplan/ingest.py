@@ -654,6 +654,23 @@ class Layout:
     def same_structure(self, other: "Layout") -> bool:
         return self.zones == other.zones and self.occupants() == other.occupants()
 
+    def seat_rows(self, layouts: Sequence["Layout"]) -> np.ndarray:
+        """Layouts of this structure as seat rows, one (n_layouts, n_desks) int array:
+        per desk in desk_order(), the seated occupant's index in occupants(), or -1."""
+        if not all(self.same_structure(layout) for layout in layouts):
+            raise ValueError("layout differs from the template in zones or occupants")
+        index = {o: i for i, o in enumerate(self.occupants())}
+        desks = self.desk_order()
+        rows = [[index.get(layout.assignment.get(d), -1) for d in desks] for layout in layouts]
+        return np.array(rows, dtype=np.intp).reshape(len(layouts), len(desks))
+
+    def with_seat_row(self, row: Sequence[int]) -> "Layout":
+        """The layout of this structure that a seat row (see seat_rows) describes."""
+        occupants = self.occupants()
+        return self.with_assignment(
+            {d: occupants[i] for d, i in zip(self.desk_order(), row) if i >= 0}
+        )
+
 
 _ZONE_MAP_HEADER = ["occupant_id", "desk_id", "zone_id"]
 _LAYOUT_HEADER = ["desk_id", "zone_id", "occupant_id"]

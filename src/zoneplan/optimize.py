@@ -20,16 +20,16 @@ from .diversity import distance_matrix, layout_diversity, stack_vectors
 from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_rows
 
 
+def random_seat_row(template: Layout, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random seat row (Layout.seat_rows) of the template: one
+    rng.permutation over its desks, values from the occupant count up vacant."""
+    perm = rng.permutation(len(template.desk_order()))
+    return np.where(perm < len(template.assignment), perm, -1)
+
+
 def random_layout(template: Layout, rng: np.random.Generator) -> Layout:
     """Uniformly random assignment of the template's occupants to its desks."""
-    desks = template.desk_order()
-    tokens: list[str | None] = sorted(template.assignment.values())
-    tokens += [None] * (len(desks) - len(tokens))
-    perm = rng.permutation(len(tokens))
-    assignment = {
-        desk: tokens[perm[i]] for i, desk in enumerate(desks) if tokens[perm[i]] is not None
-    }
-    return template.with_assignment(assignment)
+    return template.with_seat_row(random_seat_row(template, rng))
 
 
 def count_layouts(n_occupants: int, n_zones: int) -> int:
@@ -268,7 +268,7 @@ def crossover(
 ) -> np.ndarray:
     """One child per row pair: desk-wise random parent pick with feasibility repair.
 
-    Rows map desk slots to occupant indices (-1 vacant).  In slot order, a
+    Rows are seat rows (Layout.seat_rows), -1 at a vacant desk.  In slot order, a
     pick that would repeat a placed occupant, or exceed the parents'
     vacancy count, falls back to the other parent, then to deferral.
     Deferred desks take the unplaced occupants in rising order of one
@@ -369,7 +369,7 @@ class GaConfig:
 
 
 def ga_optimize(
-    fitness: Callable[[Mapping[str, np.ndarray], Sequence[str]], np.ndarray],
+    fitness: Callable[[np.ndarray, Layout], np.ndarray],
     template: Layout,
     config: GaConfig | None = None,
     seed: int = 0,
@@ -377,33 +377,22 @@ def ga_optimize(
 ) -> tuple[Layout, OptTrace]:
     """Generational GA: B best + R random survivors breed a fully new population.
 
-    The population is one (P, D) int array mapping desk slots
-    (template.desk_order()) to indices into template.occupants(), -1 when
-    vacant.  Each generation is scored by one call, fitness(zones,
-    occupants) -> P values (lower is better), with zones mapping zone_id to
-    its slots' columns.  No elitism carries layouts over; the best-ever
-    layout is returned, and the trace records each generation's best
-    fitness and the running best.
+    The population is one (P, D) array of seat rows (template.seat_rows).
+    Generation 0 is the seeds, then random_seat_row draws from the run's
+    generator.  Each generation is scored by one call,
+    fitness(population, template) -> P values (lower is better).  No
+    elitism carries layouts over; the best-ever layout is returned, and the
+    trace records each generation's best fitness and the running best.
     """
     cfg = config or GaConfig()
     cfg.validate()
     rng = np.random.default_rng(seed)
-    desks = template.desk_order()
-    occupants = template.occupants()
     zone_ids = sorted(template.zones)
     bounds = np.cumsum([0] + [len(template.zones[z]) for z in zone_ids])
 
-    layouts = list(seeds_in or [])
-    if not all(template.same_structure(layout) for layout in layouts):
-        raise ValueError("seed layout differs from the template in zones or occupants")
-    layouts = layouts[: cfg.population]
-    while len(layouts) < cfg.population:
-        layouts.append(random_layout(template, rng))
-    occ_index = {o: i for i, o in enumerate(occupants)}
-    population = np.array(
-        [[occ_index.get(lay.assignment.get(d), -1) for d in desks] for lay in layouts],
-        dtype=np.intp,
-    )
+    seeded = template.seat_rows(seeds_in or [])[: cfg.population]
+    padding = [random_seat_row(template, rng) for _ in range(cfg.population - len(seeded))]
+    population = np.vstack([seeded, *padding])
 
     best_row: np.ndarray | None = None
     best_fit = np.inf
@@ -411,8 +400,7 @@ def ga_optimize(
     best_series: list[float] = []
 
     for gen in range(cfg.generations):
-        zones = {z: population[:, bounds[j] : bounds[j + 1]] for j, z in enumerate(zone_ids)}
-        fits = np.asarray(fitness(zones, occupants), dtype=float)
+        fits = np.asarray(fitness(population, template), dtype=float)
         if fits.shape != (cfg.population,) or not np.all(np.isfinite(fits)):
             raise ValueError("fitness must give one finite value per layout")
         order = np.lexsort((np.arange(fits.size), fits))
@@ -442,5 +430,4 @@ def ga_optimize(
         population = mutate(children, cfg.mutation_prob, rng, bounds)
 
     assert best_row is not None
-    best = {desk: occupants[i] for desk, i in zip(desks, best_row) if i >= 0}
-    return template.with_assignment(best), OptTrace(objectives, best_series)
+    return template.with_seat_row(best_row), OptTrace(objectives, best_series)

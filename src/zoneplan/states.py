@@ -358,11 +358,6 @@ def converged(model: VbGmmModel, tol: float) -> bool:
     return model.degenerate or (len(trace) >= 2 and trace[-1] - trace[-2] < tol)
 
 
-def effective_components(model: VbGmmModel, weight_floor: float = 1e-2) -> int:
-    """Number of components whose expected weight clears the floor."""
-    return int(np.sum(model.weights >= weight_floor))
-
-
 @dataclass(frozen=True)
 class StateConfig:
     """Knobs for the two-step state inference."""

@@ -18,6 +18,7 @@ import numpy as np
 from .ingest import (
     STEPS_PER_DAY,
     InputError,
+    Layout,
     LightingTable,
     _read_json,
     _write_json,
@@ -70,7 +71,8 @@ def build_features(states: StateGrid, zones: Mapping[str, Sequence[str]]) -> Fea
     """
     zone_order = sorted(zones)
     encoder = _RowEncoder(states, {z: j for j, z in enumerate(zone_order)})
-    keys = encoder.keys(encoder.rows(zones))[0].T[encoder.step_of]
+    rows = {z: encoder.occupant_rows(members)[None, :] for z, members in zones.items()}
+    keys = encoder.keys(rows)[0].T[encoder.step_of]
     features = encoder.decode(keys.ravel())
     n_zones = len(zone_order)
     hour_epoch = np.repeat(states.calendar.hour_epochs(), n_zones)
@@ -384,8 +386,8 @@ class RfModel:
                     break
                 fv = xb[cols_idx, np.maximum(f, 0)]
                 go_left = fv < thr[rows_idx, cur]
-                nxt = np.where(go_left, left[rows_idx, cur], right[rows_idx, cur])
-                cur = np.where(interior, nxt, cur).astype(np.int32)
+                # leaves and padding are their own children, so they stay put
+                cur = np.where(go_left, left[rows_idx, cur], right[rows_idx, cur])
             # trees summed one after another: numpy's mean over axis 0 does
             # this for two or more rows but sums a lone row pairwise
             leaves = val[rows_idx, cur]
@@ -637,10 +639,6 @@ class _RowEncoder:
             missing = [o for o in occupants if o not in self._occ_index]
             raise ValueError(f"occupants without states: {missing}") from None
 
-    def rows(self, zones: Mapping[str, Sequence[str]]) -> dict[str, np.ndarray]:
-        """One layout given as zone_id -> occupant ids, as keys() takes it."""
-        return {z: self.occupant_rows(members)[None, :] for z, members in zones.items()}
-
     def keys(self, rows: Mapping[str, np.ndarray]) -> np.ndarray:
         """Row keys (n_layouts, n_zones, n_distinct_steps), zones in sorted id order.
 
@@ -672,14 +670,14 @@ class _RowEncoder:
 class LayoutScorer:
     """Predicted lighting energy of layouts, each distinct feature row predicted once.
 
-    Rows are _RowEncoder keys over the model's zone indices; the model's
-    clamped prediction of each key is kept in a sorted memo.  Scoring a
-    layout looks up its keys on the distinct steps, gathers the predictions
-    of every step (step_of) in build_features' step-major order and sums
-    them, and totals() does so for a whole GA population at once; the
-    model only sees keys it has not seen before.
-    Predictions do not depend on their batch, so totals equal scoring the
-    whole feature table at once.
+    Layouts come as a population of seat rows (ingest.Layout.seat_rows) of
+    one template.  Rows are _RowEncoder keys over the model's zone indices;
+    the model's clamped prediction of each key is kept in a sorted memo.
+    Scoring looks up each layout's keys on the distinct steps, gathers the
+    predictions of every step (step_of) in build_features' step-major order
+    and sums them; the model only sees keys it has not seen before.
+    Predictions do not depend on their batch, so a layout's total equals
+    scoring its whole feature table at once.
     """
 
     def __init__(self, model, states: StateGrid):
@@ -703,46 +701,33 @@ class LayoutScorer:
             values[miss] = pred[new_of]
         return values
 
-    def predict(self, zones: Mapping[str, Sequence[str]]) -> tuple[list[str], np.ndarray]:
-        """Zone order and clamped per-row predictions, step-major, zones inner."""
-        zone_order = sorted(zones)
-        keys = self._encoder.keys(self._encoder.rows(zones))[0]
-        # zone-major keys rise with the distinct steps' calendar keys, which
-        # keeps the memo search local
-        pred = self._lookup(keys.ravel()).reshape(keys.shape)
-        return zone_order, pred.T[self._encoder.step_of].ravel()
-
-    def total(self, zones: Mapping[str, Sequence[str]]) -> float:
-        """Predicted energy of a layout given as zone_id -> occupant ids."""
-        return float(self.predict(zones)[1].sum())
-
-    def totals(self, zones: Mapping[str, np.ndarray], occupants: Sequence[str]) -> np.ndarray:
-        """Predicted energy of each layout of a population, as the GA scores it.
-
-        zones maps zone_id to an (n_layouts, desks) int array of indices
-        into occupants, -1 at a vacant desk.  Each layout's rows are summed
-        step-major like total(), so both give the same bits.
-        """
+    def _chunks(self, population: np.ndarray, template: Layout):
+        """Yield (first layout, per-step predictions) per chunk of the population; the
+        predictions, (n_layouts, n_steps, n_zones), hold rows as build_features does."""
+        zone_ids = sorted(template.zones)
+        bounds = np.cumsum([len(template.zones[z]) for z in zone_ids])[:-1]
         # index -1 picks the appended -1, the encoder's empty row
-        row_of = np.append(self._encoder.occupant_rows(occupants), -1)
-        rows = {z: row_of[members] for z, members in zones.items()}
-        n_layouts = len(next(iter(rows.values())))
+        row_of = np.append(self._encoder.occupant_rows(template.occupants()), -1)
+        rows = dict(zip(zone_ids, np.split(row_of[population], bounds, axis=1)))
         chunk = max(1, SCORE_KEYS // (len(rows) * self.calendar.n_steps))
-        out = np.empty(n_layouts)
-        for lo in range(0, n_layouts, chunk):
+        for lo in range(0, len(population), chunk):
             keys = self._encoder.keys({z: r[lo : lo + chunk] for z, r in rows.items()})
+            # zone-major keys rise with the distinct steps' calendar keys,
+            # which keeps the memo search local
             pred = self._lookup(keys.ravel()).reshape(keys.shape)
-            steps = pred.transpose(0, 2, 1)[:, self._encoder.step_of]
-            out[lo : lo + len(keys)] = steps.reshape(len(keys), -1).sum(axis=1)
+            yield lo, pred.transpose(0, 2, 1)[:, self._encoder.step_of]
+
+    def totals(self, population: np.ndarray, template: Layout) -> np.ndarray:
+        """Predicted energy of each layout of a population of the template's seat rows."""
+        out = np.empty(len(population))
+        for lo, steps in self._chunks(population, template):
+            out[lo : lo + len(steps)] = steps.reshape(len(steps), -1).sum(axis=1)
         return out
 
-    def report(
-        self,
-        zones: Mapping[str, Sequence[str]],
-        baseline_zones: Mapping[str, Sequence[str]] | None = None,
-    ) -> EnergyReport:
+    def report(self, layout: Layout, baseline: Layout | None = None) -> EnergyReport:
         """Hourly energy per zone; optional baseline comparison."""
-        zone_order, pred = self.predict(zones)
+        pred = next(self._chunks(layout.seat_rows([layout]), layout))[1].reshape(-1)
+        zone_order = sorted(layout.zones)
         n_zones = len(zone_order)
         hour_starts, hour_column = self.calendar.hour_columns()
         hourly = np.zeros((n_zones, hour_starts.size))
@@ -751,20 +736,17 @@ class LayoutScorer:
         grand = float(pred.sum())
         baseline_total = None
         pct = None
-        if baseline_zones is not None:
-            baseline_total = self.total(baseline_zones)
+        if baseline is not None:
+            baseline_total = float(self.totals(baseline.seat_rows([baseline]), baseline)[0])
             pct = percent_change(grand, baseline_total)
         return EnergyReport(zone_order, hour_starts, hourly, grand, baseline_total, pct)
 
 
 def predict_energy(
-    model,
-    zones: Mapping[str, Sequence[str]],
-    states: StateGrid,
-    baseline_zones: Mapping[str, Sequence[str]] | None = None,
+    model, layout: Layout, states: StateGrid, baseline: Layout | None = None
 ) -> EnergyReport:
     """Score a layout with a trained surrogate; optional baseline comparison."""
-    return LayoutScorer(model, states).report(zones, baseline_zones)
+    return LayoutScorer(model, states).report(layout, baseline)
 
 
 def write_energy_report(report: EnergyReport, path, header_comment: str | None = None) -> None:

@@ -89,14 +89,10 @@ def paired_adversarial(paired_vectors):
 def diversity_fitness(vectors):
     """GA population fitness: each layout's total zone diversity, one layout at a time."""
 
-    def fitness(zones, occupants):
-        n_layouts = len(next(iter(zones.values())))
+    def fitness(population, template):
         return np.array([
-            layout_diversity(
-                {z: [occupants[i] for i in rows[k] if i >= 0] for z, rows in zones.items()},
-                vectors,
-            ).total
-            for k in range(n_layouts)
+            layout_diversity(template.with_seat_row(row).by_zone(), vectors).total
+            for row in population
         ])
 
     return fitness

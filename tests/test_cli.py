@@ -910,6 +910,57 @@ def test_a_seated_occupant_without_states_names_both_files(tmp_path, demo_dir, c
     assert not out.exists()
 
 
+def _with_z9(layout):
+    """layout with zone Z4 renamed to Z9, a zone the demo's model lacks."""
+    return ingest.Layout({"Z9" if z == "Z4" else z: d for z, d in layout.zones.items()},
+                         layout.assignment)
+
+
+@pytest.mark.parametrize("command", ["optimize --method ga", "optimize --method cluster",
+                                     "simulate --layout", "simulate --zone-map"])
+def test_a_zone_the_model_lacks_names_the_desk_table_and_the_model(tmp_path, demo_dir, capsys,
+                                                                    command):
+    model = demo_dir / "model.json"
+    z9_map, z9_layout = tmp_path / "zone_map.csv", tmp_path / "layout.csv"
+    write_zone_map(_with_z9(load_zone_map(demo_dir / "zone_map.csv")), z9_map)
+    write_layout(_with_z9(load_layout(demo_dir / "cluster_layout.csv")), z9_layout)
+    argv, desk_table = {
+        "optimize --method ga": (["optimize", "--method", "ga", "--zone-map", str(z9_map)],
+                                 z9_map),
+        "optimize --method cluster": (["optimize", "--method", "cluster", "--dims", "3",
+                                       "--zone-map", str(z9_map)], z9_map),
+        "simulate --layout": (["simulate", "--layout", str(z9_layout)], z9_layout),
+        "simulate --zone-map": (["simulate", "--layout", str(demo_dir / "cluster_layout.csv"),
+                                 "--zone-map", str(z9_map)], z9_map),
+    }[command]
+    out = tmp_path / "out"
+    states = ["--states", str(demo_dir / "states.csv")]
+    assert main([*argv, *states, "--model", str(model), "--out-dir", str(out)]) == 1
+    zones = "['Z1', 'Z2', 'Z3', 'Z4']"
+    message = f"{desk_table}: zone ids ['Z9'] are not zones of the model {model}, whose zones are"
+    assert capsys.readouterr().err == f"error: {message} {zones}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", ["occupants", "zones"])
+def test_a_seed_layout_of_another_structure_names_it_and_the_zone_map(tmp_path, demo_dir,
+                                                                      capsys, change):
+    zone_map = demo_dir / "zone_map.csv"
+    seeds = tmp_path / "seeds"
+    layout = load_layout(demo_dir / "cluster_layout.csv")
+    write_layout(layout, seeds / "layout_000.csv")
+    changed = _with_ghost(layout) if change == "occupants" else _with_z9(layout)
+    write_layout(changed, seeds / "layout_001.csv")
+    out = tmp_path / "out"
+    argv = ["optimize", "--method", "ga", "--states", str(demo_dir / "states.csv"),
+            "--zone-map", str(zone_map), "--model", str(demo_dir / "model.json"),
+            "--seed-layouts", str(seeds), "--out-dir", str(out)]
+    assert main(argv) == 1
+    message = f"seed layout differs from the zone map {zone_map} in zones or occupants"
+    assert capsys.readouterr().err == f"error: {seeds / 'layout_001.csv'}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("surrogate.kind=svm", "surrogate.kind must be mlr or rf, got 'svm'"),
     ("surrogate.split_fraction=1", "surrogate.split_fraction must be in (0, 1), got 1"),

@@ -99,6 +99,28 @@ def test_random_layout_permutes_within_structure(paired_adversarial):
     assert sorted(lay.occupants()) == sorted(paired_adversarial.occupants())
 
 
+def test_random_layout_draws_one_permutation_over_the_desks():
+    # desk j of desk_order() seats sorted occupant perm[j]; values from the
+    # occupant count up leave it vacant
+    template = Layout({"Z2": ["D4", "D5"], "Z1": ["D1", "D2", "D3"]},
+                      {"D1": "b", "D2": "a", "D4": "c"})
+    perm = np.random.default_rng(9).permutation(5)
+    expected = {d: "abc"[p] for d, p in zip(template.desk_order(), perm) if p < 3}
+    assert random_layout(template, np.random.default_rng(9)).assignment == expected
+
+
+def test_seat_rows_round_trip_with_vacant_desks():
+    lay = Layout({"Z2": ["D3", "D4"], "Z1": ["D1", "D2"]}, {"D1": "b", "D3": "a", "D4": "c"})
+    rows = lay.seat_rows([lay])
+    # desks in desk_order() (zones by sorted id), occupants by sorted id
+    assert rows.tolist() == [[1, -1, 0, 2]]
+    assert lay.with_seat_row(rows[0]).assignment == lay.assignment
+    assert lay.seat_rows([]).shape == (0, 4)
+    other = Layout.from_groups({"Z1": ["a", "b"], "Z2": ["c", "d"]})
+    with pytest.raises(ValueError, match="differs from the template"):
+        lay.seat_rows([other])
+
+
 def test_layout_csv_round_trip(tmp_path, paired_adversarial):
     write_layout(paired_adversarial, tmp_path / "l.csv")
     back = load_layout(tmp_path / "l.csv")
@@ -329,16 +351,9 @@ def test_swap_search_rejects_starts_it_cannot_batch(paired_vectors, paired_adver
 # ---------------------------------------------------------------- population arrays
 
 
-def population_of(template: Layout, layouts) -> np.ndarray:
-    """Layouts as GA rows: desk slot -> index into template.occupants(), -1 vacant."""
-    index = {o: i for i, o in enumerate(template.occupants())}
-    desks = template.desk_order()
-    return np.array([[index.get(lay.assignment.get(d), -1) for d in desks] for lay in layouts])
-
-
 def random_population(template: Layout, seed: int, n: int) -> np.ndarray:
-    return population_of(
-        template, [random_layout(template, np.random.default_rng(seed + k)) for k in range(n)]
+    return template.seat_rows(
+        [random_layout(template, np.random.default_rng(seed + k)) for k in range(n)]
     )
 
 
@@ -411,7 +426,7 @@ def test_array_crossover_matches_the_per_desk_reference(case):
     rng = np.random.default_rng(seed)
     parents = [random_layout(template, rng) for _ in range(2 * n_pairs)]
     pa, pb = parents[:n_pairs], parents[n_pairs:]
-    children = crossover(population_of(template, pa), population_of(template, pb),
+    children = crossover(template.seat_rows(pa), template.seat_rows(pb),
                          np.random.default_rng(seed + 1))
     # replay the crossover's draws: picks, then one fill key per occupant
     replay = np.random.default_rng(seed + 1)
@@ -419,23 +434,20 @@ def test_array_crossover_matches_the_per_desk_reference(case):
     fill_keys = replay.random((n_pairs, n_occ))
     for k in range(n_pairs):
         expected = reference_crossover(pa[k], pb[k], picks[k], fill_keys[k])
-        got = Layout(template.zones, {
-            d: template.occupants()[i] for d, i in zip(template.desk_order(), children[k]) if i >= 0
-        })
-        assert got.assignment == expected
+        assert template.with_seat_row(children[k]).assignment == expected
         assert is_valid_row(children[k], n_occ, sum(sizes))
 
 
 def test_crossover_identical_parents_identity(paired_adversarial):
-    parents = population_of(paired_adversarial, [paired_adversarial] * 3)
+    parents = paired_adversarial.seat_rows([paired_adversarial] * 3)
     child = crossover(parents, parents, np.random.default_rng(0))
     assert np.array_equal(child, parents)
 
 
 def test_crossover_deterministic():
     _, template = random_instance(4)
-    pa = population_of(template, [random_layout(template, np.random.default_rng(10))] * 4)
-    pb = population_of(template, [random_layout(template, np.random.default_rng(11))] * 4)
+    pa = template.seat_rows([random_layout(template, np.random.default_rng(10))] * 4)
+    pb = template.seat_rows([random_layout(template, np.random.default_rng(11))] * 4)
     c1 = crossover(pa, pb, np.random.default_rng(3))
     c2 = crossover(pa, pb, np.random.default_rng(3))
     assert np.array_equal(c1, c2)
@@ -465,14 +477,14 @@ def test_crossover_child_is_valid_permutation(sa, sb, sc):
 
 def test_mutate_zero_probability_is_identity():
     _, template = random_instance(6)
-    pop = population_of(template, [template] * 5)
+    pop = template.seat_rows([template] * 5)
     out = mutate(pop, 0.0, np.random.default_rng(0), zone_bounds(template))
     assert np.array_equal(out, pop)
 
 
 def test_mutate_fires_with_probability_one():
     _, template = random_instance(7, n_zones=2, per_zone=3)
-    pop = population_of(template, [template] * 5)
+    pop = template.seat_rows([template] * 5)
     out = mutate(pop, 1.0, np.random.default_rng(1), zone_bounds(template))
     # two cross-zone swaps per layout; the second undoes the first 1 time in 9
     assert not np.array_equal(out, pop)
@@ -483,7 +495,7 @@ def test_mutate_fires_with_probability_one():
 
 def test_mutate_deterministic():
     _, template = random_instance(8)
-    pop = population_of(template, [template] * 5)
+    pop = template.seat_rows([template] * 5)
     a = mutate(pop, 0.5, np.random.default_rng(9), zone_bounds(template))
     b = mutate(pop, 0.5, np.random.default_rng(9), zone_bounds(template))
     assert np.array_equal(a, b)
@@ -521,7 +533,7 @@ def test_array_mutate_matches_the_per_layout_reference(case):
     template = Layout(zones, dict(zip(desks, [f"o{i:02d}" for i in range(n_occ)])))
     layout = random_layout(template, np.random.default_rng(seed))
     # one layout per call, so the array draws are the reference's scalars
-    out = mutate(population_of(template, [layout]), 0.7, np.random.default_rng(seed + 1),
+    out = mutate(template.seat_rows([layout]), 0.7, np.random.default_rng(seed + 1),
                  zone_bounds(template))
     expected = reference_mutate(layout, 0.7, np.random.default_rng(seed + 1))
     occupants = template.occupants()

@@ -402,12 +402,18 @@ def test_hourly_aggregation_cancels_within_hour_errors():
 # ---------------------------------------------------------------- energy
 
 
+def seated(zones: dict, n_desks: int = 8) -> Layout:
+    """zone_id -> occupants seated at that zone's first desks of n_desks."""
+    desks = {z: [f"{z}-d{k}" for k in range(n_desks)] for z in zones}
+    return Layout(desks, {desks[z][k]: o for z, occs in zones.items() for k, o in enumerate(occs)})
+
+
 def test_predict_energy_constant_model(pop8):
-    zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    table = build_features(pop8, zones)
+    layout = Layout.from_groups({"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]})
+    table = build_features(pop8, layout.by_zone())
     y = np.full(table.n_rows, 30.0)
     model = fit_mlr(table, y)
-    report = predict_energy(model, zones, pop8, baseline_zones=zones)
+    report = predict_energy(model, layout, pop8, baseline=layout)
     # constant 30 Wh per zone-step, 2 zones, clamped at zero unnecessary
     expected = 30.0 * table.n_rows
     assert report.grand_total == pytest.approx(expected, rel=1e-9)
@@ -415,11 +421,11 @@ def test_predict_energy_constant_model(pop8):
 
 
 def test_predict_energy_unknown_zone_rejected(pop8):
-    zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
-    table = build_features(pop8, zones)
+    layout = Layout.from_groups({"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]})
+    table = build_features(pop8, layout.by_zone())
     model = fit_mlr(table, np.zeros(table.n_rows))
-    with pytest.raises(ValueError):
-        predict_energy(model, {"Z9": pop8.occupants}, pop8, baseline_zones=zones)
+    with pytest.raises(ValueError, match="unknown zone"):
+        predict_energy(model, Layout.from_groups({"Z9": pop8.occupants}), pop8, baseline=layout)
 
 
 # ---------------------------------------------------------------- layout scorer
@@ -444,10 +450,15 @@ def scorer_case(request, pop8):
     return model, template
 
 
-def whole_table_total(model, zones, states):
+def whole_table_total(model, layout: Layout, states):
     # reference: predict every row of the layout's feature table at once
-    table = build_features(states, zones)
+    table = build_features(states, layout.by_zone())
     return float(np.maximum(model.predict_rows(table), 0.0).sum())
+
+
+def total(scorer: LayoutScorer, layout: Layout) -> float:
+    """The scorer's energy of one layout: a one-row population of its own seat row."""
+    return float(scorer.totals(layout.seat_rows([layout]), layout)[0])
 
 
 def test_row_prediction_independent_of_batch(scorer_case):
@@ -465,14 +476,32 @@ def test_row_prediction_independent_of_batch(scorer_case):
 def test_scorer_total_equals_whole_table_prediction(scorer_case, pop8):
     model, template = scorer_case
     scorer = LayoutScorer(model, pop8)
-    layouts = [random_layout(template, np.random.default_rng(100 + k)).by_zone() for k in range(20)]
+    layouts = [random_layout(template, np.random.default_rng(100 + k)) for k in range(20)]
     # vacant desks: one zone short of occupants, and an empty zone
-    layouts.append({"Z1": pop8.occupants[:3], "Z2": pop8.occupants[4:]})
-    layouts.append({"Z1": pop8.occupants, "Z2": []})
-    for zones in layouts:
-        expected = whole_table_total(model, zones, pop8)
-        assert scorer.total(zones) == expected
-        assert predict_energy(model, zones, pop8).grand_total == expected
+    layouts.append(seated({"Z1": pop8.occupants[:3], "Z2": pop8.occupants[4:]}))
+    layouts.append(seated({"Z1": pop8.occupants, "Z2": []}))
+    for layout in layouts:
+        expected = whole_table_total(model, layout, pop8)
+        assert total(scorer, layout) == expected
+        assert predict_energy(model, layout, pop8).grand_total == expected
+
+
+def test_report_sums_the_rows_per_zone_and_hour(scorer_case, pop8):
+    model, template = scorer_case
+    layout = random_layout(template, np.random.default_rng(150))
+    baseline = seated({"Z1": pop8.occupants, "Z2": []})
+    report = predict_energy(model, layout, pop8, baseline=baseline)
+    table = build_features(pop8, layout.by_zone())
+    pred = np.maximum(model.predict_rows(table), 0.0)
+    assert report.zone_order == ["Z1", "Z2"]
+    for j, zone_id in enumerate(report.zone_order):
+        for h, epoch in enumerate(report.hour_epochs):
+            rows = (table.features[:, 6] == j) & (table.hour_epoch == epoch)
+            assert report.hourly[j, h] == pytest.approx(pred[rows].sum(), rel=1e-12)
+    assert report.grand_total == whole_table_total(model, layout, pop8)
+    assert report.baseline_total == whole_table_total(model, baseline, pop8)
+    grand, base = report.grand_total, report.baseline_total
+    assert report.percent_change == 100.0 * (grand - base) / base
 
 
 def test_scorer_handles_zone_order_unlike_the_model(scorer_case, pop8):
@@ -481,10 +510,10 @@ def test_scorer_handles_zone_order_unlike_the_model(scorer_case, pop8):
     model.zone_order = ["Z2", "Z1"]  # model index 0 is the table's second zone
     scorer = LayoutScorer(model, pop8)
     for k in range(5):
-        zones = random_layout(template, np.random.default_rng(200 + k)).by_zone()
-        assert scorer.total(zones) == whole_table_total(model, zones, pop8)
-    only_z2 = {"Z2": pop8.occupants[:4]}
-    assert scorer.total(only_z2) == whole_table_total(model, only_z2, pop8)
+        layout = random_layout(template, np.random.default_rng(200 + k))
+        assert total(scorer, layout) == whole_table_total(model, layout, pop8)
+    only_z2 = Layout.from_groups({"Z2": pop8.occupants[:4]})
+    assert total(scorer, only_z2) == whole_table_total(model, only_z2, pop8)
 
 
 def test_scorer_predicts_each_distinct_row_once(scorer_case, pop8):
@@ -499,11 +528,11 @@ def test_scorer_predicts_each_distinct_row_once(scorer_case, pop8):
 
     model.predict_raw = counting
     scorer = LayoutScorer(model, pop8)
-    layouts = [random_layout(template, np.random.default_rng(300 + k)).by_zone() for k in range(15)]
-    totals = [scorer.total(zones) for zones in layouts]
+    layouts = [random_layout(template, np.random.default_rng(300 + k)) for k in range(15)]
+    totals = [total(scorer, layout) for layout in layouts]
     assert seen and len(seen) == len(set(seen))
     n_seen = len(seen)
-    assert [scorer.total(zones) for zones in layouts] == totals
+    assert [total(scorer, layout) for layout in layouts] == totals
     assert len(seen) == n_seen  # repeated layouts reach the model no more
 
 
@@ -511,9 +540,9 @@ def test_scorer_rejects_unknown_zone_and_stateless_occupant(scorer_case, pop8):
     model, _ = scorer_case
     scorer = LayoutScorer(model, pop8)
     with pytest.raises(ValueError, match="unknown zone"):
-        scorer.total({"Z9": pop8.occupants})
+        total(scorer, Layout.from_groups({"Z9": pop8.occupants}))
     with pytest.raises(ValueError, match="without states"):
-        scorer.total({"Z1": ["nobody"]})
+        total(scorer, Layout.from_groups({"Z1": pop8.occupants[:7] + ["nobody"]}))
 
 
 def vacant_template(pop8) -> Layout:
@@ -523,19 +552,7 @@ def vacant_template(pop8) -> Layout:
     return Layout(zones, dict(zip(desks[1:9], pop8.occupants)))
 
 
-def population_zones(population: np.ndarray) -> dict:
-    return {"Z1": population[:, :5], "Z2": population[:, 5:]}
-
-
-def layout_of(row, template: Layout) -> dict:
-    occupants = template.occupants()
-    return {
-        "Z1": [occupants[i] for i in row[:5] if i >= 0],
-        "Z2": [occupants[i] for i in row[5:] if i >= 0],
-    }
-
-
-def test_batched_totals_equal_total_bit_for_bit(scorer_case, pop8):
+def test_batched_totals_equal_one_layout_at_a_time_bit_for_bit(scorer_case, pop8):
     model, _ = scorer_case
     template = vacant_template(pop8)
     rng = np.random.default_rng(500)
@@ -547,14 +564,15 @@ def test_batched_totals_equal_total_bit_for_bit(scorer_case, pop8):
     # 2 zones x 192 steps per layout: the population spans three chunks
     assert 100 * 2 * pop8.n_steps > 2 * SCORE_KEYS
     scorer = LayoutScorer(model, pop8)
-    batched = scorer.totals(population_zones(population), template.occupants())
+    batched = scorer.totals(population, template)
     one_at_a_time = LayoutScorer(model, pop8)
     for row, got in zip(population, batched):
-        assert got == one_at_a_time.total(layout_of(row, template))
+        layout = template.with_seat_row(row)
+        assert got == total(one_at_a_time, layout) == whole_table_total(model, layout, pop8)
 
 
 def test_ga_generation_zero_scores_as_layouts_do(scorer_case, pop8):
-    # the trace's first row is the best total() of the seeds and the
+    # the trace's first row is the best total of the seeds and the
     # random_layout padding drawn from the run's generator
     model, _ = scorer_case
     template = vacant_template(pop8)
@@ -565,16 +583,15 @@ def test_ga_generation_zero_scores_as_layouts_do(scorer_case, pop8):
     rng = np.random.default_rng(8)
     first = seeds + [random_layout(template, rng) for _ in range(11)]
     scorer = LayoutScorer(model, pop8)
-    assert trace.objectives[0] == min(scorer.total(lay.by_zone()) for lay in first)
+    assert trace.objectives[0] == min(total(scorer, lay) for lay in first)
 
 
 def test_batched_totals_reject_a_stateless_occupant(scorer_case, pop8):
     model, _ = scorer_case
-    population = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
+    occupants = pop8.occupants[:7] + ["nobody"]
+    template = Layout.from_groups({"Z1": occupants[:4], "Z2": occupants[4:]})
     with pytest.raises(ValueError, match="without states"):
-        LayoutScorer(model, pop8).totals(
-            {"Z1": population[:, :4], "Z2": population[:, 4:]}, pop8.occupants[:7] + ["nobody"]
-        )
+        LayoutScorer(model, pop8).totals(template.seat_rows([template]), template)
 
 
 def per_step_keys(states, zone_index, rows) -> np.ndarray:
@@ -626,23 +643,24 @@ def test_distinct_step_keys_equal_per_step_keys(scorer_case, pop8, grid):
     n_distinct = int(encoder.step_of.max()) + 1
     assert n_distinct == {"pop8": 93, "all distinct": 192, "constant days": 48}[grid]
     template = vacant_template(pop8)
-    occupants = template.occupants()
     rng = np.random.default_rng(700)
     tokens = np.r_[np.arange(8), -1, -1]
     population = np.array([tokens[rng.permutation(10)] for _ in range(30)])
     population[0] = [-1, -1, -1, -1, -1, 0, 1, 2, 3, 4]  # an empty zone
-    zones = population_zones(population)
-    row_of = np.append(encoder.occupant_rows(occupants), -1)
-    expected = per_step_totals(model, states, {z: row_of[m] for z, m in zones.items()})
-    assert np.array_equal(LayoutScorer(model, states).totals(zones, occupants), expected)
+    # state-grid rows, -1 vacant, of each zone's five desks
+    rows = np.append(encoder.occupant_rows(template.occupants()), -1)[population]
+    zone_rows = {"Z1": rows[:, :5], "Z2": rows[:, 5:]}
+    expected = per_step_totals(model, states, zone_rows)
+    assert np.array_equal(LayoutScorer(model, states).totals(population, template), expected)
     scorer = LayoutScorer(model, states)
-    for row, want in zip(population[:6], expected):
-        zones = layout_of(row, template)
-        assert scorer.total(zones) == want
-        assert predict_energy(model, zones, states).grand_total == want
+    for k, want in enumerate(expected[:6]):
+        layout = template.with_seat_row(population[k])
+        assert total(scorer, layout) == want
+        assert predict_energy(model, layout, states).grand_total == want
         # the features are the per-step keys' rows, step-major
-        keys = per_step_keys(states, {"Z1": 0, "Z2": 1}, encoder.rows(zones))
-        features = build_features(states, zones).features
+        one_row = {z: r[k : k + 1] for z, r in zone_rows.items()}
+        keys = per_step_keys(states, {"Z1": 0, "Z2": 1}, one_row)
+        features = build_features(states, layout.by_zone()).features
         assert np.array_equal(features, encoder.decode(keys[0].T.ravel()))
 
 
@@ -661,14 +679,13 @@ def test_population_reaches_the_model_once_per_distinct_row(scorer_case, pop8):
     rng = np.random.default_rng(800)
     tokens = np.r_[np.arange(8), -1, -1]
     population = np.array([tokens[rng.permutation(10)] for _ in range(100)])
-    zones = population_zones(population)
     scorer = LayoutScorer(model, pop8)
-    totals = scorer.totals(zones, template.occupants())
+    totals = scorer.totals(population, template)
     all_rows = {tuple(r) for row in population
-                for r in build_features(pop8, layout_of(row, template)).features}
+                for r in build_features(pop8, template.with_seat_row(row).by_zone()).features}
     assert len(seen) == len(set(seen)) == len(all_rows)
     assert set(seen) == all_rows
-    assert np.array_equal(scorer.totals(zones, template.occupants()), totals)
+    assert np.array_equal(scorer.totals(population, template), totals)
     assert len(seen) == len(all_rows)  # a scored population reaches the model no more
 
 
