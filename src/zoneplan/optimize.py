@@ -19,6 +19,10 @@ import numpy as np
 from .diversity import distance_matrix, layout_diversity, stack_vectors
 from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_rows
 
+# most elements in one look-ahead block of swap_search's (runs, iterations,
+# occupants) delta array; small, so a block's arrays stay cache-sized
+SWAP_BLOCK_ELEMENTS = 2**13
+
 
 def random_seat_row(template: Layout, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random seat row (Layout.seat_rows) of the template: one
@@ -64,7 +68,13 @@ class OptTrace:
 
 
 def write_trace(trace: OptTrace, path, header_comment: str | None = None) -> None:
-    rows = [(i, *pair) for i, pair in enumerate(zip(trace.objectives, trace.best_so_far))]
+    # a trace repeats few distinct values, so each is formatted once, as
+    # csv.writer formats a float (repr); values are told apart by their bits,
+    # as 0.0 == -0.0
+    values = np.array([trace.objectives, trace.best_so_far], dtype=float)
+    distinct, at = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    rows = zip(range(values.shape[1]), *text[at.reshape(values.shape)])
     _write_rows(path, ["iteration", "objective", "best_so_far"], rows, [header_comment])
 
 
@@ -119,6 +129,17 @@ def swap_search(
     occupant.  A run moves in only a small share of its iterations, so the
     terms that depend on its zones alone are cached and refreshed when it
     moves.
+
+    The loop looks ahead: one numpy step scores a block of the next B
+    iterations of every run against the current state, as an (R, B, n)
+    delta array, and the first iteration at which any run moves is applied
+    as a single one.  This is exact: state changes only at a move or a
+    recompute, the desk draws are made up front, elementwise float
+    operations give the same bits in any array shape, and argmin keeps its
+    first-index tie rule row by row.  B starts at 1, doubles after a block
+    without a move and drops back to 1 after one; a block never crosses a
+    recompute or the limit, and holds at most SWAP_BLOCK_ELEMENTS deltas
+    (or one iteration of every run, when that is more).
     """
     if not initials:
         raise ValueError("no starting layouts")
@@ -193,48 +214,53 @@ def swap_search(
     # One integers(n, size=limit) call draws what limit scalar integers(n)
     # calls would
     draws = np.array([np.random.default_rng(s).integers(n, size=limit) for s in seeds])
-    run_offset = np.arange(n_runs) * n  # run r's offset in a flat (R, n) array
     drawn_zone = np.take_along_axis(slot_zone, draws, axis=1)
     drawn_row = drawn_zone + (np.arange(n_runs) * nz)[:, None]
     drawn_base = drawn_row * n
     drawn_wa = weight.reshape(-1).take(drawn_row)[..., None]
-    draws += run_offset[:, None]  # now indices into seat_flat
+    draws += (np.arange(n_runs) * n)[:, None]  # now indices into seat_flat
     seat_flat = seat.reshape(-1)
 
     objectives = np.empty((n_runs, limit))  # each run's objective after each iteration
     accepted: list[list[tuple[int, str, str]]] = [[] for _ in range(n_runs)]
-    d_a = np.empty((n_runs, n))
-    delta = np.empty((n_runs, n))
-    delta_flat = delta.reshape(-1)
-    other = np.empty((n_runs, n))
-    gather = np.empty((n_runs, n), dtype=np.intp)
-    blocked = np.empty((n_runs, n), dtype=bool)
-
-    for it in range(limit):
-        a = seat_flat.take(draws[:, it])
-        np.take(d, a, axis=0, out=d_a)
+    span_cap = max(1, SWAP_BLOCK_ELEMENTS // (n_runs * n))
+    span = 1
+    it = 0
+    while it < limit:
+        # score iterations it..stop-1 against the current state; until some
+        # run moves, no state changes, so these are the deltas those
+        # iterations would each compute in turn, bit for bit
+        stop = min(it + span, limit, (it // 1024 + 1) * 1024)
+        a = seat_flat.take(draws[:, it:stop])  # (R, B) drawn occupants
+        d_a = d.take(a, axis=0)
         # a zone's distance sum counts each pair twice, so a swap changes it
         # by twice the bracketed sums:
         # (m[za, :] - m[za, a] - d[a]) * wa + (m[zone(i), a] - m[zone(i), i] - d[a]) * own
-        np.take(m_rows, drawn_row[:, it], axis=0, out=delta)
-        delta -= m_flat.take(drawn_base[:, it] + a)[:, None]
+        delta = m_rows.take(drawn_row[:, it:stop], axis=0)
+        delta -= m_flat.take(drawn_base[:, it:stop] + a)[..., None]
         delta -= d_a
-        delta *= drawn_wa[:, it]
-        np.add(own_offset, a[:, None], out=gather)
-        m_flat.take(gather, out=other)
-        other -= m_own
+        delta *= drawn_wa[:, it:stop]
+        other = m_flat.take(own_offset[:, None, :] + a[..., None])
+        other -= m_own[:, None, :]
         other -= d_a
-        other *= own
+        other *= own[:, None, :]
         delta += other
         delta *= 2.0
-        np.equal(zone, drawn_zone[:, it, None], out=blocked)
-        np.copyto(delta, np.inf, where=blocked)  # same-zone swaps are not moves
-        delta_flat[a + run_offset] = 0.0  # the null swap
-        b = delta.argmin(axis=1)  # ties go to the lowest occupant index
-        for r in np.flatnonzero(b != a).tolist():
-            ar, br = int(a[r]), int(b[r])
+        # same-zone swaps are not moves; the null swap is 0
+        np.copyto(delta, np.inf, where=zone[:, None, :] == drawn_zone[:, it:stop, None])
+        delta.reshape(-1)[np.arange(0, delta.size, n).reshape(a.shape) + a] = 0.0
+        b = delta.argmin(axis=2)  # ties go to the lowest occupant index
+        moved = b != a
+        moving = np.flatnonzero(moved.any(axis=0))
+        # the block's first iteration with a move, else its last; those
+        # before it leave every objective as it is
+        f = int(moving[0]) if moving.size else stop - it - 1
+        objectives[:, it : it + f] = cur[:, None]
+        it += f
+        for r in np.flatnonzero(moved[:, f]).tolist():
+            ar, br = int(a[r, f]), int(b[r, f])
             za, zb = zone[r, ar], zone[r, br]
-            cur[r] += delta[r, br]
+            cur[r] += delta[r, f, br]
             m[r, za] += d[:, br] - d[:, ar]
             m[r, zb] += d[:, ar] - d[:, br]
             zone[r, ar], zone[r, br] = zb, za
@@ -243,11 +269,13 @@ def swap_search(
             slot[r, ar], slot[r, br] = sb, sa
             accepted[r].append((it, occs[ar], occs[br]))
             refresh(r)
+        span = 1 if moving.size else min(2 * span, span_cap)
         if (it + 1) % 1024 == 0:
             for r in range(n_runs):
                 resync(r)
                 refresh(r)
         objectives[:, it] = cur
+        it += 1
 
     best_so_far = np.minimum.accumulate(objectives, axis=1)
     results = []
@@ -414,7 +442,8 @@ def ga_optimize(
             break
 
         elite_idx = list(order[: cfg.elites])
-        pool = [i for i in range(cfg.population) if i not in set(elite_idx)]
+        elite_set = set(elite_idx)
+        pool = [i for i in range(cfg.population) if i not in elite_set]
         n_rand = min(cfg.random_survivors, len(pool))
         rand_idx = (
             list(rng.choice(pool, size=n_rand, replace=False)) if n_rand else []
