@@ -509,6 +509,11 @@ def cmd_train_surrogate(cfg: dict) -> int:
         days = int(table.day_index.max()) + 1
         message = f"leaves a side empty: {states_path} has {days} day(s) of states"
         raise ingest.InputError(f"surrogate.split_fraction={fraction} {message}") from None
+    if folds > train_idx.size:
+        raise ingest.InputError(
+            f"surrogate.cv_folds={folds} is more than the {train_idx.size} training rows "
+            f"of {states_path}"
+        )
 
     def fit(tbl: surrogate.FeatureTable, ty: np.ndarray):
         if kind == "mlr":
@@ -518,10 +523,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
 
     model = fit(table.take(train_idx), y[train_idx])
     test_table = table.take(test_idx)
-    pred = model.predict_rows(test_table)
-    metrics = surrogate.evaluate(
-        y[test_idx], pred, test_table.hour_epoch, test_table.day_index
-    )
+    metrics = surrogate.evaluate(test_table, y[test_idx], model.predict_rows(test_table))
     out = Path(cfg["out_dir"])
     surrogate.save_model(model, out / "model.json", _provenance(cfg, "train-surrogate"))
     doc = {
@@ -533,9 +535,7 @@ def cmd_train_surrogate(cfg: dict) -> int:
         "test_metrics": _metrics_doc(metrics),
     }
     if folds:
-        cv = surrogate.cross_validate(
-            table.take(train_idx), y[train_idx], folds, lambda tbl, ty: fit(tbl, ty).predict_rows
-        )
+        cv = surrogate.cross_validate(table.take(train_idx), y[train_idx], folds, fit)
         doc["cv_metrics"] = _metrics_doc(cv)
     ingest._write_json(out / "metrics.json", doc)
     if kind == "rf":
@@ -658,6 +658,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_count_layouts(cfg: dict, occupants: int, zones: int, distinct: bool) -> int:
     if distinct:
+        if zones < 1:
+            raise ingest.InputError(f"zones must be >= 1, got {zones}")
         if occupants % zones != 0:
             raise ingest.InputError(f"{zones} zones do not evenly divide {occupants}")
         value = optimize.count_layouts_distinct([occupants // zones] * zones)
@@ -725,8 +727,7 @@ def cmd_synth_demo(cfg: dict) -> int:
     surrogate.save_model(model, out / "model.json", _provenance(cfg, "synth-demo"))
     holdout = [layout.by_zone() for layout in random_layouts(10_000, s["holdout_layouts"])]
     hold_table, hold_y = synth.oracle_training_set(state_grid, holdout, oracle_cfg)
-    hold_pred = model.predict_rows(hold_table)
-    metrics = surrogate.evaluate(hold_y, hold_pred, hold_table.hour_epoch, hold_table.day_index)
+    metrics = surrogate.evaluate(hold_table, hold_y, model.predict_rows(hold_table))
 
     cluster_layout, cluster_trace = optimize.swap_optimize(
         vectors, existing, None, seed=seed

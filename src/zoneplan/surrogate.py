@@ -36,12 +36,13 @@ PREDICT_BATCH = 8192
 
 @dataclass
 class FeatureTable:
-    """Raw feature rows, time-ordered (step-major, zones inner)."""
+    """Raw feature rows, time-ordered (step-major, zones inner) within each layout."""
 
     zone_order: list[str]
     features: np.ndarray  # (n_rows, 7) float, columns per FEATURE_NAMES
     hour_epoch: np.ndarray  # (n_rows,) int64, epoch second of the row's hour
     day_index: np.ndarray  # (n_rows,) int, whole days since the grid start
+    layout: np.ndarray  # (n_rows,) int, index of the stacked table the row came from
 
     @property
     def n_rows(self) -> int:
@@ -57,6 +58,7 @@ class FeatureTable:
             self.features[idx],
             self.hour_epoch[idx],
             self.day_index[idx],
+            self.layout[idx],
         )
 
 
@@ -77,11 +79,15 @@ def build_features(states: StateGrid, zones: Mapping[str, Sequence[str]]) -> Fea
     n_zones = len(zone_order)
     hour_epoch = np.repeat(states.calendar.hour_epochs(), n_zones)
     day_index = np.repeat(np.arange(states.n_steps) // STEPS_PER_DAY, n_zones)
-    return FeatureTable(zone_order, features, hour_epoch, day_index)
+    layout = np.zeros(features.shape[0], dtype=int)
+    return FeatureTable(zone_order, features, hour_epoch, day_index, layout)
 
 
 def concat_tables(tables: Sequence[FeatureTable]) -> FeatureTable:
-    """Stack feature tables that share a zone order (e.g. several layouts)."""
+    """Stack feature tables that share a zone order (e.g. several layouts).
+
+    Each row's layout is the index of the input table it came from.
+    """
     if not tables:
         raise ValueError("nothing to concatenate")
     zone_order = tables[0].zone_order
@@ -92,6 +98,7 @@ def concat_tables(tables: Sequence[FeatureTable]) -> FeatureTable:
         np.vstack([t.features for t in tables]),
         np.concatenate([t.hour_epoch for t in tables]),
         np.concatenate([t.day_index for t in tables]),
+        np.concatenate([np.full(t.n_rows, i) for i, t in enumerate(tables)]),
     )
 
 
@@ -502,22 +509,27 @@ def _group_sum(v: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return np.bincount(inverse, weights=v)
 
 
-def evaluate(
-    y: np.ndarray,
-    yhat: np.ndarray,
-    hourly_groups: np.ndarray,
-    daily_groups: np.ndarray,
-) -> Metrics:
-    """Errors on raw per-step values; R-squared also after hour/day summation."""
+def _series_groups(table: FeatureTable, period: np.ndarray) -> np.ndarray:
+    """Each row's (layout, zone, period) group, numbered in lexicographic order."""
+    zone = table.features[:, 6].astype(np.int64)
+    columns = np.column_stack([table.layout, zone, period])
+    return np.unique(columns, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def evaluate(table: FeatureTable, y: np.ndarray, yhat: np.ndarray) -> Metrics:
+    """Errors on the table's raw per-step values; R-squared also over each
+    (layout, zone) series summed to hours and to days."""
     y = np.asarray(y, dtype=float).ravel()
     yhat = np.asarray(yhat, dtype=float).ravel()
-    if y.size != yhat.size:
+    if y.size != yhat.size or y.size != table.n_rows:
         raise ValueError("length mismatch")
     mae = float(np.mean(np.abs(y - yhat)))
     mse = float(np.mean((y - yhat) ** 2))
     r2_step = _r2(y, yhat)
-    r2_hour = _r2(_group_sum(y, hourly_groups), _group_sum(yhat, hourly_groups))
-    r2_day = _r2(_group_sum(y, daily_groups), _group_sum(yhat, daily_groups))
+    hourly = _series_groups(table, table.hour_epoch)
+    daily = _series_groups(table, table.day_index)
+    r2_hour = _r2(_group_sum(y, hourly), _group_sum(yhat, hourly))
+    r2_day = _r2(_group_sum(y, daily), _group_sum(yhat, daily))
     return Metrics(mae, mse, r2_hour, r2_day, r2_step)
 
 
@@ -546,11 +558,11 @@ def cross_validate(
     table: FeatureTable,
     targets: np.ndarray,
     k: int,
-    fitter: Callable[[FeatureTable, np.ndarray], Callable[[FeatureTable], np.ndarray]],
+    fit: Callable[[FeatureTable, np.ndarray], MlrModel | RfModel],
 ) -> Metrics:
-    """k contiguous time-ordered folds; metrics averaged over held-out folds.
+    """k contiguous time-ordered folds; evaluate's metrics averaged over held-out folds.
 
-    fitter(table, y) must return a predict function over a FeatureTable.
+    fit(table, y) must return a model with predict_rows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -562,11 +574,9 @@ def cross_validate(
     metrics = []
     for held in folds:
         rest = np.setdiff1d(np.arange(n), held, assume_unique=False)
-        predict = fitter(table.take(rest), y[rest])
-        yhat = predict(table.take(held))
-        metrics.append(
-            evaluate(y[held], yhat, table.hour_epoch[held], table.day_index[held])
-        )
+        model = fit(table.take(rest), y[rest])
+        held_table = table.take(held)
+        metrics.append(evaluate(held_table, y[held], model.predict_rows(held_table)))
     return Metrics(
         mae=float(np.mean([m.mae for m in metrics])),
         mse=float(np.mean([m.mse for m in metrics])),

@@ -157,19 +157,13 @@ def test_c5_forest_beats_linear_and_daily_beats_hourly(record):
     layouts = [pure, random_start(pure, 21, 0), random_start(pure, 21, 1)]
 
     table, y = synth.oracle_training_set(pop, [lay.by_zone() for lay in layouts])
-    # every layout contributes the same number of rows, stacked in order
-    layout_id = np.repeat(np.arange(len(layouts)), table.n_rows // len(layouts))
-
     train, test = su.time_split(table, y, fraction=0.8)
     mlr = su.fit_mlr(table.take(train), y[train])
     rf = su.fit_random_forest(table.take(train), y[train], su.RfConfig(), seed=0)
 
     test_table = table.take(test)
-    series = layout_id[test] * len(layouts) + test_table.features[:, 6].astype(np.int64)
-    hourly = series * 10**12 + test_table.hour_epoch
-    daily = series * 10**6 + test_table.day_index
-    m_mlr = su.evaluate(y[test], mlr.predict_rows(test_table), hourly, daily)
-    m_rf = su.evaluate(y[test], rf.predict_rows(test_table), hourly, daily)
+    m_mlr = su.evaluate(test_table, y[test], mlr.predict_rows(test_table))
+    m_rf = su.evaluate(test_table, y[test], rf.predict_rows(test_table))
 
     ok = (
         m_rf.mae <= m_mlr.mae

@@ -122,6 +122,12 @@ def test_count_layouts_indivisible_exits_one(capsys):
     assert main(["count-layouts", "7", "2"]) == 1
 
 
+@pytest.mark.parametrize("zones", ["0", "-2"])
+def test_count_layouts_distinct_zones_without_a_zone_exits_one(capsys, zones):
+    assert main(["count-layouts", "4", zones, "--distinct-zones"]) == 1
+    assert capsys.readouterr().err == f"error: zones must be >= 1, got {zones}\n"
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -977,6 +983,25 @@ def test_train_surrogate_checks_its_config_before_reading_input(tmp_path, capsys
             "--set", setting, "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_train_surrogate_folds_above_the_training_rows_fail_before_any_write(tmp_path, capsys):
+    grid = synth.generate_population((2, 2, 2, 2), 3, seed=4)
+    zones = synth.archetype_pure_layout(grid, 4)
+    states_mod.write_states(grid, tmp_path / "states.csv")
+    write_zone_map(Layout.from_groups(zones), tmp_path / "zone_map.csv")
+    write_lighting(synth.oracle_lighting_table(zones, grid), tmp_path / "lighting.csv")
+    out = tmp_path / "out"
+    argv = ["train-surrogate", "--states", str(tmp_path / "states.csv"),
+            "--zone-map", str(tmp_path / "zone_map.csv"),
+            "--lighting", str(tmp_path / "lighting.csv"),
+            "--set", "surrogate.cv_folds=5000", "--out-dir", str(out)]
+    assert main(argv) == 1
+    # two of the three days train: 2 x 96 steps x 4 zones
+    message = "surrogate.cv_folds=5000 is more than the 768 training rows of "
+    message += str(tmp_path / "states.csv")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_train_surrogate_split_of_one_day_names_the_fraction_and_the_days(tmp_path, demo_dir,

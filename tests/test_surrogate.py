@@ -35,7 +35,7 @@ from zoneplan.surrogate import (
     targets_from_lighting,
     time_split,
 )
-from zoneplan.surrogate import _RowEncoder
+from zoneplan.surrogate import _group_sum, _r2, _RowEncoder
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -60,7 +60,8 @@ def random_table(n_days=10, seed=0, n_zones=3):
     step_index = np.asarray(step_index)
     hour_epoch = cal.hour_epochs()[step_index]
     day_index = step_index // 96
-    return FeatureTable(zone_order, features, hour_epoch, day_index)
+    layout = np.zeros(features.shape[0], dtype=int)
+    return FeatureTable(zone_order, features, hour_epoch, day_index, layout)
 
 
 # ---------------------------------------------------------------- features
@@ -280,6 +281,7 @@ def test_rf_invariant_to_monotone_feature_rescaling():
         table.features.copy(),
         table.hour_epoch,
         table.day_index,
+        table.layout,
     )
     scaled.features[:, 3] *= 3.7
     again = fit_random_forest(scaled, y, cfg, seed=3).predict_rows(scaled)
@@ -304,6 +306,16 @@ def test_importance_sums_to_one_generally():
     y = rng.normal(size=table.n_rows)
     model = fit_random_forest(table, y, RfConfig(n_trees=6), seed=5)
     assert sum(feature_importance(model).values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_concat_tables_numbers_layouts_and_take_keeps_them(pop8):
+    zones = {"Z1": pop8.occupants[:4], "Z2": pop8.occupants[4:]}
+    single = build_features(pop8, zones)
+    np.testing.assert_array_equal(single.layout, np.zeros(single.n_rows))
+    table = concat_tables([single, single, single])
+    np.testing.assert_array_equal(table.layout, np.repeat([0, 1, 2], single.n_rows))
+    idx = np.random.default_rng(42).permutation(table.n_rows)[:50]
+    np.testing.assert_array_equal(table.take(idx).layout, idx // single.n_rows)
 
 
 # ---------------------------------------------------------------- split / cv
@@ -343,60 +355,115 @@ def test_cross_validate_perfect_fitter_scores_zero_error():
     beta = rng.normal(size=x.shape[1])
     y = x @ beta
 
-    def fitter(tr_table, tr_y):
-        model = fit_mlr(tr_table, tr_y)
-        return model.predict_rows
-
-    metrics = cross_validate(table, y, 4, fitter)
+    metrics = cross_validate(table, y, 4, fit_mlr)
     assert metrics.mae < 1e-6
+
+
+def test_cross_validate_averages_evaluate_over_held_out_folds():
+    table = random_table(n_days=2, seed=32)
+    y = np.random.default_rng(33).normal(size=table.n_rows)
+    folds = np.array_split(np.arange(table.n_rows), 3)
+    expected = []
+    for held in folds:
+        rest = np.setdiff1d(np.arange(table.n_rows), held)
+        model = fit_mlr(table.take(rest), y[rest])
+        held_table = table.take(held)
+        expected.append(evaluate(held_table, y[held], model.predict_rows(held_table)))
+    metrics = cross_validate(table, y, 3, fit_mlr)
+    assert metrics.r_squared == np.mean([m.r_squared for m in expected])
+    assert metrics.r_squared_daily == np.mean([m.r_squared_daily for m in expected])
 
 
 def test_cross_validate_too_many_folds_rejected():
     table = random_table(n_days=1, seed=29)
     with pytest.raises(ValueError):
-        cross_validate(table, np.zeros(table.n_rows), table.n_rows + 1, lambda t, y: (lambda q: np.zeros(q.n_rows)))
+        cross_validate(table, np.zeros(table.n_rows), table.n_rows + 1, fit_mlr)
 
 
 # ---------------------------------------------------------------- metrics
 
 
 def test_perfect_prediction_metrics():
-    rng = np.random.default_rng(30)
-    y = rng.normal(size=96)
-    hourly = np.repeat(np.arange(24), 4)
-    daily = np.zeros(96, dtype=int)
-    m = evaluate(y, y.copy(), hourly, daily)
+    table = random_table(n_days=1, seed=30)
+    y = np.random.default_rng(30).normal(size=table.n_rows)
+    m = evaluate(table, y, y.copy())
     assert m.mae == 0.0
     assert m.mse == 0.0
     assert m.r_squared == 1.0
     assert m.r_squared_daily == 1.0
+    assert m.r_squared_step == 1.0
 
 
 def test_mean_prediction_r2_zero():
-    rng = np.random.default_rng(31)
-    y = rng.normal(size=96)
-    yhat = np.full(96, np.mean(y))
-    hourly = np.repeat(np.arange(24), 4)
-    m = evaluate(y, yhat, hourly, np.zeros(96, dtype=int))
+    table = random_table(n_days=1, seed=31)
+    y = np.random.default_rng(31).normal(size=table.n_rows)
+    yhat = np.full(table.n_rows, np.mean(y))
+    m = evaluate(table, y, yhat)
     assert m.r_squared_step == pytest.approx(0.0, abs=1e-9)
 
 
 def test_r2_unclamped_below_zero():
-    y = np.array([0.0, 1.0, 2.0, 3.0])
-    yhat = np.array([3.0, 2.0, 1.0, 0.0])
-    m = evaluate(y, yhat, np.arange(4), np.zeros(4, dtype=int))
+    table = random_table(n_days=1, seed=34)
+    y = np.arange(table.n_rows, dtype=float)
+    m = evaluate(table, y, y[::-1])
     assert m.r_squared_step < 0
+    assert m.r_squared < 0
 
 
 def test_hourly_aggregation_cancels_within_hour_errors():
-    # alternating +e/-e errors cancel when summed to hours
-    y = np.ones(96)
-    err = np.tile([0.5, -0.5, 0.5, -0.5], 24)
-    yhat = y + err
-    hourly = np.repeat(np.arange(24), 4)
-    m = evaluate(y, yhat, hourly, np.zeros(96, dtype=int))
+    # alternating +e/-e errors over each zone's four steps of an hour cancel
+    # when that zone's hour is summed
+    table = random_table(n_days=1, seed=35)
+    # whole-number targets, so the sums that should cancel do so exactly
+    y = np.random.default_rng(35).integers(0, 20, table.n_rows).astype(float)
+    step = np.arange(table.n_rows) // table.n_zones  # rows are step-major
+    yhat = y + np.where(step % 2 == 0, 0.5, -0.5)
+    m = evaluate(table, y, yhat)
     assert m.mae == pytest.approx(0.5)
+    assert m.r_squared_step < 1.0
     assert m.r_squared == 1.0  # hourly sums are exact
+    assert m.r_squared_daily == 1.0
+
+
+def test_errors_that_cancel_across_zones_do_not_cancel_in_a_zones_hour():
+    # zone Z1 over-predicts by what Z2 under-predicts at every step, so the
+    # hours summed over both zones are exact but each zone's hours are not
+    table = random_table(n_days=1, seed=36, n_zones=2)
+    y = np.random.default_rng(36).integers(0, 20, table.n_rows).astype(float)
+    yhat = y + np.where(table.features[:, 6] == 0, 0.5, -0.5)
+    assert _r2(_group_sum(y, table.hour_epoch), _group_sum(yhat, table.hour_epoch)) == 1.0
+    m = evaluate(table, y, yhat)
+    assert m.r_squared < 1.0
+    assert m.r_squared_daily < 1.0
+
+
+def test_errors_that_cancel_across_layouts_do_not_cancel_in_a_layouts_hour():
+    # two stacked layouts err in opposite directions in every (zone, hour), so
+    # the hours summed over both layouts are exact but each layout's are not
+    table = concat_tables([random_table(n_days=1, seed=37), random_table(n_days=1, seed=38)])
+    y = np.random.default_rng(37).integers(0, 20, table.n_rows).astype(float)
+    yhat = y + np.where(table.layout == 0, 0.5, -0.5)
+    assert _r2(_group_sum(y, table.hour_epoch), _group_sum(yhat, table.hour_epoch)) == 1.0
+    m = evaluate(table, y, yhat)
+    assert m.r_squared < 1.0
+    assert m.r_squared_daily < 1.0
+
+
+def test_hourly_and_daily_r2_sum_each_layout_zone_series_in_key_order():
+    table = concat_tables([random_table(n_days=2, seed=39), random_table(n_days=2, seed=40)])
+    rng = np.random.default_rng(41)
+    y = rng.uniform(0.0, 5.0, table.n_rows)
+    yhat = y + rng.normal(size=table.n_rows)
+    # a random third of the rows, as a held-out set might hold
+    idx = np.sort(rng.permutation(table.n_rows)[: table.n_rows // 3])
+    table, y, yhat = table.take(idx), y[idx], yhat[idx]
+    m = evaluate(table, y, yhat)
+    for period, r2 in ((table.hour_epoch, m.r_squared), (table.day_index, m.r_squared_daily)):
+        sums: dict = {}
+        for key, a, b in zip(zip(table.layout, table.features[:, 6], period), y, yhat):
+            sums[key] = sums.get(key, np.zeros(2)) + (a, b)
+        ordered = np.array([sums[key] for key in sorted(sums)])
+        assert r2 == _r2(ordered[:, 0], ordered[:, 1])
 
 
 # ---------------------------------------------------------------- energy
