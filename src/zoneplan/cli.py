@@ -581,7 +581,8 @@ def cmd_optimize(cfg: dict) -> int:
     header = _header(cfg, "optimize")
     master = int(cfg["seed"])
 
-    vectors = state_grid.vectors()
+    # only the swap search reads occupant vectors
+    vectors = None
     dims = cfg["optimize"]["dims"]
     representation = "raw"
     if method == "cluster" and dims:
@@ -593,6 +594,8 @@ def cmd_optimize(cfg: dict) -> int:
             )
         vectors = reduce.project(matrix, factors, dims, occupants).vectors()
         representation = f"reduced-{dims}"
+    elif method == "cluster":
+        vectors = state_grid.vectors()
 
     seeds_in = None
     if cfg["optimize"]["seed_layouts"]:

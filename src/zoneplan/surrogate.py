@@ -28,10 +28,13 @@ from .ingest import (
 from .states import StateGrid
 
 FEATURE_NAMES = ("s1", "s2", "s3", "hour", "day_of_week", "is_weekend", "zone")
-# row keys a population is scored in at once; bounds the scoring's memory
-SCORE_KEYS = 2**14
-# rows one forest descent takes at once; bounds its (n_trees, rows) arrays
-PREDICT_BATCH = 8192
+# distinct-step row keys one memo lookup takes at once; bounds the lookup's arrays
+LOOKUP_KEYS = 2**14
+# zone-step rows one step-major sum takes at once; bounds the per-step predictions
+SCORE_ROWS = 2**14
+# cells one model pass takes at once: tree x row cells of a forest descent,
+# row x encoded-column cells of a linear prediction; bounds the pass's arrays
+PREDICT_CELLS = 2**15
 
 
 @dataclass
@@ -189,8 +192,15 @@ class MlrModel:
         return self.intercept + (scaled * self.coefficients).sum(axis=1)
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        """Raw feature rows whose zone column is already a model zone index."""
-        return self.predict_encoded(encode(x, len(self.zone_order)))
+        """Raw feature rows whose zone column is already a model zone index,
+        encoded and predicted in batches of at most PREDICT_CELLS cells."""
+        x = np.atleast_2d(x)
+        n_zones = len(self.zone_order)
+        batch = max(1, PREDICT_CELLS // (13 + n_zones))
+        out = np.empty(x.shape[0])
+        for lo in range(0, x.shape[0], batch):
+            out[lo : lo + batch] = self.predict_encoded(encode(x[lo : lo + batch], n_zones))
+        return out
 
     def predict_rows(self, table: FeatureTable) -> np.ndarray:
         return self.predict_raw(_model_zone_rows(table, self.zone_order))
@@ -375,14 +385,16 @@ class RfModel:
         return self._stack
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        """Mean over trees; descent is vectorized across trees and rows."""
+        """Mean over trees; descent is vectorized across trees and rows, in
+        batches of at most PREDICT_CELLS tree x row cells."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         feat, thr, left, right, val = self._stacked()
         nt = feat.shape[0]
         rows_idx = np.arange(nt)[:, None]
         out = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], PREDICT_BATCH):
-            xb = x[lo : lo + PREDICT_BATCH]
+        batch = max(1, PREDICT_CELLS // nt)
+        for lo in range(0, x.shape[0], batch):
+            xb = x[lo : lo + batch]
             nb = xb.shape[0]
             cols_idx = np.arange(nb)[None, :]
             cur = np.zeros((nt, nb), dtype=np.int32)
@@ -632,6 +644,7 @@ class _RowEncoder:
         columns = np.vstack([calendar_key, states.states]).astype(np.int16)
         _, distinct, step_of = np.unique(columns, axis=1, return_index=True, return_inverse=True)
         self.step_of = step_of.reshape(-1)
+        self.n_distinct = distinct.size
         self._step_key = calendar_key[distinct] * m**3
         self._zone_key = self._CALENDAR_KEYS * m**3
         # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key;
@@ -677,38 +690,116 @@ class _RowEncoder:
         return rows
 
 
+class _KeyTable:
+    """Open-addressing map from row keys (int64, >= 0) to float predictions.
+
+    Fibonacci hashing picks a key's home slot and linear probing walks on
+    from it (Knuth, TAOCP vol. 3, 6.4); empty slots hold -1.  The table
+    stays at most half full and doubles, rehashing every key, when a store
+    would pass that.
+    """
+
+    _EMPTY = -1
+    _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
+
+    def __init__(self, slots: int = 2**12):
+        # slots: a power of two, at least 2
+        self._resize(slots)
+        self.count = 0
+
+    @property
+    def slots(self) -> int:
+        return self._keys.size
+
+    def _resize(self, slots: int) -> None:
+        self._keys = np.full(slots, self._EMPTY, dtype=np.int64)
+        self._values = np.empty(slots)
+        self._shift = np.uint64(64 - (slots.bit_length() - 1))
+        self._mask = slots - 1
+
+    def _hash(self, keys: np.ndarray) -> np.ndarray:
+        # uint64 arrays wrap on overflow, as the multiplicative hash needs;
+        # every home slot is below 2**63, so it reads back as an intp
+        home = keys.view(np.uint64) * self._FIBONACCI
+        home >>= self._shift
+        return home.view(np.intp)
+
+    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's slot and whether the table holds it there; a missing
+        key's slot is the empty one that ended its probe."""
+        slot = self._hash(keys)
+        stored = self._keys[slot]
+        hit = stored == keys
+        # only keys whose slot holds another key walk on
+        walk = np.flatnonzero(~hit)
+        walk = walk[stored[walk] != self._EMPTY]
+        while walk.size:
+            slot[walk] = (slot[walk] + 1) & self._mask
+            stored = self._keys[slot[walk]]
+            found = stored == keys[walk]
+            hit[walk[found]] = True
+            walk = walk[~found & (stored != self._EMPTY)]
+        return slot, hit
+
+    def values(self, slot: np.ndarray) -> np.ndarray:
+        return self._values[slot]
+
+    def store(self, keys: np.ndarray, values: np.ndarray, slot: np.ndarray) -> None:
+        """Add distinct keys that the table does not hold; slot is where each
+        key's probe ended, and holds only while the table does not grow."""
+        slots = self.slots
+        while 2 * (self.count + keys.size) > slots:
+            slots *= 2
+        if slots > self.slots:
+            held = self._keys != self._EMPTY
+            old_keys, old_values = self._keys[held], self._values[held]
+            self._resize(slots)
+            self._place(old_keys, old_values, self._hash(old_keys))
+            slot = self._hash(keys)
+        self._place(keys, values, slot)
+        self.count += keys.size
+
+    def _place(self, keys: np.ndarray, values: np.ndarray, slot: np.ndarray) -> None:
+        while keys.size:
+            free = self._keys[slot] == self._EMPTY
+            # keys that reach one free slot all write it; one of them stays
+            self._keys[slot[free]] = keys[free]
+            placed = self._keys[slot] == keys
+            self._values[slot[placed]] = values[placed]
+            rest = ~placed
+            keys, values, slot = keys[rest], values[rest], (slot[rest] + 1) & self._mask
+
+
 class LayoutScorer:
     """Predicted lighting energy of layouts, each distinct feature row predicted once.
 
     Layouts come as a population of seat rows (ingest.Layout.seat_rows) of
     one template.  Rows are _RowEncoder keys over the model's zone indices;
-    the model's clamped prediction of each key is kept in a sorted memo.
-    Scoring looks up each layout's keys on the distinct steps, gathers the
-    predictions of every step (step_of) in build_features' step-major order
-    and sums them; the model only sees keys it has not seen before.
-    Predictions do not depend on their batch, so a layout's total equals
-    scoring its whole feature table at once.
+    the model's clamped prediction of each key is kept in a hashed memo
+    (_KeyTable).  Scoring looks up each layout's keys on the distinct
+    steps, as many layouts at once as fit LOOKUP_KEYS keys, then gathers
+    the predictions of every step (step_of) in build_features' step-major
+    order and sums them, as many layouts at once as fit SCORE_ROWS rows;
+    the model only sees keys it has not seen before.  Predictions do not
+    depend on their batch, so a layout's total equals scoring its whole
+    feature table at once.
     """
 
     def __init__(self, model, states: StateGrid):
         self.model = model
         self._encoder = _RowEncoder(states, {z: j for j, z in enumerate(model.zone_order)})
         self.calendar = states.calendar
-        # sorted memo; the sentinel above every real key keeps lookups in range
-        self._keys = np.array([np.iinfo(np.int64).max])
-        self._values = np.array([np.nan])
+        self._memo = _KeyTable()
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._keys, keys)
-        values = self._values[pos]
-        miss = self._keys[pos] != keys
-        if miss.any():
-            new, new_of = np.unique(keys[miss], return_inverse=True)
+        slot, hit = self._memo.probe(keys)
+        values = self._memo.values(slot)
+        if not hit.all():
+            miss = ~hit
+            new, first, new_of = np.unique(keys[miss], return_index=True, return_inverse=True)
             pred = np.maximum(self.model.predict_raw(self._encoder.decode(new)), 0.0)
-            at = np.searchsorted(self._keys, new)
-            self._keys = np.insert(self._keys, at, new)
-            self._values = np.insert(self._values, at, pred)
             values[miss] = pred[new_of]
+            self._memo.store(new, pred, slot[miss][first])
         return values
 
     def _chunks(self, population: np.ndarray, template: Layout):
@@ -719,13 +810,13 @@ class LayoutScorer:
         # index -1 picks the appended -1, the encoder's empty row
         row_of = np.append(self._encoder.occupant_rows(template.occupants()), -1)
         rows = dict(zip(zone_ids, np.split(row_of[population], bounds, axis=1)))
-        chunk = max(1, SCORE_KEYS // (len(rows) * self.calendar.n_steps))
-        for lo in range(0, len(population), chunk):
-            keys = self._encoder.keys({z: r[lo : lo + chunk] for z, r in rows.items()})
-            # zone-major keys rise with the distinct steps' calendar keys,
-            # which keeps the memo search local
-            pred = self._lookup(keys.ravel()).reshape(keys.shape)
-            yield lo, pred.transpose(0, 2, 1)[:, self._encoder.step_of]
+        lookup = max(1, LOOKUP_KEYS // (len(rows) * self._encoder.n_distinct))
+        chunk = max(1, SCORE_ROWS // (len(rows) * self.calendar.n_steps))
+        for lo in range(0, len(population), lookup):
+            keys = self._encoder.keys({z: r[lo : lo + lookup] for z, r in rows.items()})
+            pred = self._lookup(keys.ravel()).reshape(keys.shape).transpose(0, 2, 1)
+            for sub in range(0, len(pred), chunk):
+                yield lo + sub, pred[sub : sub + chunk][:, self._encoder.step_of]
 
     def totals(self, population: np.ndarray, template: Layout) -> np.ndarray:
         """Predicted energy of each layout of a population of the template's seat rows."""

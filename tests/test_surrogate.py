@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoneplan import synth
+from zoneplan import surrogate, synth
 from zoneplan.ingest import LightingTable, StepCalendar
 from zoneplan.optimize import GaConfig, Layout, ga_optimize, random_layout
 from zoneplan.states import StateGrid
 from zoneplan.surrogate import (
     FEATURE_NAMES,
-    SCORE_KEYS,
+    LOOKUP_KEYS,
+    SCORE_ROWS,
     FeatureTable,
     LayoutScorer,
     MlrModel,
@@ -35,7 +36,7 @@ from zoneplan.surrogate import (
     targets_from_lighting,
     time_split,
 )
-from zoneplan.surrogate import _group_sum, _r2, _RowEncoder
+from zoneplan.surrogate import _group_sum, _KeyTable, _r2, _RowEncoder
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -528,7 +529,7 @@ def total(scorer: LayoutScorer, layout: Layout) -> float:
     return float(scorer.totals(layout.seat_rows([layout]), layout)[0])
 
 
-def test_row_prediction_independent_of_batch(scorer_case):
+def test_row_prediction_independent_of_batch(scorer_case, monkeypatch):
     model, _ = scorer_case
     x = random_table(n_days=2, seed=40, n_zones=2).features
     full = model.predict_raw(x)
@@ -538,6 +539,11 @@ def test_row_prediction_independent_of_batch(scorer_case):
     for _ in range(50):
         idx = np.sort(rng.choice(len(x), size=int(rng.integers(2, 40)), replace=False))
         assert np.array_equal(model.predict_raw(x[idx]), full[idx])
+    # 12 trees x 50 rows (the linear model: 15 encoded columns x 40 rows) a
+    # pass: the 384 rows span several cell-bounded passes, the last one short
+    monkeypatch.setattr(surrogate, "PREDICT_CELLS", 12 * 50)
+    assert len(x) > 7 * 50 and len(x) % 50 and len(x) % 40
+    assert np.array_equal(model.predict_raw(x), full)
 
 
 def test_scorer_total_equals_whole_table_prediction(scorer_case, pop8):
@@ -628,8 +634,9 @@ def test_batched_totals_equal_one_layout_at_a_time_bit_for_bit(scorer_case, pop8
     population[:3] = [[-1, -1, 0, 1, 2, 3, 4, 5, 6, 7],  # a zone short of occupants
                       [0, 1, 2, 3, 4, 5, 6, 7, -1, -1],
                       [0, 1, 2, 3, -1, 4, 5, 6, 7, -1]]
-    # 2 zones x 192 steps per layout: the population spans three chunks
-    assert 100 * 2 * pop8.n_steps > 2 * SCORE_KEYS
+    # 2 zones x 93 distinct steps x 100 layouts: the population spans two
+    # memo lookups; 2 zones x 192 steps per layout: three step-major sums
+    assert 100 > LOOKUP_KEYS // (2 * 93) and 100 > 2 * (SCORE_ROWS // (2 * pop8.n_steps))
     scorer = LayoutScorer(model, pop8)
     batched = scorer.totals(population, template)
     one_at_a_time = LayoutScorer(model, pop8)
@@ -731,9 +738,9 @@ def test_distinct_step_keys_equal_per_step_keys(scorer_case, pop8, grid):
         assert np.array_equal(features, encoder.decode(keys[0].T.ravel()))
 
 
-def test_population_reaches_the_model_once_per_distinct_row(scorer_case, pop8):
-    model, _ = scorer_case
-    model = copy.copy(model)
+def reaches_the_model_once_per_distinct_row(scorer_case, pop8, growing: bool):
+    base, _ = scorer_case
+    model = copy.copy(base)
     seen = []
     predict_raw = model.predict_raw
 
@@ -747,13 +754,87 @@ def test_population_reaches_the_model_once_per_distinct_row(scorer_case, pop8):
     tokens = np.r_[np.arange(8), -1, -1]
     population = np.array([tokens[rng.permutation(10)] for _ in range(100)])
     scorer = LayoutScorer(model, pop8)
+    if growing:
+        scorer._memo = _KeyTable(slots=2)
+        sizes = [2]
+        store = scorer._memo.store
+
+        def recording(keys, values, slot):
+            store(keys, values, slot)
+            sizes.append(scorer._memo.slots)
+
+        scorer._memo.store = recording
     totals = scorer.totals(population, template)
     all_rows = {tuple(r) for row in population
                 for r in build_features(pop8, template.with_seat_row(row).by_zone()).features}
-    assert len(seen) == len(set(seen)) == len(all_rows)
+    assert len(seen) == len(set(seen)) == len(all_rows) == scorer._memo.count
     assert set(seen) == all_rows
+    if growing:  # the table doubled in at least two of the lookups
+        assert sum(b > a for a, b in zip(sizes, sizes[1:])) >= 2
+    for row, got in zip(population, totals):
+        assert got == whole_table_total(base, template.with_seat_row(row), pop8)
     assert np.array_equal(scorer.totals(population, template), totals)
     assert len(seen) == len(all_rows)  # a scored population reaches the model no more
+
+
+def test_population_reaches_the_model_once_per_distinct_row(scorer_case, pop8):
+    reaches_the_model_once_per_distinct_row(scorer_case, pop8, growing=False)
+
+
+def test_a_memo_growing_across_lookups_reaches_the_model_once_per_distinct_row(
+    scorer_case, pop8, monkeypatch
+):
+    # 2 zones x 93 distinct steps: three layouts a lookup, into a table of two slots
+    monkeypatch.setattr(surrogate, "LOOKUP_KEYS", 3 * 2 * 93)
+    reaches_the_model_once_per_distinct_row(scorer_case, pop8, growing=True)
+
+
+def test_keys_on_one_slot_of_a_tiny_table_score_as_whole_tables(scorer_case, pop8, monkeypatch):
+    model, _ = scorer_case
+    template = vacant_template(pop8)
+    rng = np.random.default_rng(820)
+    tokens = np.r_[np.arange(8), -1, -1]
+    population = np.array([tokens[rng.permutation(10)] for _ in range(6)])
+    scorer = LayoutScorer(model, pop8)
+    scorer._memo = _KeyTable(slots=4)
+    # every key's home slot is slot 0: each probe walks the one cluster
+    monkeypatch.setattr(scorer._memo, "_hash", lambda keys: np.zeros(keys.size, dtype=np.intp))
+    for k in (1, 3, len(population)):
+        totals = scorer.totals(population[:k], template)
+        for row, got in zip(population[:k], totals):
+            assert got == whole_table_total(model, template.with_seat_row(row), pop8)
+    assert scorer._memo.slots > 4
+
+
+def test_key_table_walks_a_shared_home_slot_past_the_end():
+    table = _KeyTable(slots=8)
+    candidates = np.arange(1, 2000, dtype=np.int64)
+    # keys whose home is the last slot: their probes wrap round to slot 0
+    last = candidates[table._hash(candidates) == 7][:5]
+    assert last.size == 5
+    slot, hit = table.probe(last)
+    assert not hit.any() and np.all(slot == 7)
+    table.store(last[:3], np.array([1.0, 2.0, 3.0]), slot[:3])
+    assert table.slots == 8 and table.count == 3
+    slot, hit = table.probe(last)
+    assert hit.tolist() == [True, True, True, False, False]
+    assert sorted(slot[:3].tolist()) == [0, 1, 7] and slot[3:].tolist() == [2, 2]
+    assert table.values(slot[:3]).tolist() == [1.0, 2.0, 3.0]
+    # two keys whose probes end on one slot; five keys pass half full, so
+    # the table doubles and rehashes first
+    table.store(last[3:], np.array([4.0, 5.0]), slot[3:])
+    assert table.slots == 16 and table.count == 5
+    slot, hit = table.probe(np.r_[last, 0])
+    assert hit.tolist() == [True] * 5 + [False]
+    assert table.values(slot[:5]).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    # without growth, keys whose probes end on one slot each find a free one
+    more = candidates[table._hash(candidates) == 3][:3]
+    slot, hit = table.probe(more)
+    assert not hit.any() and len(set(slot.tolist())) == 1
+    table.store(more, np.array([6.0, 7.0, 8.0]), slot)
+    assert table.slots == 16 and table.count == 8
+    slot, hit = table.probe(more)
+    assert hit.all() and table.values(slot).tolist() == [6.0, 7.0, 8.0]
 
 
 # ---------------------------------------------------------------- persistence
