@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 STEP_MINUTES = 15
 STEP_SECONDS = STEP_MINUTES * 60
@@ -253,19 +254,34 @@ def _write_series(
     """Write occupant_id,timestamp,<value_name> rows on one shared timeline.
 
     The counterpart of _read_series: occupant i's row of values, one per
-    epoch, in occupant order, each value written as str() of its Python
-    scalar.  The timeline is formatted once for all occupants.  Rows read
-    as _write_rows writes them: timestamps and numbers never need quoting,
-    so only the occupant id is quoted, when it must be.  An id the reader
-    would strip or reject raises ValueError.
+    epoch, in occupant order (see _series_lines).  An id the reader would
+    strip or reject raises ValueError.
     """
     _check_ids("occupant id", occupants)
+    header = ["occupant_id", "timestamp", value_name]
+    _write_lines(path, header, _series_lines(occupants, epochs, values), [header_comment])
+
+
+def _series_lines(ids: Sequence[str], epochs: np.ndarray, values: np.ndarray):
+    """Yield the id,timestamp,value lines of each id's row of values, one string per id.
+
+    Each value is written as str() of its Python scalar, which for a float
+    is the repr that csv.writer writes.  The timeline is formatted once for
+    all ids.  Rows read as _write_rows writes them: timestamps and numbers
+    never need quoting, so only the id is quoted, when it must be.
+    """
     stamps = [format_timestamp(t) for t in epochs.tolist()]
-    with _create_csv(path, ["occupant_id", "timestamp", value_name], [header_comment]) as (fh, _):
-        for occ, row in zip(occupants, values):
-            prefix = _csv_field(occ) + ","
-            rows = [f"{prefix}{t},{v}\n" for t, v in zip(stamps, row.tolist())]
-            fh.write("".join(rows))
+    for text, row in zip(ids, values):
+        prefix = _csv_field(text) + ","
+        yield "".join([f"{prefix}{t},{v}\n" for t, v in zip(stamps, row.tolist())])
+
+
+def _write_lines(
+    path, header: Sequence[str], chunks: Iterable[str], comments: Sequence[str | None]
+) -> None:
+    """Write a CSV as _write_rows does, its rows given as preformatted chunks of whole lines."""
+    with _create_csv(path, header, comments) as (fh, _):
+        fh.writelines(chunks)
 
 
 def _check_ids(column: str, ids) -> None:
@@ -298,15 +314,15 @@ def _csv_writer(fh):
 class _Values(NamedTuple):
     """A series file's value column: its name, its dtype, and its parsers.
 
-    cell converts one cell for the row path; column converts a whole
-    column of unstripped cells for the column path and must give cell's
-    results, or raise.
+    cell converts one stripped cell for the row path; column converts a
+    block's column of cells (see _Cells) for the column path and must give
+    cell's results, or raise.
     """
 
     name: str
     dtype: type
     cell: Callable[[str], object]
-    column: Callable[[Sequence[str]], np.ndarray]
+    column: Callable[["_Cells"], np.ndarray]
 
 
 class _Series(NamedTuple):
@@ -330,7 +346,8 @@ class _Reject(Exception):
     """The column path does not take this file; the row path reads it."""
 
 
-_BLOCK_CHARS = 1 << 15  # column path block, about 2^10 rows
+_BLOCK_BYTES = 1 << 17  # column path block, about 2^12 rows
+_PAD_BYTES = 32  # zero bytes after a block: the widest window read from a cell's start
 
 
 def _read_series(path, values: _Values) -> _Series:
@@ -378,11 +395,151 @@ def _read_series_rows(path, values: _Values) -> _Series:
 def _read_series_columns(path, values: _Values) -> _Series:
     """The column path: ids, timestamps and values converted a column at a time.
 
-    Raises _Reject, or an InputError without a line, for a file it does
-    not take as it is.
+    Raises _Reject, an InputError without a line or a UnicodeDecodeError
+    for a file it does not take as it is.
     """
-    header = ["occupant_id", "timestamp", values.name]
-    return _series_from_blocks(_plain_blocks(path, header), values)
+    limit = csv.field_size_limit()
+    index = _OccupantIndex()
+    parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, values.dtype))]
+    for block in _row_blocks(path, ["occupant_id", "timestamp", values.name], limit):
+        columns = _block_cells(block, limit)
+        if columns is not None:
+            ids, stamps, cells = columns
+            occ_index = _occupant_column(ids, index)
+            parts.append((occ_index, _epoch_column(stamps), values.column(cells)))
+    occ_index, epochs, column = (np.concatenate(col) for col in zip(*parts))
+    if np.any(occ_index[1:] < occ_index[:-1]):
+        order = np.argsort(occ_index, kind="stable")
+        occ_index, epochs, column = occ_index[order], epochs[order], column[order]
+    same_occupant = occ_index[1:] == occ_index[:-1]
+    if np.any(epochs[1:][same_occupant] <= epochs[:-1][same_occupant]):
+        raise _Reject("non-monotone timestamp")
+    bounds = np.searchsorted(occ_index, np.arange(len(index.occupants) + 1))
+    return _Series(list(index.occupants), bounds, epochs, column)
+
+
+def _row_blocks(path, header: list[str], limit: int):
+    """Yield a file's data rows as bytes, a block of whole lines at a time.
+
+    Each block ends in '\\n' and then _PAD_BYTES zero bytes.  A block is
+    cut into fields at its commas, which is what csv.reader does to a line
+    without a '"', CR or NUL; a file holding one raises _Reject.
+    """
+    in_body = False
+    carry = b""
+    with open(path, "rb") as fh:
+        while True:
+            data = carry + fh.read(_BLOCK_BYTES)
+            if len(data) == len(carry):
+                if not data:
+                    break
+                data += b"\n"  # a last line without a line break
+            cut = data.rfind(b"\n") + 1
+            if any(data.find(c, 0, cut) >= 0 for c in (b'"', b"\r", b"\0")):
+                raise _Reject("quoted field, CR or NUL")
+            start = 0
+            if not in_body:
+                start, in_body = _after_header(data[:cut], header, limit)
+            carry = data[cut:]
+            if start < cut:
+                block = data[start:cut] + bytes(_PAD_BYTES)
+                del data  # one copy of the block while it is converted
+                yield block
+    if not in_body:
+        raise _Reject("missing header row")
+
+
+def _after_header(block: bytes, header: list[str], limit: int) -> tuple[int, bool]:
+    """Where the rows of block after the header line start, and whether block held the header.
+
+    Blank lines and '#' lines before the header are skipped, as in
+    _read_rows, but must be UTF-8 as there.
+    """
+    pos = 0
+    while pos < len(block):
+        end = block.index(b"\n", pos)
+        line, pos = block[pos:end], end + 1
+        if len(line) > limit:
+            raise _Reject("line longer than the CSV field limit")
+        text = line.decode("utf-8")
+        if text and not text.startswith("#"):
+            if [c.strip() for c in text.split(",")] != header:
+                raise _Reject("wrong header")
+            return pos, True
+    return pos, False
+
+
+class _Cells(NamedTuple):
+    """One column of a block of rows: cell k is data[starts[k]:stops[k]], unstripped.
+
+    data is the block and _PAD_BYTES zero bytes, and raw is data as
+    uint8, so a window that wide can be read from any cell's start.  No
+    cell holds a NUL, a '"', a ',' or a line break.  starts and stops are
+    int32, as small as a block allows.
+    """
+
+    data: bytes
+    raw: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+
+    def widths(self) -> np.ndarray:
+        return self.stops - self.starts
+
+    def window(self, width: int, rows: np.ndarray) -> np.ndarray:
+        """(rows.size, width) uint8: the width bytes from the start of each of these cells."""
+        view = as_strided(self.raw, (self.raw.size - width + 1, width), (1, 1), writeable=False)
+        return view[self.starts[rows]]
+
+    def words(self, offset: int) -> np.ndarray:
+        """The 8 bytes from offset bytes into each cell, as one little-endian uint64 per cell."""
+        view = np.ndarray((self.raw.size - 7,), dtype="<u8", buffer=self.data, strides=(1,))
+        return view[self.starts + offset]
+
+    def as_bytes(self, rows: np.ndarray) -> list[bytes]:
+        return [
+            self.data[a:b] for a, b in zip(self.starts[rows].tolist(), self.stops[rows].tolist())
+        ]
+
+    def each(self, convert: Callable[[str], object], rows: np.ndarray) -> list:
+        """convert of each of these cells, stripped as _read_rows strips a
+        field, called once per distinct cell."""
+        cells = self.as_bytes(rows)
+        table = {cell: convert(cell.decode("utf-8").strip()) for cell in dict.fromkeys(cells)}
+        return list(map(table.__getitem__, cells))
+
+
+def _block_cells(data: bytes, limit: int) -> tuple[_Cells, _Cells, _Cells] | None:
+    """The three columns of a block of rows (see _row_blocks); None if all lines are blank.
+
+    Blank lines are skipped, as csv.reader skips them.  Raises _Reject
+    unless every other line has exactly three fields and no line is longer
+    than csv.reader's field limit.
+    """
+    if len(data) > np.iinfo(np.int32).max:
+        raise _Reject("block too long for int32 offsets")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = (raw == ord("\n")).nonzero()[0].astype(np.int32)
+    starts = np.concatenate((np.zeros(1, np.int32), ends[:-1] + 1))
+    if (starts == ends).any():
+        text = starts != ends
+        starts, ends = starts[text], ends[text]
+    if not ends.size:
+        return None
+    commas = (raw == ord(",")).nonzero()[0].astype(np.int32)
+    if (
+        commas.size != 2 * ends.size
+        or (commas[1::2] > ends).any()  # a line with fewer than three fields
+        or (commas[2::2] < ends[:-1]).any()  # a line with more
+        or (len(data) > limit and (ends - starts > limit).any())
+    ):
+        raise _Reject("not three fields per line")
+    first, second = commas[0::2], commas[1::2]
+    return (
+        _Cells(data, raw, starts, first),
+        _Cells(data, raw, first + 1, second),
+        _Cells(data, raw, second + 1, ends),
+    )
 
 
 class _OccupantIndex(dict):
@@ -398,137 +555,65 @@ class _OccupantIndex(dict):
         return index
 
 
-def _series_from_blocks(blocks, values: _Values) -> _Series:
-    """Convert and group (ids, timestamps, values) cell blocks; raises where the row path must decide."""
-    index = _OccupantIndex()
-    parts = []
-    for ids, stamps, cells in blocks:
-        occ_index = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
-        parts.append((occ_index, _epoch_column(stamps), values.column(cells)))
-    if not parts:
-        parts.append((np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, values.dtype)))
-    occ_index, epochs, column = (np.concatenate(col) for col in zip(*parts))
-    if np.any(occ_index[1:] < occ_index[:-1]):
-        order = np.argsort(occ_index, kind="stable")
-        occ_index, epochs, column = occ_index[order], epochs[order], column[order]
-    same_occupant = occ_index[1:] == occ_index[:-1]
-    if np.any(epochs[1:][same_occupant] <= epochs[:-1][same_occupant]):
-        raise _Reject("non-monotone timestamp")
-    bounds = np.searchsorted(occ_index, np.arange(len(index.occupants) + 1))
-    return _Series(list(index.occupants), bounds, epochs, column)
+def _occupant_column(cells: _Cells, index: _OccupantIndex) -> np.ndarray:
+    """Each id cell's occupant index: one cell per run of equal cells is decoded and looked up.
 
-
-def _plain_blocks(path, header: list[str]):
-    """Yield (ids, timestamps, values) cell lists of a file, a block of rows at a time.
-
-    Rows are split with str.split, which is what csv.reader does to a line
-    without a '"', CR or NUL; a file holding one raises _Reject.
+    A run ends where a cell's first bytes, as many as the widest cell has,
+    differ from the previous cell's.  These bytes hold the cell and, for a
+    shorter cell, the ',' after it, so equal bytes are equal cells.  With
+    a cell wider than _PAD_BYTES, each cell is its own run.
     """
-    limit = csv.field_size_limit()
-    in_body = False
-    carry = ""
-    with open(path, newline="", encoding="utf-8") as fh:
-        while True:
-            chunk = fh.read(_BLOCK_CHARS)
-            text = carry + chunk
-            if not chunk:
-                if not text:
-                    break
-                text += "\n"  # a last line without a line break
-            cut = text.rfind("\n") + 1
-            text, carry = text[:cut], text[cut:]
-            if '"' in text or "\r" in text or "\0" in text:
-                raise _Reject("quoted field, CR or NUL")
-            if not in_body:
-                text, in_body = _after_header(text, header, limit)
-            if text:
-                yield _split_rows(text, limit)
-    if not in_body:
-        raise _Reject("missing header row")
+    n = cells.starts.size
+    width = int(cells.widths().max())
+    new_run = np.ones(n, dtype=bool)
+    if width <= _PAD_BYTES:
+        new_run[1:] = False
+        for offset in range(0, width, 8):
+            word = cells.words(offset) & np.uint64((1 << 8 * min(width - offset, 8)) - 1)
+            new_run[1:] |= word[1:] != word[:-1]
+    runs = new_run.nonzero()[0]
+    occ = [index[cell.decode("utf-8")] for cell in cells.as_bytes(runs)]
+    return np.repeat(np.array(occ, dtype=np.intp), np.diff(runs, append=n))
 
 
-def _after_header(text: str, header: list[str], limit: int) -> tuple[str, bool]:
-    """The rows of text after the header line, and whether text held the header.
-
-    Blank lines and '#' lines before the header are skipped, as in _read_rows.
-    """
-    pos = 0
-    while pos < len(text):
-        end = text.index("\n", pos)
-        line, pos = text[pos:end], end + 1
-        if len(line) > limit:
-            raise _Reject("line longer than the CSV field limit")
-        if line and not line.startswith("#"):
-            if [c.strip() for c in line.split(",")] != header:
-                raise _Reject("wrong header")
-            return text[pos:], True
-    return "", False
-
-
-def _split_rows(text: str, limit: int) -> tuple[list[str], list[str], list[str]]:
-    """The three columns of plain text rows, each ending in '\\n'.
-
-    Raises _Reject unless every non-blank line has exactly three fields and
-    no line is longer than csv.reader's field limit.
-    """
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)  # ',' and '\n' are one byte in UTF-8
-    ends = (raw == ord("\n")).nonzero()[0]
-    if ends[0] == 0 or (ends[1:] - ends[:-1] == 1).any():  # csv.reader skips blank lines
-        text = "".join(line + "\n" for line in text.split("\n") if line)
-        return _split_rows(text, limit) if text else ([], [], [])
-    commas = (raw == ord(",")).nonzero()[0]
-    n = ends.size
-    if (
-        commas.size != 2 * n
-        or (commas[1::2] > ends).any()  # a line with fewer than three fields
-        or (commas[2::2] < ends[:-1]).any()  # a line with more
-        or (raw.size > limit and (np.diff(ends, prepend=-1) > limit + 1).any())
-    ):
-        raise _Reject("not three fields per line")
-    cells = text.replace("\n", ",").split(",")
-    return cells[0 : 3 * n : 3], cells[1::3], cells[2::3]
-
-
-# YYYY-MM-DDTHH:MM:SSZ as each character's lowest code and its range of codes
-_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+# YYYY-MM-DDTHH:MM:SS as each character's lowest code and its range of codes
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
 _STAMP_SPAN = np.where(_STAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
 _YEAR_1_EPOCH = -62135596800  # 0001-01-01T00:00:00Z
 
 
-def _epoch_column(stamps: Sequence[str]) -> np.ndarray:
-    """_parse_epoch of each unstripped timestamp cell.
+def _epoch_column(cells: _Cells) -> np.ndarray:
+    """_parse_epoch of each timestamp cell.
 
-    YYYY-MM-DDTHH:MM:SSZ cells are converted with one datetime64 call;
-    otherwise each distinct cell goes through _parse_epoch once.
-    """
-    epochs = _canonical_epochs(stamps)
-    if epochs is None:
-        table = {cell: _parse_epoch(cell.strip()) for cell in dict.fromkeys(stamps)}
-        epochs = np.fromiter(map(table.__getitem__, stamps), np.int64, len(stamps))
-    return epochs
-
-
-def _canonical_epochs(stamps: Sequence[str]) -> np.ndarray | None:
-    """Epochs of YYYY-MM-DDTHH:MM:SSZ cells, or None unless every cell has that form.
-
+    YYYY-MM-DDTHH:MM:SSZ cells are converted with one datetime64 call.
     numpy checks the field ranges as datetime does, but also parses year
-    0000, which parse_timestamp rejects; that year is left to _parse_epoch.
+    0000, which parse_timestamp rejects; those cells, any other form, and
+    every cell of a column numpy rejects go through _parse_epoch once per
+    distinct cell.
     """
-    if set(map(len, stamps)) != {_STAMP_LOW.size}:
-        return None
+    epochs = np.empty(cells.starts.size, dtype=np.int64)
+    width = _STAMP_LOW.size
+    zulu = cells.raw[cells.starts + width] == ord("Z")
+    rows = ((cells.widths() == width + 1) & zulu).nonzero()[0]
+    chars = cells.window(width, rows)
+    wrong = (chars - _STAMP_LOW) > _STAMP_SPAN
+    if wrong.any():
+        right = ~wrong.any(axis=1)
+        rows, chars = rows[right], chars[right]
     try:
-        text = "".join(stamps).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    chars = np.frombuffer(text, dtype=np.uint8).reshape(len(stamps), -1)
-    if (chars - _STAMP_LOW > _STAMP_SPAN).any():
-        return None
-    naive = np.ascontiguousarray(chars[:, :-1]).view(f"S{chars.shape[1] - 1}").ravel()
-    try:
-        epochs = naive.astype("datetime64[s]").astype(np.int64)
+        converted = chars.view(f"S{width}").ravel().astype("datetime64[s]").view(np.int64)
     except ValueError:
-        return None
-    return None if (epochs < _YEAR_1_EPOCH).any() else epochs
+        rows, converted = rows[:0], np.empty(0, dtype=np.int64)
+    if (converted < _YEAR_1_EPOCH).any():
+        parsed = converted >= _YEAR_1_EPOCH
+        rows, converted = rows[parsed], converted[parsed]
+    epochs[rows] = converted
+    if rows.size < epochs.size:
+        rest = np.ones(epochs.size, dtype=bool)
+        rest[rows] = False
+        rest = rest.nonzero()[0]
+        epochs[rest] = cells.each(_parse_epoch, rest)
+    return epochs
 
 
 def _read_timeline(path, kind: str, values: _Values) -> tuple[list[str], datetime, np.ndarray]:
@@ -563,12 +648,68 @@ def _parse_power(text: str) -> float:
     return p
 
 
-def _power_column(cells: Sequence[str]) -> np.ndarray:
-    """_parse_power of each cell: numpy converts a str as float() does."""
-    try:
-        powers = np.array(cells, dtype=np.float64)
-    except ValueError:
-        raise _Reject("power_w must be a number") from None
+_DECIMAL_WIDTH = 24  # '0.' and 22 decimals
+_EXACT_MANTISSA = 2.0**53  # the first integer from which doubles are 2 apart
+_EXACT_POWERS_OF_10 = 10.0 ** np.arange(23)  # 10**22 is the last one a double holds
+
+
+def _plain_decimals(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the form [0-9]+(.[0-9]+)? that convert exactly in bulk, and their values.
+
+    Returns (values, fast): fast marks each cell whose digits, without
+    the dot, make an integer m < 2**53 and that has k <= 22 decimals, and
+    values holds m / 10**k there.  m and 10**k are exact doubles, so their
+    quotient is one correctly rounded division: float() of the cell
+    (Clinger, PLDI 1990).
+    """
+    n = cells.starts.size
+    values, fast = np.zeros(n), np.zeros(n, dtype=bool)
+    widths = cells.widths()
+    rows = ((widths > 0) & (widths <= _DECIMAL_WIDTH)).nonzero()[0]
+    if not rows.size:
+        return values, fast
+    widths = widths[rows]
+    digits = cells.window(int(widths.max()), rows).T.copy()  # a row per position in the cells
+    inside = np.arange(digits.shape[0], dtype=np.int32)[:, None] < widths
+    dots = digits == ord(".")
+    dots &= inside
+    digits -= np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    is_digit = digits <= 9
+    is_digit &= inside
+    del inside
+    n_dots = dots.sum(axis=0, dtype=np.uint8)
+    last = digits[widths - 1, np.arange(rows.size)]
+    plain = (is_digit.sum(axis=0, dtype=np.uint8) + n_dots == widths) & (n_dots <= 1)
+    plain &= (digits[0] <= 9) & (last <= 9)
+    # Horner's rule in doubles, exact while below 2**53 and never falling
+    # back below once there: a digit's position scales by 10 and adds it,
+    # any other position leaves the mantissa as it is
+    digits *= is_digit
+    scale = is_digit * np.uint8(9) + np.uint8(1)
+    mantissa = np.zeros(rows.size)
+    for position_scale, position in zip(scale, digits):
+        mantissa *= position_scale
+        mantissa += position
+    decimals = np.where(plain & (n_dots == 1), widths - 1 - dots.argmax(axis=0), 0)
+    fast[rows] = plain & (mantissa < _EXACT_MANTISSA)
+    values[rows] = mantissa / _EXACT_POWERS_OF_10[decimals]
+    return values, fast
+
+
+def _power_column(cells: _Cells) -> np.ndarray:
+    """_parse_power of each cell.
+
+    Plain decimals convert in bulk (see _plain_decimals); the rest go
+    through float() on their bytes, which reads what float() of the
+    stripped text reads, or fails where the text may still parse.
+    """
+    powers, fast = _plain_decimals(cells)
+    rest = (~fast).nonzero()[0]
+    if rest.size:
+        try:
+            powers[rest] = [float(cell) for cell in cells.as_bytes(rest)]
+        except ValueError:
+            powers[rest] = cells.each(_parse_power, rest)
     if not ((powers >= 0.0) & (powers < np.inf)).all():
         raise _Reject("power must be finite and >= 0")
     return powers

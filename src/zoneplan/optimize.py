@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diversity import distance_matrix, layout_diversity, stack_vectors
-from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_rows
+from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_lines
 
 # most elements in one look-ahead block of swap_search's (runs, iterations,
 # occupants) delta array; small, so a block's arrays stay cache-sized
@@ -73,9 +73,11 @@ def write_trace(trace: OptTrace, path, header_comment: str | None = None) -> Non
     # as 0.0 == -0.0
     values = np.array([trace.objectives, trace.best_so_far], dtype=float)
     distinct, at = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-    rows = zip(range(values.shape[1]), *text[at.reshape(values.shape)])
-    _write_rows(path, ["iteration", "objective", "best_so_far"], rows, [header_comment])
+    text = [repr(v) for v in distinct.view(float).tolist()]
+    objective, best = at.reshape(values.shape).tolist()
+    lines = [f"{k},{text[a]},{text[b]}\n" for k, (a, b) in enumerate(zip(objective, best))]
+    header = ["iteration", "objective", "best_so_far"]
+    _write_lines(path, header, ["".join(lines)], [header_comment])
 
 
 def write_layout(layout: Layout, path, header_comment: str | None = None) -> None:

@@ -583,9 +583,13 @@ def _parse_state(text: str) -> int:
 
 
 def _state_column(cells) -> np.ndarray:
-    """_parse_state of each cell, parsed once per distinct cell ("1", "2", "3")."""
-    table = {cell: _parse_state(cell.strip()) for cell in set(cells)}
-    return np.fromiter(map(table.__getitem__, cells), np.int8, len(cells))
+    """_parse_state of each cell: a one-byte cell '1' to '3' is that state,
+    any other cell is parsed once per distinct cell."""
+    states = (cells.raw[cells.starts] - np.uint8(ord("0"))).astype(np.int8)
+    rest = ((cells.widths() != 1) | (states < 1) | (states > 3)).nonzero()[0]
+    if rest.size:
+        states[rest] = cells.each(_parse_state, rest)
+    return states
 
 
 _STATE = _Values("state", np.int8, _parse_state, _state_column)

@@ -21,9 +21,9 @@ from .ingest import (
     Layout,
     LightingTable,
     _read_json,
+    _series_lines,
     _write_json,
-    _write_rows,
-    format_timestamp,
+    _write_lines,
 )
 from .states import StateGrid
 
@@ -855,12 +855,8 @@ def write_energy_report(report: EnergyReport, path, header_comment: str | None =
     if report.baseline_total is not None:
         comments.append(f"baseline_total_wh: {report.baseline_total!r}")
         comments.append(f"percent_change: {report.percent_change!r}")
-    rows = [
-        (zone_id, format_timestamp(int(epoch)), float(report.hourly[j, h]))
-        for j, zone_id in enumerate(report.zone_order)
-        for h, epoch in enumerate(report.hour_epochs)
-    ]
-    _write_rows(path, ["zone_id", "period_start", "energy_pred_wh"], rows, comments)
+    lines = _series_lines(report.zone_order, report.hour_epochs, report.hourly)
+    _write_lines(path, ["zone_id", "period_start", "energy_pred_wh"], lines, comments)
 
 
 def save_model(model, path, extra: dict | None = None) -> None:

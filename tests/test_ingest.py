@@ -2,6 +2,8 @@
 
 import csv
 import io
+import random
+import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -27,8 +29,9 @@ from zoneplan.ingest import (
     write_grid,
     write_zone_map,
 )
-from zoneplan.optimize import load_layout, write_layout
-from zoneplan.states import _STATE, load_states
+from zoneplan.optimize import OptTrace, load_layout, write_layout, write_trace
+from zoneplan.states import _STATE, StateGrid, load_states, write_states
+from zoneplan.surrogate import EnergyReport, write_energy_report
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -721,9 +724,16 @@ _STAMP_FORMS = [
     "Z", "+00:00", "-05:00", "naive", "fraction", "space", "lowercase", "leap second", "year 0",
     "expanded year",
 ]
-_SERIES_IDS = ["O1", "O2", "desk 2, left", "#3", 'say "hi"', "٣", ""]
+_SERIES_IDS = ["O1", "O10", "O2", "desk 2, left", "#3", 'say "hi"', "٣", ""]
 _SERIES_CELLS = {
-    "power_w": ["1.5", "0", "22.75", "1_0", "٣", "+2", " 7", "1e400", "nan", "-1", "abc", ""],
+    "power_w": [
+        "1.5", "0", "22.75", "1_0", "٣", "+2", " 7", "1e400", "nan", "-1", "abc", "",
+        # the edges of the bulk decimal conversion: 15-, 16- and 17-digit
+        # reprs, 2**53 and 2**53 + 1, and 22 and 23 decimals
+        "123.456789012345", "0.6666666666666666", "0.30000000000000004",
+        "9007199254740992", "9007199254740993", "007.50", ".5", "5.",
+        "0." + "0" * 21 + "7", "0." + "0" * 22 + "7",
+    ],
     "state": ["1", "2", "3", "+1", "01", "٢", " 2", "4", "0", "1.0", ""],
 }
 _SERIES_VALUES = {"power_w": ingest._POWER, "state": _STATE}
@@ -823,10 +833,10 @@ def test_column_path_equals_row_path(tmp_path_factory, value_name):
     values = _SERIES_VALUES[value_name]
 
     @settings(deadline=None)
-    @given(_series_files(value_name), st.sampled_from([ingest._BLOCK_CHARS, 8, 50]))
-    def check(content, block_chars):
+    @given(_series_files(value_name), st.sampled_from([ingest._BLOCK_BYTES, 8, 50]))
+    def check(content, block_bytes):
         path.write_bytes(content)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             want = _series_outcome(ingest._read_series_rows, path, values)
             assert _series_outcome(ingest._read_series, path, values) == want
             columns = _column_outcome(path, values)
@@ -891,7 +901,7 @@ def test_column_path_takes_common_files(tmp_path, monkeypatch, variant):
     elif variant == "blank lines":
         rows = [r + "\n" if k % 7 == 0 else r for k, r in enumerate(rows)]
     elif variant == "small blocks":
-        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 100)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 100)
     path.write_bytes("".join(line + "\n" for line in head + rows).encode())
     want = _series_outcome(ingest._read_series_rows, path, ingest._POWER)
     assert not isinstance(want, str)
@@ -899,3 +909,138 @@ def test_column_path_takes_common_files(tmp_path, monkeypatch, variant):
     back = load_grid(path)
     np.testing.assert_array_equal(back.values, grid.values)
     assert back.occupants == grid.occupants and back.start == grid.start
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    ["0000-01-01T00:00:00Z", "2018-01-01T00:00:00z", "2018-01-01T00:00:00+", "2018-01-01 00:00:00Z",
+     "2018-01-01T00:00:60Z", "2018-02-29T00:00:00Z", "2020-02-29T00:00:00Z"],
+)
+def test_stamps_of_the_canonical_width_read_as_the_row_path_reads_them(tmp_path, stamp):
+    path = write_csv(tmp_path / "p.csv", [f"O1,{stamp},1.5", "O1,2021-01-01T00:00:00Z,2"])
+    want = _series_outcome(ingest._read_series_rows, path, ingest._POWER)
+    assert _series_outcome(ingest._read_series, path, ingest._POWER) == want
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+def test_files_zoneplan_writes_take_the_column_path(tmp_path, monkeypatch, rows_per_block):
+    # grid values are mostly 17-digit reprs, which the bulk decimal
+    # conversion leaves to float(); ids of two widths share blocks
+    rng = np.random.default_rng(11)
+    occupants = ["O1", "O10", "O2"]
+    grid = TimeSeriesGrid(occupants, T0, rng.uniform(0, 80, (3, 96)))
+    state_grid = StateGrid(occupants, T0, rng.integers(1, 4, (3, 96)).astype(np.int8))
+    events = {
+        occ: PlugLoadEvents(
+            occ,
+            ingest._epoch(T0) + np.sort(rng.choice(86_400, 40, replace=False)),
+            rng.uniform(0, 120, 40).round(2),
+        )
+        for occ in occupants
+    }
+    write_grid(grid, tmp_path / "grid.csv", header_comment="h")
+    write_states(state_grid, tmp_path / "states.csv", header_comment="h")
+    write_plug_load(events, tmp_path / "plug.csv", header_comment="h")
+    monkeypatch.setattr(ingest, "_read_series_rows", mock.Mock(side_effect=AssertionError))
+
+    def read(load, name):
+        if rows_per_block:
+            widest = max(map(len, (tmp_path / name).read_bytes().splitlines(keepends=True)))
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", rows_per_block * widest)
+        return load(tmp_path / name)
+
+    back = read(load_grid, "grid.csv")
+    np.testing.assert_array_equal(back.values, grid.values)
+    assert back.occupants == occupants and back.start == T0
+    assert np.array_equal(read(load_states, "states.csv").states, state_grid.states)
+    plug = read(load_plug_load, "plug.csv")
+    assert list(plug) == occupants
+    for occ, ev in events.items():
+        np.testing.assert_array_equal(plug[occ].times, ev.times)
+        np.testing.assert_array_equal(plug[occ].powers, ev.powers)
+
+
+def _value_cells(cells: list[bytes]) -> ingest._Cells:
+    """cells as the value column of one block of rows."""
+    block = b"".join(b"O1,2018-01-01T00:00:00Z," + cell + b"\n" for cell in cells)
+    return ingest._block_cells(block + bytes(ingest._PAD_BYTES), csv.field_size_limit())[2]
+
+
+def _plain_decimal(cell: bytes) -> bool:
+    """Whether a cell is the bulk conversion's form: [0-9]+(.[0-9]+)?, at most
+    24 bytes, whose digits make an integer below 2**53."""
+    return (
+        re.fullmatch(rb"[0-9]+(\.[0-9]+)?", cell) is not None
+        and len(cell) <= 24
+        and int(cell.replace(b".", b"")) < 2**53
+    )
+
+
+def _random_reprs(seed: int, n: int) -> list[bytes]:
+    """reprs of doubles spread from 1e-30 to 1e30 on a log scale, a tenth of them subnormal."""
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-30, 30, n)
+    values[: n // 10] = rng.integers(1, 2**52, n // 10).view(np.float64)
+    return [repr(v).encode() for v in values.tolist()]
+
+
+def _random_digit_strings(seed: int, n: int) -> list[bytes]:
+    """Up to 16 digits after up to 11 zeros, with no dot, one or two dots anywhere."""
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(n):
+        cell = "0" * rng.randint(0, 11) + "".join(rng.choices("0123456789", k=rng.randint(1, 16)))
+        for _ in range(rng.choice([0, 1, 1, 1, 2])):
+            cut = rng.randint(0, len(cell))
+            cell = f"{cell[:cut]}.{cell[cut:]}"
+        cells.append(cell.encode())
+    return cells
+
+
+@pytest.mark.parametrize(
+    "make_cells, fast_share",
+    [(_random_reprs, 0.14), (_random_digit_strings, 0.66)],
+    ids=["reprs", "digit strings"],
+)
+def test_bulk_decimal_conversion_is_float_bit_for_bit(make_cells, fast_share):
+    # the bulk conversion takes exactly the cells of its form, so a narrowed
+    # path fails here, and gives float()'s bits on each; the whole column,
+    # bulk and per cell, is float()'s too.  About a third of the reprs are
+    # plain decimals, and about half of those have digits below 2**53.
+    cells = make_cells(24, 100_000)
+    values, fast = ingest._plain_decimals(_value_cells(cells))
+    np.testing.assert_array_equal(fast, [_plain_decimal(cell) for cell in cells])
+    assert fast.mean() > fast_share
+    want = np.array([float(cell) for cell in np.array(cells)[fast]])
+    np.testing.assert_array_equal(values[fast].view(np.int64), want.view(np.int64))
+    numbers = [cell for cell in cells if cell.count(b".") < 2]  # two dots: not a number
+    want = np.array([float(cell) for cell in numbers])
+    column = ingest._power_column(_value_cells(numbers))
+    np.testing.assert_array_equal(column.view(np.int64), want.view(np.int64))
+
+
+def test_trace_and_energy_writers_match_csv_writer(tmp_path):
+    # both writers format their lines themselves; _write_rows (csv.writer) is the reference
+    trace_header = ["iteration", "objective", "best_so_far"]
+    objectives = [3.5, -0.0, np.inf, 1 / 3, 0.0]
+    best = [3.5, -0.0, -0.0, -0.0, 0.0]
+    for trace in [OptTrace(objectives, best), OptTrace([2.5], [2.5])]:
+        write_trace(trace, tmp_path / "t.csv", "note")
+        rows = [(k, *row) for k, row in enumerate(zip(trace.objectives, trace.best_so_far))]
+        ingest._write_rows(tmp_path / "t_ref.csv", trace_header, rows, ["note"])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+    zones = ["z,1", 'say "hi"', "Z3"]
+    hours = ingest._epoch(T0) + 3600 * np.arange(3)
+    hourly = np.array([[1.5, -0.0, np.inf], [0.0, 1 / 3, 2.0], [1e-300, 7.0, 0.1]])
+    report = EnergyReport(zones, hours, hourly, float(hourly.sum()), 10.0, -5.0)
+    write_energy_report(report, tmp_path / "e.csv", "note")
+    rows = [
+        (zone, ingest.format_timestamp(int(hour)), float(hourly[j, k]))
+        for j, zone in enumerate(zones)
+        for k, hour in enumerate(hours)
+    ]
+    comments = ["note", "grand_total_wh: inf", "baseline_total_wh: 10.0", "percent_change: -5.0"]
+    header = ["zone_id", "period_start", "energy_pred_wh"]
+    ingest._write_rows(tmp_path / "e_ref.csv", header, rows, comments)
+    assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e_ref.csv").read_bytes()
