@@ -215,14 +215,19 @@ def exclude_days(
     day_ranges: list[tuple[datetime, datetime]],
     key: str = "day_ranges",
 ) -> TimeSeriesGrid:
-    """Drop whole-day column blocks covered by [start, end) datetime ranges.
+    """Drop the whole days covered by [start, end) datetime ranges.
 
-    An error names the bad range as key[i], key being where the ranges came from.
+    A grid is one contiguous timeline, so the kept days must be one run:
+    ranges may trim days from either end, and a leading range moves the
+    start to the first kept day.  An error names the bad range as key[i],
+    key being where the ranges came from; a range with kept days on both
+    sides is one.
     """
     if not day_ranges:
         return TimeSeriesGrid(list(grid.occupants), grid.start, grid.values.copy())
     start_s = _epoch(grid.start)
     drop = np.zeros(grid.n_days, dtype=bool)
+    days = []
     for i, (a, b) in enumerate(day_ranges):
         a_s, b_s = _epoch(a), _epoch(b)
         if (a_s - start_s) % DAY_SECONDS or (b_s - start_s) % DAY_SECONDS:
@@ -232,10 +237,19 @@ def exclude_days(
         if first < 0 or last > grid.n_days or first >= last:
             raise InputError(f"{key}[{i}]: exclusion range outside grid window")
         drop[first:last] = True
+        days.append((first, last))
     if drop.all():
         raise InputError("empty grid: all days excluded")
-    keep_cols = np.repeat(~drop, STEPS_PER_DAY)
-    return TimeSeriesGrid(list(grid.occupants), grid.start, grid.values[:, keep_cols])
+    for i, (first, last) in enumerate(days):
+        if not drop[:first].all() and not drop[last:].all():
+            raise InputError(
+                f"{key}[{i}]: exclusion range leaves kept days on both sides, "
+                "but a grid is one contiguous timeline"
+            )
+    kept = np.flatnonzero(~drop)
+    lo, hi = int(kept[0]) * STEPS_PER_DAY, (int(kept[-1]) + 1) * STEPS_PER_DAY
+    start = datetime.fromtimestamp(start_s + int(kept[0]) * DAY_SECONDS, tz=timezone.utc)
+    return TimeSeriesGrid(list(grid.occupants), start, grid.values[:, lo:hi].copy())
 
 
 def write_grid(grid: TimeSeriesGrid, path, header_comment: str | None = None) -> None:
@@ -804,6 +818,12 @@ class Layout:
         desks = self.desk_order()
         rows = [[index.get(layout.assignment.get(d), -1) for d in desks] for layout in layouts]
         return np.array(rows, dtype=np.intp).reshape(len(layouts), len(desks))
+
+    def zone_bounds(self) -> np.ndarray:
+        """Where each zone's desks sit in a seat row: zone k of the sorted zone
+        ids holds slots bounds[k]:bounds[k + 1], so bounds starts at 0 and
+        ends at the desk count."""
+        return np.cumsum([0] + [len(self.zones[z]) for z in sorted(self.zones)])
 
     def with_seat_row(self, row: Sequence[int]) -> "Layout":
         """The layout of this structure that a seat row (see seat_rows) describes."""

@@ -417,8 +417,7 @@ def ga_optimize(
     cfg = config or GaConfig()
     cfg.validate()
     rng = np.random.default_rng(seed)
-    zone_ids = sorted(template.zones)
-    bounds = np.cumsum([0] + [len(template.zones[z]) for z in zone_ids])
+    bounds = template.zone_bounds()
 
     seeded = template.seat_rows(seeds_in or [])[: cfg.population]
     padding = [random_seat_row(template, rng) for _ in range(cfg.population - len(seeded))]

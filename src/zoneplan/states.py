@@ -3,7 +3,8 @@
 Each occupant's 15-minute power series is clustered twice: a first fit
 separates absence (low power) from presence, and a second fit on the
 higher-power samples splits presence into medium and high activity.
-Final labels are {1, 2, 3}, ordered by mean power.
+Each sample takes its most responsible component under the fit's own
+E-step, and final labels are {1, 2, 3}, ordered by mean power.
 """
 
 from __future__ import annotations
@@ -80,28 +81,6 @@ class VbGmmModel:
     seed: int
     n_samples: int
     degenerate: bool = False
-
-    def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
-        """Unnormalized log responsibilities under the variational posterior."""
-        if self.degenerate:
-            return np.zeros((x.size, 1))
-        alpha = self.dirichlet_concentration
-        e_log_weight = digamma(alpha) - digamma(alpha.sum())
-        e_log_prec = digamma(self.gamma_shape) - np.log(self.gamma_rate)
-        e_prec = self.gamma_shape / self.gamma_rate
-        diff = x[:, None] - self.mean_location[None, :]
-        quad = e_prec[None, :] * diff**2 + 1.0 / self.mean_scale[None, :]
-        return (e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI)[None, :] - 0.5 * quad
-
-    def assign(self, x: np.ndarray, weight_floor: float) -> np.ndarray:
-        """Map samples to the index of their most responsible effective component."""
-        keep = np.flatnonzero(self.weights >= weight_floor)
-        if keep.size == 0:
-            raise ValueError("no component reaches the weight floor")
-        log_r = self.log_responsibilities(x)
-        if self.degenerate:
-            return keep[np.zeros(x.size, dtype=np.intp)]
-        return keep[np.argmax(log_r[:, keep], axis=1)]
 
     def to_dict(self) -> dict:
         def listify(a):
@@ -194,6 +173,40 @@ def _exp(a: np.ndarray, zero: np.ndarray, keep: np.ndarray) -> None:
     np.logical_not(zero, out=keep)
     np.exp(a, out=a, where=keep)
     np.copyto(a, 0.0, where=zero)
+
+
+def _e_step(
+    x: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    m: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """out = unnormalized log responsibilities log rho, component-major (k, n).
+
+    Bishop (PRML 10.46) for one dimension, at the variational parameters:
+    Dirichlet alpha, mean scale beta, mean location m and Gamma shape a and
+    rate b.  Returns the terms the variational bound reuses:
+    E[log weight], digamma(a), log(b) and E[precision] = a / b.
+    """
+    e_log_weight = digamma(alpha) - digamma(alpha.sum())
+    digamma_a, log_b = digamma(a), np.log(b)
+    e_prec = a / b
+    offset = e_log_weight + 0.5 * (digamma_a - log_b) - 0.5 * _LN_2PI
+    np.subtract(x, m[:, None], out=out)
+    np.square(out, out=out)
+    np.multiply(out, e_prec[:, None], out=out)
+    np.add(out, 1.0 / beta[:, None], out=out)
+    np.multiply(out, 0.5, out=out)
+    np.subtract(offset[:, None], out, out=out)
+    return e_log_weight, digamma_a, log_b, e_prec
+
+
+def _tol_reached(elbo_trace: list[float], tol: float) -> bool:
+    """Whether the last iteration improved the variational bound by less than tol."""
+    return len(elbo_trace) >= 2 and elbo_trace[-1] - elbo_trace[-2] < tol
 
 
 def fit_vbgmm(
@@ -309,25 +322,14 @@ def fit_vbgmm(
 
     alpha, beta, m, a, b = m_step()
     for _ in range(max_iter):
-        e_log_weight = digamma(alpha) - digamma(alpha.sum())
-        digamma_a, log_b = digamma(a), np.log(b)
-        e_log_prec = digamma_a - log_b
-        e_prec = a / b
-        offset = e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI
-        np.subtract(x, m[:, None], out=log_rho)
-        np.square(log_rho, out=log_rho)
-        np.multiply(log_rho, e_prec[:, None], out=log_rho)
-        np.add(log_rho, 1.0 / beta[:, None], out=log_rho)
-        np.multiply(log_rho, 0.5, out=log_rho)
-        np.subtract(offset[:, None], log_rho, out=log_rho)
+        e_log_weight, digamma_a, log_b, e_prec = _e_step(x, alpha, beta, m, a, b, log_rho)
         normalize()
-        elbo = (
+        elbo_trace.append(
             float(lse.sum())
             - _kl_dirichlet(alpha, alpha0, e_log_weight)
             - _kl_normal_gamma(m, beta, a, b, resolved, digamma_a, log_b, e_prec)
         )
-        elbo_trace.append(elbo)
-        if len(elbo_trace) >= 2 and elbo - elbo_trace[-2] < tol:
+        if _tol_reached(elbo_trace, tol):
             break
         alpha, beta, m, a, b = m_step()
 
@@ -354,8 +356,7 @@ def converged(model: VbGmmModel, tol: float) -> bool:
 
     A degenerate model runs no iteration and counts as converged.
     """
-    trace = model.elbo_trace
-    return model.degenerate or (len(trace) >= 2 and trace[-1] - trace[-2] < tol)
+    return model.degenerate or _tol_reached(model.elbo_trace, tol)
 
 
 @dataclass(frozen=True)
@@ -419,27 +420,6 @@ class StateGrid:
         }
 
 
-def _split_low_group(
-    order: np.ndarray, means: np.ndarray, idle_threshold_w: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ≥ 2 components, sorted by mean, into a low and a high group.
-
-    Cut at the largest gap among cuts whose low side stays under the idle
-    threshold, so a mid-power level can never be absorbed into the absence
-    group merely because the upper gap is wider; when every component sits
-    above the threshold, fall back to the unconstrained largest gap.  With
-    an infinite threshold (the second pass) every cut is allowed.
-    """
-    sorted_means = means[order]
-    gaps = np.diff(sorted_means)
-    allowed = np.flatnonzero(sorted_means[:-1] < idle_threshold_w)
-    if allowed.size:
-        cut = int(allowed[np.argmax(gaps[allowed])]) + 1
-    else:
-        cut = int(np.argmax(gaps)) + 1
-    return order[:cut], order[cut:]
-
-
 def _derived_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([master, *path]).generate_state(1)[0])
 
@@ -453,9 +433,14 @@ def _high_group(
 ) -> tuple[int, np.ndarray | None]:
     """The fit's effective components and which samples fall in their high group.
 
-    The effective components, sorted by mean, are merged into a low and a
-    high group (_split_low_group); the mask is None when a single component
-    is effective.  A WeightFloorError names the fit by name.
+    Each sample takes the effective component of largest log rho under the
+    model's parameters (_e_step).  The effective components, sorted by
+    mean, are cut into a low and a high group at the largest mean gap whose
+    low side stays under the idle threshold, so a mid-power level is never
+    absorbed into the absence group merely because the upper gap is wider;
+    when no cut qualifies, at the largest gap.  The mask is None when one
+    component is effective, as in a degenerate model.  A WeightFloorError
+    names the fit by name.
     """
     keep = np.flatnonzero(model.weights >= weight_floor)
     if keep.size == 0:
@@ -463,12 +448,20 @@ def _high_group(
             f"no component of {name} has weight >= {weight_floor!r}, "
             f"the largest is {float(model.weights.max())!r}"
         )
-    if model.degenerate or keep.size == 1:
-        return keep.size, None
-    comp = model.assign(x, weight_floor)
+    if keep.size == 1:
+        return 1, None
+    log_rho = np.empty((model.k_max, x.size))
+    _e_step(
+        x, model.dirichlet_concentration, model.mean_scale, model.mean_location,
+        model.gamma_shape, model.gamma_rate, log_rho,
+    )
+    comp = keep[np.argmax(log_rho[keep], axis=0)]
     order = keep[np.argsort(model.means[keep], kind="stable")]
-    low, _ = _split_low_group(np.arange(order.size), model.means[order], idle_threshold_w)
-    return keep.size, ~np.isin(comp, order[low])
+    sorted_means = model.means[order]
+    gaps = np.diff(sorted_means)
+    allowed = np.flatnonzero(sorted_means[:-1] < idle_threshold_w)
+    cut = (allowed[np.argmax(gaps[allowed])] if allowed.size else np.argmax(gaps)) + 1
+    return keep.size, ~np.isin(comp, order[:cut])
 
 
 def _fit_occupant(

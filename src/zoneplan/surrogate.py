@@ -169,6 +169,12 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> tuple[floa
     return float(beta[0]), beta[1:]
 
 
+def _min_max_scale(x: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Columns of x scaled by (x - lo) / span; a column of span 0 scales to 0."""
+    scaled = (x - lo[None, :]) / np.where(span > 0, span, 1.0)[None, :]
+    return np.where(span[None, :] > 0, scaled, 0.0)
+
+
 @dataclass
 class MlrModel:
     """Linear surrogate on encoded features with a train-fitted scaler."""
@@ -180,15 +186,10 @@ class MlrModel:
     zone_order: list[str]
     rank_deficient: bool = False
 
-    def _scale(self, x: np.ndarray) -> np.ndarray:
-        rng = np.where(self.scaler_range > 0, self.scaler_range, 1.0)
-        scaled = (x - self.scaler_min[None, :]) / rng[None, :]
-        return np.where(self.scaler_range[None, :] > 0, scaled, 0.0)
-
     def predict_encoded(self, x: np.ndarray) -> np.ndarray:
         # a row-wise reduction, unlike a BLAS gemv, gives each row the same
         # result whichever other rows share the batch
-        scaled = self._scale(np.atleast_2d(x))
+        scaled = _min_max_scale(np.atleast_2d(x), self.scaler_min, self.scaler_range)
         return self.intercept + (scaled * self.coefficients).sum(axis=1)
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
@@ -238,8 +239,7 @@ def fit_mlr(table: FeatureTable, targets: np.ndarray, ridge: float = 1e-8) -> Ml
     x = encode(table.features, table.n_zones)
     lo = x.min(axis=0)
     rng = x.max(axis=0) - lo
-    scaled = np.where(rng[None, :] > 0, (x - lo[None, :]) / np.where(rng > 0, rng, 1.0), 0.0)
-    intercept, coefs = solve_ridge(scaled, y, ridge)
+    intercept, coefs = solve_ridge(_min_max_scale(x, lo, rng), y, ridge)
     return MlrModel(
         intercept=intercept,
         coefficients=coefs,
@@ -516,11 +516,6 @@ def _r2(y: np.ndarray, yhat: np.ndarray) -> float:
     return 1.0 - sse / sst
 
 
-def _group_sum(v: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    _, inverse = np.unique(groups, return_inverse=True)
-    return np.bincount(inverse, weights=v)
-
-
 def _series_groups(table: FeatureTable, period: np.ndarray) -> np.ndarray:
     """Each row's (layout, zone, period) group, numbered in lexicographic order."""
     zone = table.features[:, 6].astype(np.int64)
@@ -540,8 +535,8 @@ def evaluate(table: FeatureTable, y: np.ndarray, yhat: np.ndarray) -> Metrics:
     r2_step = _r2(y, yhat)
     hourly = _series_groups(table, table.hour_epoch)
     daily = _series_groups(table, table.day_index)
-    r2_hour = _r2(_group_sum(y, hourly), _group_sum(yhat, hourly))
-    r2_day = _r2(_group_sum(y, daily), _group_sum(yhat, daily))
+    r2_hour = _r2(np.bincount(hourly, weights=y), np.bincount(hourly, weights=yhat))
+    r2_day = _r2(np.bincount(daily, weights=y), np.bincount(daily, weights=yhat))
     return Metrics(mae, mse, r2_hour, r2_day, r2_step)
 
 
@@ -805,11 +800,10 @@ class LayoutScorer:
     def _chunks(self, population: np.ndarray, template: Layout):
         """Yield (first layout, per-step predictions) per chunk of the population; the
         predictions, (n_layouts, n_steps, n_zones), hold rows as build_features does."""
-        zone_ids = sorted(template.zones)
-        bounds = np.cumsum([len(template.zones[z]) for z in zone_ids])[:-1]
         # index -1 picks the appended -1, the encoder's empty row
         row_of = np.append(self._encoder.occupant_rows(template.occupants()), -1)
-        rows = dict(zip(zone_ids, np.split(row_of[population], bounds, axis=1)))
+        zone_rows = np.split(row_of[population], template.zone_bounds()[1:-1], axis=1)
+        rows = dict(zip(sorted(template.zones), zone_rows))
         lookup = max(1, LOOKUP_KEYS // (len(rows) * self._encoder.n_distinct))
         chunk = max(1, SCORE_ROWS // (len(rows) * self.calendar.n_steps))
         for lo in range(0, len(population), lookup):

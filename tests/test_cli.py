@@ -159,6 +159,18 @@ def test_set_override_parses_json(tmp_path):
     assert len(rows) - 1 == 4 * 96
 
 
+def test_excluding_the_first_day_keeps_each_kept_days_date(tmp_path):
+    plug = make_plug_csv(tmp_path / "plug.csv", n_days=3)
+    assert main(["ingest", "--plug-load", str(plug), "--out-dir", str(tmp_path / "all")]) == 0
+    first = 'window.exclude_days=[["2018-01-01T00:00:00Z","2018-01-02T00:00:00Z"]]'
+    argv = ["ingest", "--plug-load", str(plug), "--set", first, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    whole = load_grid(tmp_path / "all" / "grid.csv")
+    trimmed = load_grid(tmp_path / "out" / "grid.csv")
+    assert trimmed.start == datetime(2018, 1, 2, tzinfo=UTC)
+    np.testing.assert_array_equal(trimmed.values, whole.values[:, 96:])
+
+
 @pytest.mark.parametrize("bad, message", [
     ('["2018-01-01T12:00:00Z", "2018-01-02T00:00:00Z"]',
      "exclusion range must align to grid day boundaries"),

@@ -356,9 +356,31 @@ def test_empty_exclusion_list_is_identity():
     np.testing.assert_array_equal(out.values, grid.values)
 
 
-def test_exclude_one_of_three_days_leaves_192_columns():
-    out = exclude_days(three_day_grid(), [(day(1), day(2))])
-    assert out.values.shape == (1, 192)
+def test_excluding_an_interior_day_names_its_range():
+    # the kept days would not be one timeline: 01-03 cannot follow 01-01
+    with pytest.raises(InputError) as info:
+        exclude_days(three_day_grid(), [(day(1), day(2))], "window.exclude_days")
+    assert str(info.value) == (
+        "window.exclude_days[0]: exclusion range leaves kept days on both sides, "
+        "but a grid is one contiguous timeline"
+    )
+    # of four days, dropping the first and the third keeps two apart
+    four_days = TimeSeriesGrid(["O1"], T0, np.zeros((1, 4 * 96)))
+    with pytest.raises(InputError, match=r"^window\.exclude_days\[1\]: exclusion range leaves"):
+        exclude_days(four_days, [(day(0), day(1)), (day(2), day(3))], "window.exclude_days")
+    # with a neighbouring day excluded as well, the kept days are one run
+    assert exclude_days(three_day_grid(), [(day(1), day(2)), (day(2), day(3))]).n_days == 1
+
+
+@pytest.mark.parametrize("first, last", [(0, 1), (0, 2), (1, 3), (2, 3)])
+def test_excluding_days_at_either_end_keeps_each_kept_days_date(first, last):
+    grid = three_day_grid()
+    out = exclude_days(grid, [(day(first), day(last))])
+    kept = 0 if first > 0 else last  # the first kept day
+    steps = slice(96 * kept, 96 * (kept + 3 - (last - first)))
+    assert out.start == day(kept)
+    np.testing.assert_array_equal(out.values, grid.values[:, steps])
+    np.testing.assert_array_equal(out.step_epochs(), grid.step_epochs()[steps])
 
 
 def test_excluding_all_days_rejected():
@@ -920,6 +942,42 @@ def test_stamps_of_the_canonical_width_read_as_the_row_path_reads_them(tmp_path,
     path = write_csv(tmp_path / "p.csv", [f"O1,{stamp},1.5", "O1,2021-01-01T00:00:00Z,2"])
     want = _series_outcome(ingest._read_series_rows, path, ingest._POWER)
     assert _series_outcome(ingest._read_series, path, ingest._POWER) == want
+
+
+_WIDE_ID = "O" + "x" * ingest._PAD_BYTES  # wider than the zero bytes after a block
+_S0, _S1 = "2018-01-01T00:00:00", "2018-01-01T00:15:00"
+
+
+@pytest.mark.parametrize(
+    "value_name, text",
+    [
+        # two wide ids that differ only past _PAD_BYTES, next to each other
+        ("power_w", f"{_WIDE_ID}a,{_S0}Z,1.5\n{_WIDE_ID}b,{_S0}Z,2\n{_WIDE_ID}a,{_S1}Z,3\n"
+                    f"O1,{_S0}Z,4\n"),
+        ("power_w", f"Zoë,{_S0}Z,1.5\nΔ٣,{_S0}Z,2\nZoë,{_S1}Z,3\n"),
+        ("power_w", f"O1,{_S0}Z,1.5\nO1,{_S1}Z,2"),  # no line break after the last line
+        ("power_w", f"O1,{_S0}+00:00,1.5\nO1,{_S1}+00:00,2\n"),
+        ("power_w", f"O1,{_S0}.5Z,1.5\nO1,{_S1}.25Z,2\n"),
+        ("power_w", f"O1,{_S0.replace('T', ' ')}Z,1.5\nO1,{_S1.replace('T', ' ')}Z,2\n"),
+        *[("power_w", f"O1,{_S0}Z,1.5\nO1,{_S1}Z,{cell}\n")
+          for cell in ["1e3", "1_0", "inf", "nan", "-1"]],
+        *[("state", f"O1,{_S0}Z,2\nO1,{_S1}Z,{cell}\n") for cell in [" 1", "01", "4", "12"]],
+    ],
+    ids=["wide id", "non-ASCII ids", "last line open", "+00:00", "fractional seconds",
+         "space for T", "1e3", "1_0", "inf", "nan", "-1", "state ' 1'", "state 01", "state 4",
+         "state 12"],
+)
+@pytest.mark.parametrize("preamble", ["", "# made by hand\n\n#\n"])
+def test_rare_forms_read_on_the_column_path_as_on_the_row_path(tmp_path, value_name, text,
+                                                                preamble):
+    path = tmp_path / "f.csv"
+    path.write_bytes(f"{preamble}occupant_id,timestamp,{value_name}\n{text}".encode())
+    values = _SERIES_VALUES[value_name]
+    want = _series_outcome(ingest._read_series_rows, path, values)
+    assert _series_outcome(ingest._read_series, path, values) == want
+    # the column path takes every file the row path reads, and leaves a bad
+    # cell's file to the row path, which names its line
+    assert _column_outcome(path, values) == (None if isinstance(want, str) else want)
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 3])

@@ -111,6 +111,16 @@ def test_random_layout_draws_one_permutation_over_the_desks():
     assert random_layout(template, np.random.default_rng(9)).assignment == expected
 
 
+def test_zone_bounds_mark_each_zones_desks_in_a_seat_row():
+    # zones in insertion order Z2, Z1 of sizes 3 and 2: Z1's desks come first
+    lay = Layout({"Z2": ["D3", "D4", "D5"], "Z1": ["D1", "D2"]}, {"D1": "a"})
+    bounds = lay.zone_bounds()
+    assert bounds.tolist() == [0, 2, 5]
+    desks = lay.desk_order()
+    for k, zone in enumerate(sorted(lay.zones)):
+        assert desks[bounds[k] : bounds[k + 1]] == lay.zones[zone]
+
+
 def test_seat_rows_round_trip_with_vacant_desks():
     lay = Layout({"Z2": ["D3", "D4"], "Z1": ["D1", "D2"]}, {"D1": "b", "D3": "a", "D4": "c"})
     rows = lay.seat_rows([lay])
@@ -420,10 +430,6 @@ def random_population(template: Layout, seed: int, n: int) -> np.ndarray:
     )
 
 
-def zone_bounds(template: Layout) -> np.ndarray:
-    return np.cumsum([0] + [len(template.zones[z]) for z in sorted(template.zones)])
-
-
 def is_valid_row(row, n_occ, n_desks) -> bool:
     # every occupant exactly once, every other desk vacant
     return sorted(row[row >= 0].tolist()) == list(range(n_occ)) and row.size == n_desks
@@ -541,14 +547,14 @@ def test_crossover_child_is_valid_permutation(sa, sb, sc):
 def test_mutate_zero_probability_is_identity():
     _, template = random_instance(6)
     pop = template.seat_rows([template] * 5)
-    out = mutate(pop, 0.0, np.random.default_rng(0), zone_bounds(template))
+    out = mutate(pop, 0.0, np.random.default_rng(0), template.zone_bounds())
     assert np.array_equal(out, pop)
 
 
 def test_mutate_fires_with_probability_one():
     _, template = random_instance(7, n_zones=2, per_zone=3)
     pop = template.seat_rows([template] * 5)
-    out = mutate(pop, 1.0, np.random.default_rng(1), zone_bounds(template))
+    out = mutate(pop, 1.0, np.random.default_rng(1), template.zone_bounds())
     # two cross-zone swaps per layout; the second undoes the first 1 time in 9
     assert not np.array_equal(out, pop)
     for row, before in zip(out, pop):
@@ -559,8 +565,8 @@ def test_mutate_fires_with_probability_one():
 def test_mutate_deterministic():
     _, template = random_instance(8)
     pop = template.seat_rows([template] * 5)
-    a = mutate(pop, 0.5, np.random.default_rng(9), zone_bounds(template))
-    b = mutate(pop, 0.5, np.random.default_rng(9), zone_bounds(template))
+    a = mutate(pop, 0.5, np.random.default_rng(9), template.zone_bounds())
+    b = mutate(pop, 0.5, np.random.default_rng(9), template.zone_bounds())
     assert np.array_equal(a, b)
 
 
@@ -597,7 +603,7 @@ def test_array_mutate_matches_the_per_layout_reference(case):
     layout = random_layout(template, np.random.default_rng(seed))
     # one layout per call, so the array draws are the reference's scalars
     out = mutate(template.seat_rows([layout]), 0.7, np.random.default_rng(seed + 1),
-                 zone_bounds(template))
+                 template.zone_bounds())
     expected = reference_mutate(layout, 0.7, np.random.default_rng(seed + 1))
     occupants = template.occupants()
     assert {d: occupants[i] for d, i in zip(desks, out[0]) if i >= 0} == expected
@@ -609,7 +615,7 @@ def test_mutate_preserves_permutation(seed):
     _, template = random_instance(9, n_zones=3, per_zone=3)
     vacant = Layout(template.zones, dict(list(template.assignment.items())[:7]))
     pop = random_population(vacant, seed, 6)
-    for row in mutate(pop, 1.0, np.random.default_rng(seed), zone_bounds(vacant)):
+    for row in mutate(pop, 1.0, np.random.default_rng(seed), vacant.zone_bounds()):
         assert is_valid_row(row, 7, 9)
 
 

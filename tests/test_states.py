@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, gammaln, logsumexp
 
+from zoneplan import states as states_mod
 from zoneplan.ingest import STEP_SECONDS, InputError, TimeSeriesGrid, format_timestamp
 from zoneplan.states import (
     _LN_2PI,
@@ -135,6 +136,17 @@ def reference_kl_normal_gamma(
     return float(np.sum(kl_mean + kl_gamma))
 
 
+def reference_log_rho(x, alpha, beta, m, a, b) -> np.ndarray:
+    """Sample-major (n, k) unnormalized log responsibilities (Bishop, PRML 10.46)."""
+    e_log_weight = digamma(alpha) - digamma(alpha.sum())
+    e_log_prec = digamma(a) - np.log(b)
+    e_prec = a / b
+    diff = x[:, None] - m[None, :]
+    return (e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI)[None, :] - 0.5 * (
+        e_prec[None, :] * diff**2 + 1.0 / beta[None, :]
+    )
+
+
 def reference_fit_vbgmm(
     samples: np.ndarray,
     k_max: int = 10,
@@ -196,13 +208,7 @@ def reference_fit_vbgmm(
 
     alpha, beta, m, a, b = m_step(resp)
     for _ in range(max_iter):
-        e_log_weight = digamma(alpha) - digamma(alpha.sum())
-        e_log_prec = digamma(a) - np.log(b)
-        e_prec = a / b
-        diff = x[:, None] - m[None, :]
-        log_rho = (e_log_weight + 0.5 * e_log_prec - 0.5 * _LN_2PI)[None, :] - 0.5 * (
-            e_prec[None, :] * diff**2 + 1.0 / beta[None, :]
-        )
+        log_rho = reference_log_rho(x, alpha, beta, m, a, b)
         lse = logsumexp(log_rho, axis=1)
         resp = np.exp(log_rho - lse[:, None])
         elbo = float(lse.sum()) - reference_kl_dirichlet(alpha, alpha0) - reference_kl_normal_gamma(
@@ -465,6 +471,46 @@ def test_a_later_occupants_weight_floor_error_is_the_serial_one(cpus):
         assert multiprocessing.active_children() == []
     assert messages[1].startswith("no component of occupant c's first-pass fit has weight >= 0.9")
     assert messages[2] == messages[1]
+
+
+def reference_high_group(model, x, weight_floor, idle_threshold_w, name):
+    """states._high_group from the sample-major E-step and a search over every cut."""
+    keep = [k for k in range(model.weights.size) if model.weights[k] >= weight_floor]
+    if not keep:
+        raise WeightFloorError(name)
+    if len(keep) == 1:
+        return 1, None
+    log_rho = reference_log_rho(
+        x, model.dirichlet_concentration, model.mean_scale, model.mean_location,
+        model.gamma_shape, model.gamma_rate,
+    )
+    comp = [keep[int(np.argmax(row[keep]))] for row in log_rho]
+    order = sorted(keep, key=lambda k: model.means[k])  # stable: equal means keep index order
+    means = [model.means[k] for k in order]
+    cuts = [c for c in range(1, len(order)) if means[c - 1] < idle_threshold_w]
+    # the widest gap, the lowest cut among equal gaps
+    cut = max(cuts or range(1, len(order)), key=lambda c: (means[c] - means[c - 1], -c))
+    return len(keep), np.array([k in order[cut:] for k in comp])
+
+
+@pytest.mark.parametrize("max_iter", [5000, 3])
+def test_labels_match_a_sample_major_reference(monkeypatch, cpus, max_iter):
+    # max_iter=3 stops every non-constant fit early: labels then come from
+    # the returned parameters, an M-step that was never E-stepped
+    grid = _rule_grid()
+    cfg = StateConfig(max_iter=max_iter)
+    cpus(1)
+    got_states, got_fits = infer_states_detailed(grid, cfg)
+    monkeypatch.setattr(states_mod, "_high_group", reference_high_group)
+    want_states, want_fits = infer_states_detailed(grid, cfg)
+    np.testing.assert_array_equal(got_states.states, want_states.states)
+    for got, want in zip(got_fits, want_fits, strict=True):
+        assert (got.occupant_id, got.rule) == (want.occupant_id, want.rule)
+        assert got.first.to_dict() == want.first.to_dict()
+        assert (got.second is None) == (want.second is None)
+        assert got.second is None or got.second.to_dict() == want.second.to_dict()
+    if max_iter == 3:
+        assert not any(converged(f.first, cfg.tol) for f in got_fits[2:])
 
 
 @settings(max_examples=20, deadline=None)
