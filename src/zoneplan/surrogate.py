@@ -28,13 +28,10 @@ from .ingest import (
 from .states import StateGrid
 
 FEATURE_NAMES = ("s1", "s2", "s3", "hour", "day_of_week", "is_weekend", "zone")
-# distinct-step row keys one memo lookup takes at once; bounds the lookup's arrays
-LOOKUP_KEYS = 2**14
-# zone-step rows one step-major sum takes at once; bounds the per-step predictions
-SCORE_ROWS = 2**14
-# cells one model pass takes at once: tree x row cells of a forest descent,
-# row x encoded-column cells of a linear prediction; bounds the pass's arrays
-PREDICT_CELLS = 2**15
+# cells one batch takes at once, bounding its arrays: layout x zone x step rows
+# of a scoring batch, tree x row cells of a forest pass, row x encoded-column
+# cells of a linear pass
+BATCH_CELLS = 2**15
 
 
 @dataclass
@@ -194,10 +191,10 @@ class MlrModel:
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         """Raw feature rows whose zone column is already a model zone index,
-        encoded and predicted in batches of at most PREDICT_CELLS cells."""
+        encoded and predicted in batches of at most BATCH_CELLS cells."""
         x = np.atleast_2d(x)
         n_zones = len(self.zone_order)
-        batch = max(1, PREDICT_CELLS // (13 + n_zones))
+        batch = max(1, BATCH_CELLS // (13 + n_zones))
         out = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], batch):
             out[lo : lo + batch] = self.predict_encoded(encode(x[lo : lo + batch], n_zones))
@@ -219,7 +216,7 @@ class MlrModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlrModel":
-        return cls(
+        model = cls(
             intercept=float(d["intercept"]),
             coefficients=np.array(d["coefficients"], dtype=float),
             scaler_min=np.array(d["scaler_min"], dtype=float),
@@ -227,6 +224,10 @@ class MlrModel:
             zone_order=list(d["zone_order"]),
             rank_deficient=bool(d["rank_deficient"]),
         )
+        n = 13 + len(model.zone_order)
+        if any(a.shape != (n,) for a in (model.coefficients, model.scaler_min, model.scaler_range)):
+            raise ValueError(f"coefficients and scaler arrays must hold 13 + n_zones = {n} values")
+        return model
 
 
 def fit_mlr(table: FeatureTable, targets: np.ndarray, ridge: float = 1e-8) -> MlrModel:
@@ -261,15 +262,33 @@ class RfConfig:
     bootstrap: bool = True
 
 
+_TREE_DTYPES = dict(feature=np.int32, threshold=float, left=np.int32, right=np.int32, value=float)
+
+
 @dataclass
 class _Tree:
-    """Flat array form: leaves point to themselves so descent is a fixed map."""
+    """Flat array form: node 0 is the root, an interior node's children come
+    after it, and a walk ends at a leaf, the node whose feature is -1."""
 
     feature: np.ndarray  # int, -1 at leaves
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+
+    def fault(self) -> str | None:
+        """What could make the tree's walk leave its arrays or never end, if anything."""
+        n = self.feature.size
+        if n == 0 or any(a.shape != (n,) for a in vars(self).values()):
+            return "its arrays are empty or of unequal lengths"
+        if np.any((self.feature < -1) | (self.feature >= len(FEATURE_NAMES))):
+            return f"a feature lies outside [-1, {len(FEATURE_NAMES)})"
+        interior = np.flatnonzero(self.feature >= 0)
+        children = np.concatenate([self.left[interior], self.right[interior]])
+        if np.any((children <= np.tile(interior, 2)) | (children >= n)):
+            return "an interior node's child is not after it and inside the tree"
+        if not np.isfinite(np.r_[self.threshold[interior], self.value[self.feature < 0]]).all():
+            return "a threshold or leaf value is not finite"
 
 
 def _fit_tree(
@@ -363,53 +382,49 @@ class RfModel:
     seed: int
     zone_order: list[str]
     importance_raw: np.ndarray  # unnormalized SSE reduction per feature
-    _stack: tuple | None = field(default=None, repr=False, compare=False)
+    _table: tuple | None = field(default=None, repr=False, compare=False)
 
-    def _stacked(self) -> tuple:
-        if self._stack is None:
-            n_nodes = max(t.feature.size for t in self.trees)
-            nt = len(self.trees)
-            feat = np.zeros((nt, n_nodes), dtype=np.int32) - 1
-            thr = np.zeros((nt, n_nodes))
-            left = np.tile(np.arange(n_nodes, dtype=np.int32), (nt, 1))
-            right = left.copy()
-            val = np.zeros((nt, n_nodes))
-            for i, t in enumerate(self.trees):
-                k = t.feature.size
-                feat[i, :k] = t.feature
-                thr[i, :k] = t.threshold
-                left[i, :k] = t.left
-                right[i, :k] = t.right
-                val[i, :k] = t.value
-            self._stack = (feat, thr, left, right, val)
-        return self._stack
+    def _nodes(self) -> tuple:
+        """All trees' nodes in one table, child numbers shifted by each
+        tree's offset, and each tree's root."""
+        if self._table is None:
+            sizes = [t.feature.size for t in self.trees]
+            roots = np.cumsum([0, *sizes[:-1]])
+            shift = np.repeat(roots, sizes)
+            feature, threshold, left, right, value = (
+                np.concatenate([getattr(t, name) for t in self.trees]) for name in _TREE_DTYPES
+            )
+            self._table = (feature, threshold, left + shift, right + shift, value, roots)
+        return self._table
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        """Mean over trees; descent is vectorized across trees and rows, in
-        batches of at most PREDICT_CELLS tree x row cells."""
+        """Mean over trees, in passes of at most BATCH_CELLS tree x row cells.
+
+        A pass walks a flat list of unfinished (tree, row) cells down one
+        level at a time; a cell that reaches a leaf leaves the list."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        feat, thr, left, right, val = self._stacked()
-        nt = feat.shape[0]
-        rows_idx = np.arange(nt)[:, None]
+        feature, threshold, left, right, value, roots = self._nodes()
+        nt, n_cols = roots.size, x.shape[1]
         out = np.empty(x.shape[0])
-        batch = max(1, PREDICT_CELLS // nt)
+        batch = max(1, BATCH_CELLS // nt)
         for lo in range(0, x.shape[0], batch):
-            xb = x[lo : lo + batch]
-            nb = xb.shape[0]
-            cols_idx = np.arange(nb)[None, :]
-            cur = np.zeros((nt, nb), dtype=np.int32)
-            while True:
-                f = feat[rows_idx, cur]
-                interior = f >= 0
-                if not np.any(interior):
-                    break
-                fv = xb[cols_idx, np.maximum(f, 0)]
-                go_left = fv < thr[rows_idx, cur]
-                # leaves and padding are their own children, so they stay put
-                cur = np.where(go_left, left[rows_idx, cur], right[rows_idx, cur])
+            xb = x[lo : lo + batch].ravel()
+            nb = xb.size // n_cols
+            leaves = np.empty((nt, nb))
+            cell = np.arange(nt * nb)  # tree * nb + row
+            node = np.repeat(roots, nb)
+            offset = np.tile(np.arange(0, xb.size, n_cols), nt)  # row * n_cols
+            while cell.size:
+                f = feature[node]
+                done = f < 0
+                if done.any():
+                    leaves.flat[cell[done]] = value[node[done]]
+                    walk = ~done
+                    cell, node, offset, f = cell[walk], node[walk], offset[walk], f[walk]
+                go_left = xb[offset + f] < threshold[node]
+                node = np.where(go_left, left[node], right[node])
             # trees summed one after another: numpy's mean over axis 0 does
             # this for two or more rows but sums a lone row pairwise
-            leaves = val[rows_idx, cur]
             total = leaves[0].copy()
             for tree_values in leaves[1:]:
                 total += tree_values
@@ -426,30 +441,20 @@ class RfModel:
             "seed": self.seed,
             "zone_order": list(self.zone_order),
             "importance_raw": [float(v) for v in self.importance_raw],
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                }
-                for t in self.trees
-            ],
+            "trees": [{name: a.tolist() for name, a in vars(t).items()} for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RfModel":
         trees = [
-            _Tree(
-                np.array(t["feature"], dtype=np.int32),
-                np.array(t["threshold"]),
-                np.array(t["left"], dtype=np.int32),
-                np.array(t["right"], dtype=np.int32),
-                np.array(t["value"]),
-            )
+            _Tree(**{name: np.array(t[name], dtype=dtype) for name, dtype in _TREE_DTYPES.items()})
             for t in d["trees"]
         ]
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        for i, tree in enumerate(trees):
+            if fault := tree.fault():
+                raise ValueError(f"tree {i}: {fault}")
         return cls(
             trees=trees,
             config=RfConfig(**d["config"]),
@@ -476,12 +481,9 @@ def fit_random_forest(
     importance = np.zeros(x.shape[1])
     trees = []
     for t in range(cfg.n_trees):
-        if cfg.bootstrap:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-            rows = rng.integers(0, y.size, y.size)
-            trees.append(_fit_tree(x[rows], y[rows], cfg, importance))
-        else:
-            trees.append(_fit_tree(x, y, cfg, importance))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        rows = rng.integers(0, y.size, y.size) if cfg.bootstrap else np.arange(y.size)
+        trees.append(_fit_tree(x[rows], y[rows], cfg, importance))
     return RfModel(trees, cfg, seed, list(table.zone_order), importance)
 
 
@@ -639,7 +641,6 @@ class _RowEncoder:
         columns = np.vstack([calendar_key, states.states]).astype(np.int16)
         _, distinct, step_of = np.unique(columns, axis=1, return_index=True, return_inverse=True)
         self.step_of = step_of.reshape(-1)
-        self.n_distinct = distinct.size
         self._step_key = calendar_key[distinct] * m**3
         self._zone_key = self._CALENDAR_KEYS * m**3
         # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key;
@@ -771,13 +772,12 @@ class LayoutScorer:
     Layouts come as a population of seat rows (ingest.Layout.seat_rows) of
     one template.  Rows are _RowEncoder keys over the model's zone indices;
     the model's clamped prediction of each key is kept in a hashed memo
-    (_KeyTable).  Scoring looks up each layout's keys on the distinct
-    steps, as many layouts at once as fit LOOKUP_KEYS keys, then gathers
-    the predictions of every step (step_of) in build_features' step-major
-    order and sums them, as many layouts at once as fit SCORE_ROWS rows;
-    the model only sees keys it has not seen before.  Predictions do not
-    depend on their batch, so a layout's total equals scoring its whole
-    feature table at once.
+    (_KeyTable).  Scoring takes as many layouts at once as fit BATCH_CELLS
+    zone-step rows: it looks up their keys on the distinct steps, then
+    gathers the predictions of every step (step_of) in build_features'
+    step-major order and sums them; the model only sees keys it has not
+    seen before.  Predictions do not depend on their batch, so a layout's
+    total equals scoring its whole feature table at once.
     """
 
     def __init__(self, model, states: StateGrid):
@@ -798,19 +798,18 @@ class LayoutScorer:
         return values
 
     def _chunks(self, population: np.ndarray, template: Layout):
-        """Yield (first layout, per-step predictions) per chunk of the population; the
+        """Yield (first layout, per-step predictions) per batch of the population; the
         predictions, (n_layouts, n_steps, n_zones), hold rows as build_features does."""
         # index -1 picks the appended -1, the encoder's empty row
         row_of = np.append(self._encoder.occupant_rows(template.occupants()), -1)
         zone_rows = np.split(row_of[population], template.zone_bounds()[1:-1], axis=1)
         rows = dict(zip(sorted(template.zones), zone_rows))
-        lookup = max(1, LOOKUP_KEYS // (len(rows) * self._encoder.n_distinct))
-        chunk = max(1, SCORE_ROWS // (len(rows) * self.calendar.n_steps))
-        for lo in range(0, len(population), lookup):
-            keys = self._encoder.keys({z: r[lo : lo + lookup] for z, r in rows.items()})
+        # a batch's keys, zones x distinct steps per layout, are no more than its rows
+        batch = max(1, BATCH_CELLS // (len(rows) * self.calendar.n_steps))
+        for lo in range(0, len(population), batch):
+            keys = self._encoder.keys({z: r[lo : lo + batch] for z, r in rows.items()})
             pred = self._lookup(keys.ravel()).reshape(keys.shape).transpose(0, 2, 1)
-            for sub in range(0, len(pred), chunk):
-                yield lo + sub, pred[sub : sub + chunk][:, self._encoder.step_of]
+            yield lo, pred[:, self._encoder.step_of]
 
     def totals(self, population: np.ndarray, template: Layout) -> np.ndarray:
         """Predicted energy of each layout of a population of the template's seat rows."""

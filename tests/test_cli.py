@@ -4,6 +4,9 @@ import argparse
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -781,6 +784,88 @@ def test_bad_model_file_exits_one_and_names_it(tmp_path, demo_dir, capsys, conte
     err = capsys.readouterr().err
     assert code == 1, err
     assert f"error: {model}: {message}" in err
+
+
+def malformed_model(demo_dir, case: str) -> dict:
+    """The demo's forest, or a linear model on its zones, broken as case says."""
+    doc = json.loads(read_text(demo_dir / "model.json"))
+    tree = doc["trees"][0]
+    inner = next(i for i, f in enumerate(tree["feature"]) if f >= 0 and i > 0)
+    leaf = tree["feature"].index(-1)
+    n = 13 + len(doc["zone_order"])
+    mlr = surrogate.MlrModel(0.0, np.zeros(n), np.zeros(n), np.ones(n), doc["zone_order"]).to_dict()
+    if case == "no trees":
+        doc["trees"] = []
+    elif case == "truncated array":
+        tree["threshold"].pop()
+    elif case == "feature past the last column":
+        tree["feature"][inner] = 7
+    elif case == "feature below -1":
+        tree["feature"][leaf] = -2
+    elif case == "child back to the root":
+        tree["left"][inner] = 0  # a cycle
+    elif case == "child past the tree":
+        tree["right"][inner] = 10**6
+    elif case == "nan threshold":
+        tree["threshold"][inner] = float("nan")
+    elif case == "infinite leaf value":
+        tree["value"][leaf] = float("inf")
+    elif case == "short mlr coefficients":
+        mlr["coefficients"].pop()
+        return mlr
+    elif case == "long mlr scaler":
+        mlr["scaler_range"].append(1.0)
+        return mlr
+    return doc
+
+
+def model_commands(demo_dir, model, out) -> list[list[str]]:
+    """simulate and a GA optimize, each reading model."""
+    inputs = ["--set", f"paths.states={demo_dir / 'states.csv'}", "--set", f"paths.model={model}"]
+    return [["simulate", *inputs, "--set", f"paths.layout={demo_dir / 'cluster_layout.csv'}",
+             "--out-dir", str(out / "sim")],
+            ["optimize", "--method", "ga", *inputs,
+             "--set", f"paths.zone_map={demo_dir / 'zone_map.csv'}", "--out-dir", str(out / "ga")]]
+
+
+TREE_CHILD = "malformed rf model: tree 0: an interior node's child is not after it and inside the tree"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("no trees", "malformed rf model: a forest needs at least one tree"),
+     ("truncated array", "malformed rf model: tree 0: its arrays are empty or of unequal lengths"),
+     ("feature past the last column", "malformed rf model: tree 0: a feature lies outside [-1, 7)"),
+     ("feature below -1", "malformed rf model: tree 0: a feature lies outside [-1, 7)"),
+     ("child past the tree", TREE_CHILD),
+     ("nan threshold", "malformed rf model: tree 0: a threshold or leaf value is not finite"),
+     ("infinite leaf value", "malformed rf model: tree 0: a threshold or leaf value is not finite"),
+     ("short mlr coefficients",
+      "malformed mlr model: coefficients and scaler arrays must hold 13 + n_zones = 17 values"),
+     ("long mlr scaler",
+      "malformed mlr model: coefficients and scaler arrays must hold 13 + n_zones = 17 values")],
+)
+def test_malformed_model_exits_one_and_names_it(tmp_path, demo_dir, capsys, case, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(malformed_model(demo_dir, case)))
+    for argv in model_commands(demo_dir, model, tmp_path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"error: {model}: {message}" in err
+
+
+def test_a_cyclic_model_exits_one_in_its_own_process_within_a_time_limit(tmp_path, demo_dir):
+    # a walk that followed the cycle would never return, so the commands run
+    # in processes of their own, where a timeout fails the test instead
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(malformed_model(demo_dir, "child back to the root")))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    for argv in model_commands(demo_dir, model, tmp_path):
+        done = subprocess.run([sys.executable, "-m", "zoneplan.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert f"error: {model}: {TREE_CHILD}" in done.stderr
 
 
 def test_bad_config_file_exits_one_and_names_it(tmp_path, capsys):

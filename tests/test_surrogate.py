@@ -13,9 +13,8 @@ from zoneplan.ingest import LightingTable, StepCalendar
 from zoneplan.optimize import GaConfig, Layout, ga_optimize, random_layout
 from zoneplan.states import StateGrid
 from zoneplan.surrogate import (
+    BATCH_CELLS,
     FEATURE_NAMES,
-    LOOKUP_KEYS,
-    SCORE_ROWS,
     FeatureTable,
     LayoutScorer,
     MlrModel,
@@ -36,7 +35,7 @@ from zoneplan.surrogate import (
     targets_from_lighting,
     time_split,
 )
-from zoneplan.surrogate import _KeyTable, _r2, _RowEncoder
+from zoneplan.surrogate import _KeyTable, _r2, _RowEncoder, _Tree
 
 UTC = timezone.utc
 T0 = datetime(2018, 1, 1, tzinfo=UTC)  # Monday
@@ -229,17 +228,24 @@ def test_forest_is_mean_of_trees():
     table = random_table(n_days=1, seed=17)
     rng = np.random.default_rng(18)
     y = rng.normal(size=table.n_rows)
-    model = fit_random_forest(table, y, RfConfig(n_trees=5), seed=2)
-    stacked = model.predict_rows(table)
-    single = np.zeros_like(stacked)
-    for tree in model.trees:
+    fitted = fit_random_forest(table, y, RfConfig(n_trees=5), seed=2)
+    # a one-leaf tree between trees of other node counts: a wrong node offset shows
+    leaf = _Tree(np.array([-1], np.int32), np.zeros(1), np.zeros(1, np.int32),
+                 np.zeros(1, np.int32), np.array([0.3]))
+    trees = fitted.trees[:2] + [leaf] + fitted.trees[2:]
+    assert len({t.feature.size for t in trees}) >= 4
+    model = RfModel(trees, fitted.config, 2, fitted.zone_order, fitted.importance_raw)
+    single = np.zeros(table.n_rows)
+    for tree in trees:
+        leaves = np.empty(table.n_rows)
         for i, row in enumerate(table.features):
             node = 0
-            while tree.left[node] != node:
+            while tree.feature[node] >= 0:
                 goes_left = row[tree.feature[node]] < tree.threshold[node]
                 node = tree.left[node] if goes_left else tree.right[node]
-            single[i] += tree.value[node]
-    np.testing.assert_allclose(stacked, single / len(model.trees), atol=1e-9)
+            leaves[i] = tree.value[node]
+        single += leaves  # tree after tree
+    assert np.array_equal(model.predict_rows(table), single / len(trees))
 
 
 def test_node_of_equal_targets_is_a_leaf(pop8):
@@ -545,10 +551,12 @@ def test_row_prediction_independent_of_batch(scorer_case, monkeypatch):
         idx = np.sort(rng.choice(len(x), size=int(rng.integers(2, 40)), replace=False))
         assert np.array_equal(model.predict_raw(x[idx]), full[idx])
     # 12 trees x 50 rows (the linear model: 15 encoded columns x 40 rows) a
-    # pass: the 384 rows span several cell-bounded passes, the last one short
-    monkeypatch.setattr(surrogate, "PREDICT_CELLS", 12 * 50)
+    # pass: the 384 rows span several cell-bounded passes, the last one short;
+    # then one row a pass
     assert len(x) > 7 * 50 and len(x) % 50 and len(x) % 40
-    assert np.array_equal(model.predict_raw(x), full)
+    for cells in (12 * 50, 1):
+        monkeypatch.setattr(surrogate, "BATCH_CELLS", cells)
+        assert np.array_equal(model.predict_raw(x), full)
 
 
 def test_scorer_total_equals_whole_table_prediction(scorer_case, pop8):
@@ -639,9 +647,8 @@ def test_batched_totals_equal_one_layout_at_a_time_bit_for_bit(scorer_case, pop8
     population[:3] = [[-1, -1, 0, 1, 2, 3, 4, 5, 6, 7],  # a zone short of occupants
                       [0, 1, 2, 3, 4, 5, 6, 7, -1, -1],
                       [0, 1, 2, 3, -1, 4, 5, 6, 7, -1]]
-    # 2 zones x 93 distinct steps x 100 layouts: the population spans two
-    # memo lookups; 2 zones x 192 steps per layout: three step-major sums
-    assert 100 > LOOKUP_KEYS // (2 * 93) and 100 > 2 * (SCORE_ROWS // (2 * pop8.n_steps))
+    # 2 zones x 192 steps per layout: the population spans two scoring batches
+    assert 100 > BATCH_CELLS // (2 * pop8.n_steps)
     scorer = LayoutScorer(model, pop8)
     batched = scorer.totals(population, template)
     one_at_a_time = LayoutScorer(model, pop8)
@@ -789,9 +796,10 @@ def test_population_reaches_the_model_once_per_distinct_row(scorer_case, pop8):
 def test_a_memo_growing_across_lookups_reaches_the_model_once_per_distinct_row(
     scorer_case, pop8, monkeypatch
 ):
-    # 2 zones x 93 distinct steps: three layouts a lookup, into a table of two slots
-    monkeypatch.setattr(surrogate, "LOOKUP_KEYS", 3 * 2 * 93)
-    reaches_the_model_once_per_distinct_row(scorer_case, pop8, growing=True)
+    # 2 zones x 192 steps: three layouts a batch, then one, into a table of two slots
+    for cells in (3 * 2 * pop8.n_steps, 1):
+        monkeypatch.setattr(surrogate, "BATCH_CELLS", cells)
+        reaches_the_model_once_per_distinct_row(scorer_case, pop8, growing=True)
 
 
 def test_keys_on_one_slot_of_a_tiny_table_score_as_whole_tables(scorer_case, pop8, monkeypatch):
