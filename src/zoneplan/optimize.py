@@ -2,7 +2,7 @@
 
 A layout (ingest.Layout) assigns occupants to desks grouped into fixed-size
 zones.  The swap optimizer minimizes total zone diversity with incremental
-deltas, advancing any number of independent runs in lockstep; the GA breeds
+deltas, each run jumping from one move to the next; the GA breeds
 a population held as one desk-slot array and minimizes any caller-supplied
 population fitness (typically surrogate energy).  Both are fully seeded and
 deterministic.
@@ -18,11 +18,6 @@ import numpy as np
 
 from .diversity import distance_matrix, layout_diversity, stack_vectors
 from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_lines
-
-# most elements in one look-ahead block of swap_search's (runs, iterations,
-# occupants) delta array; small, so a block's arrays stay cache-sized
-SWAP_BLOCK_ELEMENTS = 2**13
-
 
 def random_seat_row(template: Layout, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random seat row (Layout.seat_rows) of the template: one
@@ -99,14 +94,7 @@ def swap_optimize(
     iter_limit: int | None = None,
     seed: int = 0,
 ) -> tuple[Layout, OptTrace]:
-    """Greedy diversity clustering via randomized best-swap moves.
-
-    Each iteration picks a uniformly random occupied desk and executes
-    the lowest-delta swap of its occupant against every occupant in
-    every other zone, the null swap included (ties break to the lowest
-    occupant index, the null swap counting as its own occupant's index).
-    The search is swap_search with one run.
-    """
+    """Greedy diversity clustering from one start: swap_search with one run."""
     return swap_search(vectors, [initial], iter_limit, [seed])[0]
 
 
@@ -116,32 +104,25 @@ def swap_search(
     iter_limit: int | None,
     seeds: Sequence[int],
 ) -> list[tuple[Layout, OptTrace]]:
-    """Independent swap searches (see swap_optimize), one per start and seed,
-    advanced in lockstep.
+    """Greedy diversity clustering via randomized best-swap moves, one
+    independent search per start and seed.
 
-    Each run's result is the one it gives alone.  Runs share only the
-    distance matrix; each keeps its own zone counts (vacant desks may leave
-    runs with different counts), its desk stream (drawn up front from its
-    seed), its incrementally updated objective and its exact recompute
-    every 1024 iterations.  State is held as (R, n) occupant arrays and an
-    (R, n_zones, n) array m, m[r, z, i] being the total distance from
-    occupant i to zone z in run r.  A swap never moves a desk to another
-    zone, so each drawn desk's zone, and with it the zone weight and the
-    row of m, is fixed up front; an iteration reads only the desk's current
-    occupant.  A run moves in only a small share of its iterations, so the
-    terms that depend on its zones alone are cached and refreshed when it
-    moves.
+    Each iteration picks a uniformly random occupied desk and executes
+    the lowest-delta swap of its occupant against every occupant in
+    every other zone, the null swap included (ties break to the lowest
+    occupant index, the null swap counting as its own occupant's index).
+    The objective is updated incrementally and recomputed exactly every
+    1024 iterations.
 
-    The loop looks ahead: one numpy step scores a block of the next B
-    iterations of every run against the current state, as an (R, B, n)
-    delta array, and the first iteration at which any run moves is applied
-    as a single one.  This is exact: state changes only at a move or a
-    recompute, the desk draws are made up front, elementwise float
-    operations give the same bits in any array shape, and argmin keeps its
-    first-index tie rule row by row.  B starts at 1, doubles after a block
-    without a move and drops back to 1 after one; a block never crosses a
-    recompute or the limit, and holds at most SWAP_BLOCK_ELEMENTS deltas
-    (or one iteration of every run, when that is more).
+    Runs share only the distance matrix; each keeps its own zone counts
+    (vacant desks may leave runs with different counts) and its own desk
+    stream, drawn up front from its seed.  A run's state changes only at
+    its moves and its recomputes, so it jumps from one to the next: it
+    scores every swap once into an (n, n) delta table, row a holding the
+    deltas an iteration computes when it draws occupant a, and its next
+    move is the first drawn desk, before the next recompute or the limit,
+    whose occupant's best partner is another occupant.  The iterations
+    before that move repeat the current objective.
     """
     if not initials:
         raise ValueError("no starting layouts")
@@ -154,143 +135,120 @@ def swap_search(
         raise ValueError("starting layouts differ in zones or occupants")
     occs = first.occupants()
     occ_idx = {o: i for i, o in enumerate(occs)}
-    n_runs, n = len(initials), len(occs)
+    n = len(occs)
     limit = 50 * n if iter_limit is None else iter_limit
     if limit < 1:
         raise ValueError("iter_limit must be >= 1")
 
     d = distance_matrix(stack_vectors(vectors, occs))
-    zone_ids = sorted(first.zones)
-    nz = len(zone_ids)
+    zid_idx = {z: j for j, z in enumerate(sorted(first.zones))}
     zone_of_desk = first.zone_of_desk()
-    zid_idx = {z: j for j, z in enumerate(zone_ids)}
-    idx_all = np.arange(n)
-
-    # slot j of run r is its j-th occupied desk in sorted order; swaps
-    # never change which desks are occupied
-    occupied = [sorted(layout.assignment) for layout in initials]
-    seat = np.array(
-        [[occ_idx[lay.assignment[desk]] for desk in desks] for lay, desks in zip(initials, occupied)]
-    )  # slot -> occupant
-    slot = np.argsort(seat, axis=1)  # occupant -> slot
-    slot_zone = np.array([[zid_idx[zone_of_desk[desk]] for desk in desks] for desks in occupied])
-    zone = np.take_along_axis(slot_zone, slot, axis=1)  # occupant -> zone index
-
-    counts = np.stack([np.bincount(row, minlength=nz) for row in zone])
-    denom = np.where(counts > 1, counts * (counts - 1), 1).astype(float)
-    live = counts > 1  # single-occupant zones contribute 0 regardless
-    weight = np.where(live, 1.0 / denom, 0.0)
-
-    def total(r: int) -> float:
-        zone_sum = np.array(
-            [d[np.ix_(zone[r] == z, zone[r] == z)].sum() for z in range(nz)]
-        )
-        return float(np.sum(np.where(live[r], zone_sum / denom[r], 0.0)))
-
-    m = np.empty((n_runs, nz, n))
-    m_rows, m_flat = m.reshape(n_runs * nz, n), m.reshape(-1)  # views of m
-    cur = np.empty(n_runs)  # each run's incrementally updated objective
-
-    def resync(r: int) -> None:
-        ind = np.zeros((n, nz))
-        ind[idx_all, zone[r]] = 1.0
-        m[r] = (d @ ind).T
-        cur[r] = total(r)
-
-    own = np.empty((n_runs, n))  # weight of each occupant's own zone
-    m_own = np.empty((n_runs, n))  # distance from each occupant to its own zone
-    own_offset = np.empty((n_runs, n), dtype=np.intp)  # m_flat offset of m[r, zone(i), 0]
-
-    def refresh(r: int) -> None:
-        own[r] = weight[r, zone[r]]
-        m_own[r] = m[r, zone[r], idx_all]
-        own_offset[r] = (r * nz + zone[r]) * n
-
-    for r in range(n_runs):
-        resync(r)
-        refresh(r)
-
-    # each iteration's drawn slot fixes, up front, its zone and that zone's
-    # m_rows row, m_flat offset and weight; the slot's occupant is read from
-    # seat's flat view (seat is C-contiguous, so the view sees every swap).
-    # One integers(n, size=limit) call draws what limit scalar integers(n)
-    # calls would
-    draws = np.array([np.random.default_rng(s).integers(n, size=limit) for s in seeds])
-    drawn_zone = np.take_along_axis(slot_zone, draws, axis=1)
-    drawn_row = drawn_zone + (np.arange(n_runs) * nz)[:, None]
-    drawn_base = drawn_row * n
-    drawn_wa = weight.reshape(-1).take(drawn_row)[..., None]
-    draws += (np.arange(n_runs) * n)[:, None]  # now indices into seat_flat
-    seat_flat = seat.reshape(-1)
-
-    objectives = np.empty((n_runs, limit))  # each run's objective after each iteration
-    accepted: list[list[tuple[int, str, str]]] = [[] for _ in range(n_runs)]
-    span_cap = max(1, SWAP_BLOCK_ELEMENTS // (n_runs * n))
-    span = 1
-    it = 0
-    while it < limit:
-        # score iterations it..stop-1 against the current state; until some
-        # run moves, no state changes, so these are the deltas those
-        # iterations would each compute in turn, bit for bit
-        stop = min(it + span, limit, (it // 1024 + 1) * 1024)
-        a = seat_flat.take(draws[:, it:stop])  # (R, B) drawn occupants
-        d_a = d.take(a, axis=0)
-        # a zone's distance sum counts each pair twice, so a swap changes it
-        # by twice the bracketed sums:
-        # (m[za, :] - m[za, a] - d[a]) * wa + (m[zone(i), a] - m[zone(i), i] - d[a]) * own
-        delta = m_rows.take(drawn_row[:, it:stop], axis=0)
-        delta -= m_flat.take(drawn_base[:, it:stop] + a)[..., None]
-        delta -= d_a
-        delta *= drawn_wa[:, it:stop]
-        other = m_flat.take(own_offset[:, None, :] + a[..., None])
-        other -= m_own[:, None, :]
-        other -= d_a
-        other *= own[:, None, :]
-        delta += other
-        delta *= 2.0
-        # same-zone swaps are not moves; the null swap is 0
-        np.copyto(delta, np.inf, where=zone[:, None, :] == drawn_zone[:, it:stop, None])
-        delta.reshape(-1)[np.arange(0, delta.size, n).reshape(a.shape) + a] = 0.0
-        b = delta.argmin(axis=2)  # ties go to the lowest occupant index
-        moved = b != a
-        moving = np.flatnonzero(moved.any(axis=0))
-        # the block's first iteration with a move, else its last; those
-        # before it leave every objective as it is
-        f = int(moving[0]) if moving.size else stop - it - 1
-        objectives[:, it : it + f] = cur[:, None]
-        it += f
-        for r in np.flatnonzero(moved[:, f]).tolist():
-            ar, br = int(a[r, f]), int(b[r, f])
-            za, zb = zone[r, ar], zone[r, br]
-            cur[r] += delta[r, f, br]
-            m[r, za] += d[:, br] - d[:, ar]
-            m[r, zb] += d[:, ar] - d[:, br]
-            zone[r, ar], zone[r, br] = zb, za
-            sa, sb = slot[r, ar], slot[r, br]
-            seat[r, sa], seat[r, sb] = br, ar
-            slot[r, ar], slot[r, br] = sb, sa
-            accepted[r].append((it, occs[ar], occs[br]))
-            refresh(r)
-        span = 1 if moving.size else min(2 * span, span_cap)
-        if (it + 1) % 1024 == 0:
-            for r in range(n_runs):
-                resync(r)
-                refresh(r)
-        objectives[:, it] = cur
-        it += 1
-
-    best_so_far = np.minimum.accumulate(objectives, axis=1)
     results = []
-    for r, initial in enumerate(initials):
-        desk_at = {desk: j for j, desk in enumerate(occupied[r])}
-        assignment = {desk: occs[seat[r, desk_at[desk]]] for desk in initial.assignment}
-        final = initial.with_assignment(assignment)
-        trace = OptTrace(objectives[r].tolist(), best_so_far[r].tolist(), accepted[r])
+    for initial, seed in zip(initials, seeds):
+        # slot j is the j-th occupied desk in sorted order; swaps never
+        # change which desks are occupied
+        occupied = sorted(initial.assignment)
+        seat = np.array([occ_idx[initial.assignment[desk]] for desk in occupied])
+        zone = np.empty(n, dtype=np.intp)  # occupant -> zone index
+        zone[seat] = [zid_idx[zone_of_desk[desk]] for desk in occupied]
+        # one integers(n, size=limit) call draws what limit scalar
+        # integers(n) calls would
+        draws = np.random.default_rng(seed).integers(n, size=limit)
+        objectives, accepted = _swap_run(d, zone, seat, draws, len(zid_idx))
+        at = dict(zip(occupied, seat.tolist()))
+        final = initial.with_assignment({desk: occs[at[desk]] for desk in initial.assignment})
+        best_so_far = np.minimum.accumulate(objectives)
+        trace = OptTrace(
+            objectives.tolist(), best_so_far.tolist(),
+            [(it, occs[a], occs[b]) for it, a, b in accepted],
+        )
         # no move raises the objective, so the final layout is the best one;
         # its exact objective replaces the incrementally updated value
         trace.objectives[-1] = trace.best_so_far[-1] = layout_objective(final, vectors)
         results.append((final, trace))
     return results
+
+
+def _swap_run(
+    d: np.ndarray, zone: np.ndarray, seat: np.ndarray, draws: np.ndarray, nz: int
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """One swap search (see swap_search) over distance matrix d, which must
+    be symmetric bit for bit.  zone (occupant -> zone index) and seat (slot
+    -> occupant) are updated in place; draws holds each iteration's slot.
+    Gives the objective after each iteration and the accepted moves as
+    (iteration, occupant, partner) indices."""
+    n, limit = d.shape[0], draws.size
+    idx = np.arange(n)
+    counts = np.bincount(zone, minlength=nz)
+    denom = np.where(counts > 1, counts * (counts - 1), 1).astype(float)
+    live = counts > 1  # single-occupant zones contribute 0 regardless
+    weight = np.where(live, 1.0 / denom, 0.0)
+    m = np.empty((nz, n))  # m[z, i]: total distance from occupant i to zone z
+
+    def resync() -> float:
+        ind = np.zeros((n, nz))
+        ind[idx, zone] = 1.0
+        m[:] = (d @ ind).T
+        zone_sum = np.array([d[np.ix_(zone == z, zone == z)].sum() for z in range(nz)])
+        return float(np.sum(np.where(live, zone_sum / denom, 0.0)))
+
+    g = np.empty((n, n))  # g[a, i]: zone(a)'s term of swapping a with i
+    table = np.empty((n, n))  # table[a]: the deltas of an iteration that draws a
+
+    def rescore(rows: np.ndarray) -> None:
+        # a zone's distance sum counts each pair twice, so swapping a with i
+        # changes the objective by twice g[a, i] + g[i, a], where
+        # g[a, i] = (m[zone(a), i] - m[zone(a), a] - d[a, i]) * w(zone(a))
+        # and g[i, a] is zone(i)'s term, d[i, a] being d[a, i].  Row a of g
+        # changes only with zone(a)'s members, and the table is symmetric
+        za = zone.take(rows)
+        at = np.arange(rows.size)
+        t = m.take(za, axis=0)
+        t -= t[at, rows][:, None]
+        t -= d.take(rows, axis=0)
+        t *= weight.take(za)[:, None]
+        g[rows] = t
+        t += g[:, rows].T
+        t *= 2.0
+        # same-zone swaps are not moves; the null swap is 0
+        np.putmask(t, (zone == np.arange(nz)[:, None]).take(za, axis=0), np.inf)
+        t[at, rows] = 0.0
+        table[rows] = t
+        table[:, rows] = t.T
+
+    objectives = np.empty(limit)
+    accepted = []
+    slot = np.argsort(seat)  # occupant -> slot
+    cur = resync()
+    rescore(idx)
+    it = 0
+    while it < limit:
+        best = table.argmin(axis=1)  # ties go to the lowest occupant index
+        stop = min(limit, (it // 1024 + 1) * 1024)
+        # the first iteration before stop whose drawn occupant would move;
+        # until then no state changes
+        hits = np.flatnonzero((best != idx).take(seat).take(draws[it:stop]))
+        at = it + int(hits[0]) if hits.size else stop - 1
+        objectives[it:at] = cur
+        if hits.size:
+            a = int(seat[draws[at]])
+            b = int(best[a])
+            za, zb = zone[a], zone[b]
+            cur += table[a, b]
+            m[za] += d[b] - d[a]
+            m[zb] += d[a] - d[b]
+            zone[a], zone[b] = zb, za
+            sa, sb = slot[a], slot[b]
+            seat[sa], seat[sb] = b, a
+            slot[a], slot[b] = sb, sa
+            accepted.append((at, a, b))
+            rescore(np.flatnonzero((zone == za) | (zone == zb)))
+        if (at + 1) % 1024 == 0:
+            cur = resync()
+            rescore(idx)
+        objectives[at] = cur
+        it = at + 1
+    return objectives, accepted
 
 
 def crossover(

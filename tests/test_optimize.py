@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diversity_fitness
-from zoneplan import optimize
 from zoneplan.diversity import distance_matrix, layout_diversity, stack_vectors
 from zoneplan.optimize import (
     GaConfig,
@@ -347,11 +346,8 @@ def test_swap_search_with_zones_interleaved_in_desk_order_matches_the_reference(
         assert trace.accepted
 
 
-def search_in_small_blocks(monkeypatch, vectors, starts, iter_limit, seeds, span):
-    """swap_search with look-ahead blocks of at most span iterations, each
-    run checked against the per-run reference loop."""
-    n = len(starts[0].assignment)
-    monkeypatch.setattr(optimize, "SWAP_BLOCK_ELEMENTS", len(starts) * n * span)
+def search_against_the_reference(vectors, starts, iter_limit, seeds):
+    """swap_search with each run checked against the per-run reference loop."""
     results = swap_search(vectors, starts, iter_limit, seeds)
     for start, seed, (layout, trace) in zip(starts, seeds, results):
         ref_layout, *ref_trace = reference_swap_optimize(vectors, start, iter_limit, seed)
@@ -360,40 +356,40 @@ def search_in_small_blocks(monkeypatch, vectors, starts, iter_limit, seeds, span
     return [trace for _, trace in results]
 
 
-def test_swap_search_from_a_fixed_point_skips_to_each_recompute(monkeypatch):
-    # no run ever moves, so blocks grow to their cap (3, which does not divide
-    # 1024) and are cut at both recomputes and at the limit
+def test_swap_search_from_a_fixed_point_skips_to_each_recompute():
+    # no run ever moves, so each run jumps from the start to both recomputes
+    # and then to the limit
     vectors, template = random_instance(5, n_zones=4, per_zone=6)
     start = random_layout(template, np.random.default_rng(70))
     fixed = swap_optimize(vectors, start, 2000, seed=1)[0]
-    traces = search_in_small_blocks(monkeypatch, vectors, [fixed, fixed], 3000, [2, 3], span=3)
+    traces = search_against_the_reference(vectors, [fixed, fixed], 3000, [2, 3])
     assert not any(trace.accepted for trace in traces)
 
 
-def test_swap_search_runs_that_freeze_far_apart_match_the_reference(monkeypatch):
+def test_swap_search_runs_that_freeze_far_apart_match_the_reference():
     # a fixed point that never moves beside random starts whose last moves
-    # lie a hundred and more iterations apart; blocks of up to 5 end mid-run
+    # lie a hundred and more iterations apart
     vectors, template = random_instance(5, n_zones=4, per_zone=12)
     starts = [random_layout(template, np.random.default_rng(70 + r)) for r in range(5)]
     fixed = swap_optimize(vectors, starts[0], 1500, seed=1)[0]
-    traces = search_in_small_blocks(
-        monkeypatch, vectors, [fixed, *starts[1:]], 1100, [7, 2, 3, 4, 5], span=5
+    traces = search_against_the_reference(
+        vectors, [fixed, *starts[1:]], 1100, [7, 2, 3, 4, 5]
     )
     last = [trace.accepted[-1][0] for trace in traces[1:]]
     assert not traces[0].accepted and max(last) - min(last) > 100
 
 
-def test_swap_search_zero_delta_moves_to_a_lower_index_match_the_reference(monkeypatch):
+def test_swap_search_zero_delta_moves_to_a_lower_index_match_the_reference():
     # occupants i and i + 4 share a schedule vector, so swapping them across
     # zones changes nothing, and the tie breaks to the lower index, not the
-    # null swap: such runs move all along, in every block
+    # null swap: such runs move all along
     rng = np.random.default_rng(3)
     names = [f"o{i}" for i in range(12)]
     base = rng.normal(size=(4, 3))
     vectors = {o: base[i % 4].copy() for i, o in enumerate(names)}
     template = Layout.from_groups({f"Z{z}": names[4 * z : 4 * z + 4] for z in range(3)})
     starts = [random_layout(template, np.random.default_rng(80 + r)) for r in range(4)]
-    traces = search_in_small_blocks(monkeypatch, vectors, starts, 1100, [1, 2, 3, 4], span=4)
+    traces = search_against_the_reference(vectors, starts, 1100, [1, 2, 3, 4])
     rank = {o: i for i, o in enumerate(template.occupants())}
     assert any(
         trace.objectives[it] == trace.objectives[it - 1] and rank[b] < rank[a]
@@ -402,10 +398,10 @@ def test_swap_search_zero_delta_moves_to_a_lower_index_match_the_reference(monke
 
 
 @pytest.mark.parametrize("iter_limit", [1, 2, 7, 1027])
-def test_swap_search_limits_that_end_a_block_early_match_the_reference(monkeypatch, iter_limit):
+def test_swap_search_short_and_just_past_the_recompute_limits_match_the_reference(iter_limit):
     vectors, template = random_instance(9, n_zones=3, per_zone=5)
     starts = [random_layout(template, np.random.default_rng(90 + r)) for r in range(3)]
-    search_in_small_blocks(monkeypatch, vectors, starts, iter_limit, [4, 5, 6], span=4)
+    search_against_the_reference(vectors, starts, iter_limit, [4, 5, 6])
 
 
 def test_swap_search_rejects_starts_it_cannot_batch(paired_vectors, paired_adversarial):
