@@ -660,15 +660,9 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_count_layouts(cfg: dict, occupants: int, zones: int, distinct: bool) -> int:
-    if distinct:
-        if zones < 1:
-            raise ingest.InputError(f"zones must be >= 1, got {zones}")
-        if occupants % zones != 0:
-            raise ingest.InputError(f"{zones} zones do not evenly divide {occupants}")
-        value = optimize.count_layouts_distinct([occupants // zones] * zones)
-    else:
-        value = optimize.count_layouts(occupants, zones)
-    print(value)
+    value = optimize.count_layouts(occupants, zones)
+    # told apart, n equal zones can be ordered in n! ways
+    print(value * math.factorial(zones) if distinct else value)
     return 0
 
 

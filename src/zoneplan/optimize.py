@@ -43,16 +43,6 @@ def count_layouts(n_occupants: int, n_zones: int) -> int:
     )
 
 
-def count_layouts_distinct(zone_sizes: Sequence[int]) -> int:
-    """Assignments when zones are distinguishable: I! / prod(m_z!)."""
-    if not zone_sizes or any(s < 1 for s in zone_sizes):
-        raise ValueError("zone sizes must be positive")
-    total = math.factorial(sum(zone_sizes))
-    for s in zone_sizes:
-        total //= math.factorial(s)
-    return total
-
-
 @dataclass
 class OptTrace:
     """Objective per iteration/generation plus the running best."""

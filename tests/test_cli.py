@@ -125,10 +125,13 @@ def test_count_layouts_indivisible_exits_one(capsys):
     assert main(["count-layouts", "7", "2"]) == 1
 
 
-@pytest.mark.parametrize("zones", ["0", "-2"])
-def test_count_layouts_distinct_zones_without_a_zone_exits_one(capsys, zones):
-    assert main(["count-layouts", "4", zones, "--distinct-zones"]) == 1
-    assert capsys.readouterr().err == f"error: zones must be >= 1, got {zones}\n"
+@pytest.mark.parametrize("operands", [["12", "5"], ["4", "0"], ["4", "-2"], ["-4", "2"]])
+def test_count_layouts_rejects_operands_alike_with_and_without_distinct_zones(capsys, operands):
+    errors = []
+    for extra in ([], ["--distinct-zones"]):
+        assert main(["count-layouts", *operands, *extra]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------- config

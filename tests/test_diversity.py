@@ -70,11 +70,13 @@ def test_triangle_inequality(a, b, c):
 
 
 def test_distance_matrix_zero_diagonal_symmetric():
+    # bit for bit: the swap search reads d[i, a] for d[a, i]
     rng = np.random.default_rng(0)
-    rows = rng.normal(size=(6, 4))
-    d = distance_matrix(rows)
-    assert np.all(np.diag(d) == 0.0)
-    np.testing.assert_allclose(d, d.T, rtol=0, atol=0)
+    for rows in (rng.normal(size=(6, 4)), rng.normal(scale=50.0, size=(164, 30)),
+                 rng.integers(0, 3, (40, 96)).astype(float)):
+        d = distance_matrix(rows)
+        assert np.all(np.diag(d) == 0.0)
+        assert np.array_equal(d.view(np.int64), d.T.view(np.int64))
 
 
 @pytest.mark.parametrize("n, t", [(1, 5), (5, 1), (12, 96), (164, 3), (9, 2688), (4, 0)])

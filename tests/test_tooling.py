@@ -8,9 +8,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import REPO, load_module
+from zoneplan import optimize, synth
 from zoneplan.cli import _LEAF_TYPES, _RULES, DEFAULT_CONFIG, _make_parser
 
 
@@ -89,6 +91,24 @@ def test_script_writes_its_csv(tmp_path, monkeypatch, script):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_known_optimum_iterations_to_best_is_each_runs_last_move(tmp_path, monkeypatch):
+    # an exact recompute, or the final exact objective, can read an ulp below
+    # the objective a run's last move left, so the trace's minimum can lie
+    # long after that move
+    out = tmp_path / "known_optimum.csv"
+    monkeypatch.setattr("sys.argv", ["run_known_optimum", "--seeds", "3", "--out", str(out)])
+    assert load_module(REPO / "scripts" / "run_known_optimum.py").main() == 0
+    pop = synth.generate_population((9, 9, 9, 9), 1, seed=11)
+    pure = optimize.Layout.from_groups(synth.archetype_pure_layout(pop, 4))
+    starts = [
+        optimize.random_layout(pure, np.random.default_rng(np.random.SeedSequence([101, s])))
+        for s in range(3)
+    ]
+    results = optimize.swap_search(pop.vectors(), starts, 2000, [0, 1, 2])
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [int(row[3]) for row in rows] == [trace.accepted[-1][0] + 1 for _, trace in results]
 
 
 # open() and the methods and functions that open a file by its path
