@@ -50,8 +50,9 @@ def main() -> int:
             gap = final - target
             recovered = abs(gap) <= 1e-9
             hits += recovered
-            # the 1-based iteration of the last accepted move, 0 if none: the
-            # exact recomputes can read an ulp below the objective it left
+            # the 1-based iteration of the last accepted move, 0 if none; the
+            # trace's minimum can come later, at an exact recompute that reads
+            # an ulp below the objective that move left
             to_best = trace.accepted[-1][0] + 1 if trace.accepted else 0
             fh.write(f"{s},{final!r},{gap!r},{to_best},{int(recovered)}\n")
     elapsed = time.time() - t0

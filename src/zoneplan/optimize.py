@@ -107,12 +107,13 @@ def swap_search(
     Runs share only the distance matrix; each keeps its own zone counts
     (vacant desks may leave runs with different counts) and its own desk
     stream, drawn up front from its seed.  A run's state changes only at
-    its moves and its recomputes, so it jumps from one to the next: it
-    scores every swap once into an (n, n) delta table, row a holding the
-    deltas an iteration computes when it draws occupant a, and its next
-    move is the first drawn desk, before the next recompute or the limit,
-    whose occupant's best partner is another occupant.  The iterations
-    before that move repeat the current objective.
+    its moves and its recomputes, so it jumps from one to the next.  It
+    keeps an (n, n) delta table, row a holding, bit for bit, the deltas an
+    iteration computes when it draws occupant a; a move rescores only the
+    rows and columns of the two zones it touches.  The next move is the
+    first drawn desk, before the next recompute or the limit, whose
+    occupant's best partner is another occupant; the iterations before it
+    repeat the current objective.
     """
     if not initials:
         raise ValueError("no starting layouts")
@@ -145,8 +146,8 @@ def swap_search(
         # integers(n) calls would
         draws = np.random.default_rng(seed).integers(n, size=limit)
         objectives, accepted = _swap_run(d, zone, seat, draws, len(zid_idx))
-        at = dict(zip(occupied, seat.tolist()))
-        final = initial.with_assignment({desk: occs[at[desk]] for desk in initial.assignment})
+        seated = dict(zip(occupied, seat.tolist()))
+        final = initial.with_assignment({desk: occs[seated[desk]] for desk in initial.assignment})
         best_so_far = np.minimum.accumulate(objectives)
         trace = OptTrace(
             objectives.tolist(), best_so_far.tolist(),
@@ -191,18 +192,18 @@ def _swap_run(
         # g[a, i] = (m[zone(a), i] - m[zone(a), a] - d[a, i]) * w(zone(a))
         # and g[i, a] is zone(i)'s term, d[i, a] being d[a, i].  Row a of g
         # changes only with zone(a)'s members, and the table is symmetric
-        za = zone.take(rows)
-        at = np.arange(rows.size)
-        t = m.take(za, axis=0)
-        t -= t[at, rows][:, None]
+        row_zone = zone.take(rows)
+        pos = np.arange(rows.size)
+        t = m.take(row_zone, axis=0)
+        t -= t[pos, rows][:, None]
         t -= d.take(rows, axis=0)
-        t *= weight.take(za)[:, None]
+        t *= weight.take(row_zone)[:, None]
         g[rows] = t
         t += g[:, rows].T
         t *= 2.0
         # same-zone swaps are not moves; the null swap is 0
-        np.putmask(t, (zone == np.arange(nz)[:, None]).take(za, axis=0), np.inf)
-        t[at, rows] = 0.0
+        np.putmask(t, (zone == np.arange(nz)[:, None]).take(row_zone, axis=0), np.inf)
+        t[pos, rows] = 0.0
         table[rows] = t
         table[:, rows] = t.T
 

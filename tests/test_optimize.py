@@ -392,7 +392,9 @@ def test_swap_search_zero_delta_moves_to_a_lower_index_match_the_reference():
 
 
 @pytest.mark.parametrize("iter_limit", [1, 2, 7, 1027])
-def test_swap_search_short_and_just_past_the_recompute_limits_match_the_reference(iter_limit):
+def test_swap_search_limits_that_end_a_block_early_match_the_reference(iter_limit):
+    # limits that stop the runs among their first moves or just past the
+    # first recompute
     vectors, template = random_instance(9, n_zones=3, per_zone=5)
     starts = [random_layout(template, np.random.default_rng(90 + r)) for r in range(3)]
     search_against_the_reference(vectors, starts, iter_limit, [4, 5, 6])
