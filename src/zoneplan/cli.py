@@ -572,6 +572,8 @@ def cmd_optimize(cfg: dict) -> int:
     n_rand = cfg["optimize"]["random_baseline"]
     if method == "ga" and not cfg["paths"]["model"]:
         raise ingest.InputError("the ga method needs paths.model (a trained surrogate)")
+    if method == "cluster" and cfg["optimize"]["seed_layouts"]:
+        raise ingest.InputError("the cluster method takes no optimize.seed_layouts (ga only)")
     states_path, state_grid = _load_states(cfg)
     model = None
     if cfg["paths"]["model"]:

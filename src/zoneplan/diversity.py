@@ -46,18 +46,18 @@ def stack_vectors(vectors: Mapping[str, np.ndarray], order: Sequence[str]) -> np
     return np.vstack([np.asarray(vectors[occ], dtype=float).ravel() for occ in order])
 
 
+def mean_pairwise_distance(d: np.ndarray) -> float:
+    """Mean off-diagonal entry of a zone's distance matrix; 0 below two members."""
+    n = d.shape[0]
+    return float(d.sum() / (n * (n - 1))) if n > 1 else 0.0
+
+
 def zone_diversity(schedules: Sequence[np.ndarray] | np.ndarray) -> float:
     """Mean pairwise distance among a zone's schedules; 0 for a lone schedule."""
-    rows = np.asarray(schedules, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    n = rows.shape[0]
-    if n == 0:
+    rows = np.atleast_2d(np.asarray(schedules, dtype=float))
+    if rows.shape[0] == 0:
         raise ValueError("zone_diversity needs at least one schedule")
-    if n == 1:
-        return 0.0
-    d = distance_matrix(rows)
-    return float(d.sum() / (n * (n - 1)))
+    return mean_pairwise_distance(distance_matrix(rows))
 
 
 @dataclass

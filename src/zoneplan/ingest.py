@@ -785,19 +785,12 @@ class Layout:
             (occ, f"{z}-d{k}", z) for z, occs in groups.items() for k, occ in enumerate(occs)
         )
 
-    def with_assignment(self, assignment: dict[str, str]) -> "Layout":
-        """A layout of the same zones and desks, seated by assignment."""
-        return Layout({z: list(desks) for z, desks in self.zones.items()}, assignment)
-
     def occupants(self) -> list[str]:
         return sorted(self.assignment.values())
 
     def desk_order(self) -> list[str]:
         """Canonical desk traversal: zones sorted by id, desks in zone order."""
         return [d for z in sorted(self.zones) for d in self.zones[z]]
-
-    def zone_of_desk(self) -> dict[str, str]:
-        return {d: z for z, desks in self.zones.items() for d in desks}
 
     def by_zone(self) -> dict[str, list[str]]:
         """zone_id -> occupants seated there, in desk order."""
@@ -828,9 +821,8 @@ class Layout:
     def with_seat_row(self, row: Sequence[int]) -> "Layout":
         """The layout of this structure that a seat row (see seat_rows) describes."""
         occupants = self.occupants()
-        return self.with_assignment(
-            {d: occupants[i] for d, i in zip(self.desk_order(), row) if i >= 0}
-        )
+        assignment = {d: occupants[i] for d, i in zip(self.desk_order(), row) if i >= 0}
+        return Layout({z: list(desks) for z, desks in self.zones.items()}, assignment)
 
 
 _ZONE_MAP_HEADER = ["occupant_id", "desk_id", "zone_id"]
@@ -863,11 +855,11 @@ def write_zone_map(layout: Layout, path, header_comment: str | None = None) -> N
 
 def _write_desk_table(layout: Layout, path, header: list[str], comment: str | None) -> None:
     """Write a zone map or layout CSV: one row per desk, in desk_order()."""
-    zone_of = layout.zone_of_desk()
-    _check_ids("desk id", zone_of)
+    _check_ids("desk id", (d for desks in layout.zones.values() for d in desks))
     _check_ids("zone id", layout.zones)
     _check_ids("occupant id", layout.assignment.values())  # an empty one would read as vacant
-    rows = ((layout.assignment.get(d, ""), d, zone_of[d]) for d in layout.desk_order())
+    desks = ((z, d) for z in sorted(layout.zones) for d in layout.zones[z])  # desk_order()
+    rows = ((layout.assignment.get(d, ""), d, z) for z, d in desks)
     at = [_ZONE_MAP_HEADER.index(column) for column in header]  # header's order of a row
     _write_rows(path, header, ([row[i] for i in at] for row in rows), [comment])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diversity import distance_matrix, layout_diversity, stack_vectors
+from .diversity import distance_matrix, layout_diversity, mean_pairwise_distance, stack_vectors
 from .ingest import _LAYOUT_HEADER, Layout, _read_desk_table, _write_desk_table, _write_lines
 
 def random_seat_row(template: Layout, rng: np.random.Generator) -> np.ndarray:
@@ -125,38 +125,40 @@ def swap_search(
     if not all(first.same_structure(layout) for layout in initials[1:]):
         raise ValueError("starting layouts differ in zones or occupants")
     occs = first.occupants()
-    occ_idx = {o: i for i, o in enumerate(occs)}
     n = len(occs)
     limit = 50 * n if iter_limit is None else iter_limit
     if limit < 1:
         raise ValueError("iter_limit must be >= 1")
 
     d = distance_matrix(stack_vectors(vectors, occs))
-    zid_idx = {z: j for j, z in enumerate(sorted(first.zones))}
-    zone_of_desk = first.zone_of_desk()
+    bounds = first.zone_bounds()
+    desk_zone = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    by_id = np.argsort(np.array(first.desk_order(), dtype=object))  # Python str order
     results = []
-    for initial, seed in zip(initials, seeds):
-        # slot j is the j-th occupied desk in sorted order; swaps never
+    for row, seed in zip(first.seat_rows(initials), seeds):
+        # slot j is the j-th occupied desk in sorted id order; swaps never
         # change which desks are occupied
-        occupied = sorted(initial.assignment)
-        seat = np.array([occ_idx[initial.assignment[desk]] for desk in occupied])
+        slot_desk = by_id[row[by_id] >= 0]
+        seat = row[slot_desk]
         zone = np.empty(n, dtype=np.intp)  # occupant -> zone index
-        zone[seat] = [zid_idx[zone_of_desk[desk]] for desk in occupied]
+        zone[seat] = desk_zone[slot_desk]
         # one integers(n, size=limit) call draws what limit scalar
         # integers(n) calls would
         draws = np.random.default_rng(seed).integers(n, size=limit)
-        objectives, accepted = _swap_run(d, zone, seat, draws, len(zid_idx))
-        seated = dict(zip(occupied, seat.tolist()))
-        final = initial.with_assignment({desk: occs[seated[desk]] for desk in initial.assignment})
+        objectives, accepted = _swap_run(d, zone, seat, draws, bounds.size - 1)
+        row[slot_desk] = seat
         best_so_far = np.minimum.accumulate(objectives)
         trace = OptTrace(
             objectives.tolist(), best_so_far.tolist(),
             [(it, occs[a], occs[b]) for it, a, b in accepted],
         )
-        # no move raises the objective, so the final layout is the best one;
-        # its exact objective replaces the incrementally updated value
-        trace.objectives[-1] = trace.best_so_far[-1] = layout_objective(final, vectors)
-        results.append((final, trace))
+        # no move raises the objective, so the final layout is the best one; its
+        # exact objective (layout_objective's, read off d) replaces the running one
+        zone_rows = dict(zip(sorted(first.zones), np.split(row, bounds[1:-1])))
+        members = (r[r >= 0] for r in map(zone_rows.get, first.zones))
+        exact = sum(mean_pairwise_distance(d[np.ix_(m, m)]) for m in members)
+        trace.objectives[-1] = trace.best_so_far[-1] = exact
+        results.append((first.with_seat_row(row), trace))
     return results
 
 

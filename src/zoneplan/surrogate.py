@@ -67,15 +67,16 @@ def build_features(states: StateGrid, zones: Mapping[str, Sequence[str]]) -> Fea
 
     zones maps zone_id to occupant ids (vacant desks excluded).  Every
     listed occupant must have a state row; occupants absent from the
-    layout simply contribute to no zone.  The rows come from the same
-    integer keys that LayoutScorer scores, so n_zones * 336 *
-    (n_occupants + 1)**3 must stay below 2**63.
+    layout simply contribute to no zone.  The rows come from the keys that
+    LayoutScorer scores, of the members as one seat row, so _RowEncoder's
+    bounds hold: n_zones * 336 * m**3 < 2**63 and m**3 <= 2**53, m = n_occupants + 1.
     """
     zone_order = sorted(zones)
     encoder = _RowEncoder(states, {z: j for j, z in enumerate(zone_order)})
-    rows = {z: encoder.occupant_rows(members)[None, :] for z, members in zones.items()}
-    keys = encoder.keys(rows)[0].T[encoder.step_of]
-    features = encoder.decode(keys.ravel())
+    rows = encoder.occupant_rows([o for z in zone_order for o in zones[z]])[None, :]
+    desk_zone = np.repeat(np.arange(len(zone_order)), [len(zones[z]) for z in zone_order])
+    keys = encoder.keys(rows, desk_zone, zone_order)
+    features = encoder.decode(keys[0].T[encoder.step_of].ravel())
     n_zones = len(zone_order)
     hour_epoch = np.repeat(states.calendar.hour_epochs(), n_zones)
     day_index = np.repeat(np.arange(states.n_steps) // STEPS_PER_DAY, n_zones)
@@ -140,17 +141,16 @@ def encode(features: np.ndarray, n_zones: int) -> np.ndarray:
     return out
 
 
-def _require_model_zones(zone_ids: Sequence[str], index: Mapping[str, int]) -> None:
+def _model_zone_indices(zone_ids: Sequence[str], index: Mapping[str, int]) -> np.ndarray:
     unknown = [z for z in zone_ids if z not in index]
     if unknown:
         raise ValueError(f"unknown zone ids for this model: {unknown}")
+    return np.array([index[z] for z in zone_ids], dtype=np.int64)
 
 
 def _model_zone_rows(table: FeatureTable, model_order: Sequence[str]) -> np.ndarray:
     """The table's raw rows with the zone column turned into model zone indices."""
-    index = {z: i for i, z in enumerate(model_order)}
-    _require_model_zones(table.zone_order, index)
-    remap = np.array([index[z] for z in table.zone_order], dtype=int)
+    remap = _model_zone_indices(table.zone_order, {z: i for i, z in enumerate(model_order)})
     x = table.features.copy()
     x[:, 6] = remap[x[:, 6].astype(int)]
     return x
@@ -620,7 +620,10 @@ class _RowEncoder:
     key = (((zone * 336 + calendar) * m + s1) * m + s2) * m + s3, where
     calendar = (hour * 7 + day_of_week) * 2 + is_weekend, m is
     n_occupants + 1 (a zone count lies in [0, n_occupants]) and zone is
-    the zone's index in zone_index.
+    the zone's index in zone_index; keys need n_zones * 336 * m**3 < 2**63.
+    Counts come from one float64 product, 0/1 zone membership times state
+    weights m**2, m or 1, exact in any summation order and at any BLAS
+    thread count while m**3 <= 2**53: its partial sums are integers below m**3.
 
     Two steps with the same calendar key and the same state for every
     occupant give the same key in every layout and zone, so keys are built
@@ -631,12 +634,15 @@ class _RowEncoder:
     _CALENDAR_KEYS = 24 * 7 * 2
 
     def __init__(self, states: StateGrid, zone_index: dict):
-        cal = states.calendar
-        self.zone_index = zone_index
-        self._occ_index = {occ: i for i, occ in enumerate(states.occupants)}
         m = self._base = len(states.occupants) + 1
         if len(zone_index) * self._CALENDAR_KEYS * m**3 >= 2**63:
             raise ValueError("too many occupants and zones for 64-bit row keys")
+        if m**3 > 2**53:
+            raise ValueError("too many occupants for exact zone counts: (n_occupants + 1)**3 "
+                             "exceeds 2**53, past which float64 skips integers")
+        cal = states.calendar
+        self.zone_index = zone_index
+        self._occ_index = {occ: i for i, occ in enumerate(states.occupants)}
         calendar_key = (cal.hours.astype(np.int64) * 7 + cal.dows) * 2 + cal.weekend
         columns = np.vstack([calendar_key, states.states]).astype(np.int16)
         _, distinct, step_of = np.unique(columns, axis=1, return_index=True, return_inverse=True)
@@ -645,9 +651,9 @@ class _RowEncoder:
         self._zone_key = self._CALENDAR_KEYS * m**3
         # an occupant in state 1, 2 or 3 adds m^2, m or 1 to its zone's key;
         # the zero row after the occupants' rows is row -1, a vacant desk
-        state_weight = np.zeros(256, dtype=np.int32 if m * m < 2**31 else np.int64)
+        state_weight = np.zeros(256)
         state_weight[[1, 2, 3]] = (m * m, m, 1)
-        self._weights = np.zeros((m, distinct.size), state_weight.dtype)
+        self._weights = np.zeros((m, distinct.size))
         self._weights[:-1] = state_weight.take(states.states[:, distinct])
 
     def occupant_rows(self, occupants: Sequence[str]) -> np.ndarray:
@@ -658,20 +664,18 @@ class _RowEncoder:
             missing = [o for o in occupants if o not in self._occ_index]
             raise ValueError(f"occupants without states: {missing}") from None
 
-    def keys(self, rows: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Row keys (n_layouts, n_zones, n_distinct_steps), zones in sorted id order.
+    def keys(self, rows: np.ndarray, desk_zone: np.ndarray, zone_order: list[str]) -> np.ndarray:
+        """Row keys (n_layouts, n_zones, n_distinct_steps), zones in zone_order.
 
-        rows maps zone_id to (n_layouts, desks) state-grid rows, -1 vacant.
+        rows: (n_layouts, desks) state-grid rows, -1 vacant, desk j in zone_order[desk_zone[j]].
         Index the last axis with step_of for every step's keys.
         """
-        zone_order = sorted(rows)
-        _require_model_zones(zone_order, self.zone_index)
-        n_layouts = len(rows[zone_order[0]]) if zone_order else 1
-        keys = np.empty((n_layouts, len(zone_order), self._step_key.size), dtype=np.int64)
-        for j, zone_id in enumerate(zone_order):
-            keys[:, j] = self._step_key + self.zone_index[zone_id] * self._zone_key
-            keys[:, j] += self._weights[rows[zone_id]].sum(axis=1)
-        return keys
+        zone = _model_zone_indices(zone_order, self.zone_index)
+        member = np.zeros((len(rows), len(zone_order), self._base))
+        member[np.arange(len(rows))[:, None], desk_zone, rows] = 1.0
+        counts = member.reshape(-1, self._base) @ self._weights
+        keys = counts.astype(np.int64).reshape(*member.shape[:2], -1) + self._step_key
+        return keys + (zone * self._zone_key)[:, None]
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
         """Raw float feature rows, columns per FEATURE_NAMES, of 1-D keys."""
@@ -802,12 +806,12 @@ class LayoutScorer:
         predictions, (n_layouts, n_steps, n_zones), hold rows as build_features does."""
         # index -1 picks the appended -1, the encoder's empty row
         row_of = np.append(self._encoder.occupant_rows(template.occupants()), -1)
-        zone_rows = np.split(row_of[population], template.zone_bounds()[1:-1], axis=1)
-        rows = dict(zip(sorted(template.zones), zone_rows))
+        zone_order = sorted(template.zones)
+        desk_zone = np.repeat(np.arange(len(zone_order)), np.diff(template.zone_bounds()))
         # a batch's keys, zones x distinct steps per layout, are no more than its rows
-        batch = max(1, BATCH_CELLS // (len(rows) * self.calendar.n_steps))
+        batch = max(1, BATCH_CELLS // (len(zone_order) * self.calendar.n_steps))
         for lo in range(0, len(population), batch):
-            keys = self._encoder.keys({z: r[lo : lo + batch] for z, r in rows.items()})
+            keys = self._encoder.keys(row_of[population[lo : lo + batch]], desk_zone, zone_order)
             pred = self._lookup(keys.ravel()).reshape(keys.shape).transpose(0, 2, 1)
             yield lo, pred[:, self._encoder.step_of]
 

@@ -691,6 +691,25 @@ def test_optimize_checks_its_config_before_reading_input(tmp_path, capsys, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("inputs", ["missing", "real"])
+def test_cluster_with_seed_layouts_exits_one_before_reading_input(tmp_path, capsys, demo_dir,
+                                                                   inputs):
+    # the swap search starts from random layouts only, so seed layouts would
+    # be loaded, checked and then ignored
+    missing = str(tmp_path / "missing.csv")
+    states, zone_map, seeds = (
+        (missing, missing, missing) if inputs == "missing"
+        else (demo_dir / "states.csv", demo_dir / "zone_map.csv", demo_dir / "cluster_layout.csv")
+    )
+    out = tmp_path / "out"
+    argv = ["optimize", "--method", "cluster", "--states", str(states), "--zone-map",
+            str(zone_map), "--seed-layouts", str(seeds), "--out-dir", str(out)]
+    assert main(argv) == 1
+    message = "the cluster method takes no optimize.seed_layouts (ga only)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cluster_batch_runs_as_each_seed_alone(tmp_path, office_inputs):
     # a batch is searched together; each run's files hold the rows its seed
     # gives alone (only the header comment, which records the seed, differs)
@@ -983,8 +1002,8 @@ def test_diversity_report_regression_schema(tmp_path, demo_dir):
 def _with_ghost(layout):
     """layout with its first occupant renamed to one the states lack."""
     first = layout.occupants()[0]
-    return layout.with_assignment(
-        {d: "GHOST" if o == first else o for d, o in layout.assignment.items()}
+    return Layout(
+        layout.zones, {d: "GHOST" if o == first else o for d, o in layout.assignment.items()}
     )
 
 

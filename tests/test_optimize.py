@@ -235,7 +235,7 @@ def reference_swap_optimize(vectors, initial, iter_limit, seed):
     d = distance_matrix(stack_vectors(vectors, occs))
     zone_ids = sorted(initial.zones)
     nz = len(zone_ids)
-    zone_of_desk = initial.zone_of_desk()
+    zone_of_desk = {d: z for z, desks in initial.zones.items() for d in desks}
     desk_of_occ = {}
     occ_zone = np.zeros(n, dtype=np.intp)
     for desk, occ in initial.assignment.items():
@@ -426,6 +426,34 @@ def test_swap_search_matches_the_reference_on_random_instances(case):
     starts = [random_layout(template, rng) for _ in range(n_runs)]
     seeds = rng.integers(0, 2**32, size=n_runs).tolist()
     search_against_the_reference(vectors, starts, iter_limit, seeds)
+
+
+def test_swap_search_sums_the_exact_objective_in_layout_zone_order():
+    # zones listed out of sorted id order, with vacant desks and zones of 0
+    # or 1 occupants: the final exact objective adds the zones in
+    # Layout.zones order, as layout_objective does, and in some instances
+    # the sorted-order sum rounds differently, so the order is seen
+    orders_differ, sizes_seen = 0, set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n_zones = int(rng.integers(3, 7))
+        ids = [f"Z{z}" for z in rng.permutation(n_zones)]
+        if ids == sorted(ids):
+            ids.reverse()
+        zones = {z: [f"{z}-d{k}" for k in range(int(rng.integers(1, 5)))] for z in ids}
+        desks = [d for z in zones for d in zones[z]]
+        n_occ = int(rng.integers(2, len(desks) + 1))
+        names = [f"o{i:02d}" for i in range(n_occ)]
+        vectors = {o: rng.normal(size=4) * 10.0 ** rng.integers(-3, 4) for o in names}
+        start = Layout(zones, dict(zip(rng.permutation(desks).tolist(), names)))
+        [(layout, trace)] = swap_search(vectors, [start], int(rng.integers(1, 60)), [seed])
+        exact = layout_objective(layout, vectors)
+        assert trace.objectives[-1] == trace.best_so_far[-1] == exact
+        per_zone = layout_diversity(layout.by_zone(), vectors).per_zone
+        orders_differ += float(sum(per_zone[z] for z in sorted(per_zone))) != exact
+        sizes_seen |= {len(members) for members in layout.by_zone().values()}
+        assert list(layout.zones) == ids
+    assert orders_differ > 0 and {0, 1} <= sizes_seen
 
 
 def test_swap_search_rejects_starts_it_cannot_batch(paired_vectors, paired_adversarial):

@@ -750,6 +750,26 @@ def test_distinct_step_keys_equal_per_step_keys(scorer_case, pop8, grid):
         assert np.array_equal(features, encoder.decode(keys[0].T.ravel()))
 
 
+def test_row_encoder_rejects_zone_counts_that_float64_cannot_hold_exactly():
+    # a zone's counts part is a float64 product whose partial sums stay below
+    # m**3, m = n_occupants + 1: at 208,063 occupants m**3 passes 2**53,
+    # while one zone's 64-bit keys, 336 * m**3, still fit below 2**63
+    def one_step(n_occ):
+        states = (1 + np.arange(n_occ) % 3).astype(np.int8)[:, None]
+        return StateGrid([f"o{i}" for i in range(n_occ)], T0, states)
+
+    assert 208_063**3 <= 2**53 < 208_064**3 and 336 * 208_064**3 < 2**63
+    why = r"exact zone counts: .* exceeds 2\*\*53, past which float64 skips integers"
+    with pytest.raises(ValueError, match=why):
+        _RowEncoder(one_step(208_063), {"Z1": 0})
+    # at the largest office allowed, every occupant seated in one zone, the
+    # counts part (about 2**53) still decodes to the exact state counts
+    encoder = _RowEncoder(one_step(208_062), {"Z1": 0})
+    rows = np.r_[np.arange(208_062), -1][None, :]
+    keys = encoder.keys(rows, np.zeros(rows.shape[1], dtype=np.intp), ["Z1"])
+    assert encoder.decode(keys.ravel())[0, :3].tolist() == [69_354.0] * 3
+
+
 def reaches_the_model_once_per_distinct_row(scorer_case, pop8, growing: bool):
     base, _ = scorer_case
     model = copy.copy(base)
